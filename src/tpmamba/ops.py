@@ -1,8 +1,10 @@
 """Structured operations: convolutions, normalization, upsampling, grad check.
 
 All convolutions use the cross-correlation convention (no kernel flip),
-stride 1, and zero padding.  Forward/backward passes are expressed as a small
-number of numpy contractions per kernel tap, which keeps them BLAS-backed.
+stride 1, and zero padding.  conv3d runs one BLAS GEMM per kernel tap over a
+channel-major copy of the zero-padded input flattened to (Cin, B*Dp*Hp*Wp):
+each tap reads a contiguous column window of it, shifted by the tap's offset
+on the padded grid, and the output is computed on that grid and cropped.
 """
 
 from __future__ import annotations
@@ -22,6 +24,16 @@ def same_padding(kernel: int, dilation: int) -> int:
     if kernel % 2 == 0:
         raise ConfigError(f"'same' padding needs an odd kernel, got {kernel}")
     return dilation * (kernel - 1) // 2
+
+
+def _padded_columns(a: Array, widths: tuple) -> Array:
+    """(B,C,D,H,W) zero-padded by `widths` per spatial axis, as (C, B*Dp*Hp*Wp).
+
+    Without padding and with B == 1 this is a view of `a`."""
+    a = a.transpose(1, 0, 2, 3, 4)
+    if any(w for pair in widths for w in pair):
+        a = np.pad(a, ((0, 0), (0, 0)) + tuple(widths))
+    return np.ascontiguousarray(a).reshape(a.shape[0], -1)
 
 
 def conv3d(
@@ -48,34 +60,36 @@ def conv3d(
     if min(od, oh, ow) <= 0:
         raise ShapeError(f"conv3d output extent would be non-positive: ({od},{oh},{ow})")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    taps = [(i, j, k) for i in range(kd) for j in range(kh) for k in range(kw)]
+    # On the padded grid flattened to columns, tap (i,j,k) of the output voxel
+    # in column c reads the input in column c + offset: one GEMM per tap.
+    Dp, Hp, Wp = D + 2 * pd, H + 2 * ph, W + 2 * pw
+    xf = _padded_columns(x.data, ((pd, pd), (ph, ph), (pw, pw)))
+    offsets = [i * dd * Hp * Wp + j * dh * Wp + k * dw for i in range(kd) for j in range(kh) for k in range(kw)]
+    n = xf.shape[1] - offsets[-1]  # every output voxel lies in the first n columns
+    wt = np.ascontiguousarray(np.moveaxis(weight.data.reshape(cout, cin, -1), 2, 0))  # (taps,Cout,Cin)
 
-    def tap_slice(i, j, k):
-        return (
-            slice(None),
-            slice(None),
-            slice(i * dd, i * dd + od),
-            slice(j * dh, j * dh + oh),
-            slice(k * dw, k * dw + ow),
-        )
-
-    acc = np.zeros((cout, B, od, oh, ow), dtype=x.data.dtype)
-    for i, j, k in taps:
-        acc += np.tensordot(weight.data[:, :, i, j, k], xp[tap_slice(i, j, k)], axes=([1], [1]))
-    out = np.ascontiguousarray(np.moveaxis(acc, 0, 1))
+    acc = np.empty((cout, xf.shape[1]), dtype=x.data.dtype)
+    np.matmul(wt[0], xf[:, :n], out=acc[:, :n])
+    tmp = np.empty((cout, n), dtype=acc.dtype)
+    for t in range(1, len(offsets)):
+        acc[:, :n] += np.matmul(wt[t], xf[:, offsets[t] : offsets[t] + n], out=tmp)
+    out = np.ascontiguousarray(acc.reshape(cout, B, Dp, Hp, Wp)[:, :, :od, :oh, :ow].transpose(1, 0, 2, 3, 4))
     if bias is not None:
         out += bias.data.reshape(1, cout, 1, 1, 1)
 
     def backward(g):
-        gw = np.empty_like(weight.data)
-        gxp = np.zeros_like(xp)
-        for i, j, k in taps:
-            xs = xp[tap_slice(i, j, k)]
-            gw[:, :, i, j, k] = np.tensordot(g, xs, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
-            contrib = np.tensordot(weight.data[:, :, i, j, k], g, axes=([0], [1]))
-            gxp[tap_slice(i, j, k)] += np.moveaxis(contrib, 0, 1)
-        gx = gxp[:, :, pd : pd + D, ph : ph + H, pw : pw + W]
+        gf = _padded_columns(g, ((0, Dp - od), (0, Hp - oh), (0, Wp - ow)))[:, :n]
+        gwt = np.empty_like(wt)
+        gxf = np.empty_like(xf)
+        gxf[:, n:] = 0
+        np.matmul(wt[0].T, gf, out=gxf[:, :n])
+        tmp = np.empty((cin, n), dtype=gxf.dtype)
+        for t, off in enumerate(offsets):
+            np.matmul(gf, xf[:, off : off + n].T, out=gwt[t])
+            if t:
+                gxf[:, off : off + n] += np.matmul(wt[t].T, gf, out=tmp)
+        gw = np.moveaxis(gwt, 0, 2).reshape(weight.shape)
+        gx = gxf.reshape(cin, B, Dp, Hp, Wp)[:, :, pd : pd + D, ph : ph + H, pw : pw + W].transpose(1, 0, 2, 3, 4)
         if bias is not None:
             return gx, gw, g.sum(axis=(0, 2, 3, 4))
         return gx, gw

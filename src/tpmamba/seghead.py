@@ -187,8 +187,12 @@ def dice_score(pred: np.ndarray, gt: np.ndarray, K: int) -> tuple[np.ndarray, fl
 @dataclass
 class SegmentationOutput:
     logits: np.ndarray  # (1, K, D, H, W)
-    probabilities: np.ndarray  # softmax of logits over K
     labels: np.ndarray  # argmax over K, (1, D, H, W)
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        """Softmax of the logits over K, computed on each access."""
+        return _softmax_np(self.logits, axis=1)
 
 
 def _softmax_np(x: np.ndarray, axis: int) -> np.ndarray:
@@ -269,9 +273,4 @@ def sliding_window_infer(
                 norm[region] += weight
     blended = acc / norm
     blended = blended[None, :, pads[0][0] : pads[0][0] + D, pads[1][0] : pads[1][0] + H, pads[2][0] : pads[2][0] + W]
-    probs = _softmax_np(blended, axis=1)
-    return SegmentationOutput(
-        logits=blended,
-        probabilities=probs,
-        labels=blended.argmax(axis=1),
-    )
+    return SegmentationOutput(logits=blended, labels=blended.argmax(axis=1))

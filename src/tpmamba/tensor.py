@@ -447,20 +447,27 @@ def linear(x: Tensor, weight, bias=None) -> Tensor:
 # nonlinear primitives
 
 
+# A result that underflows to 0 or a subnormal is the exact limit of these
+# functions, not an error.
+_UNDERFLOW_OK = np.errstate(under="ignore")
+
+
 def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid_np(a.data)
-    return _record((a,), out, lambda g: (g * out * (1.0 - out),))
+    return _record((a,), out, _UNDERFLOW_OK(lambda g: (g * out * (1.0 - out),)))
 
 
+@_UNDERFLOW_OK
 def silu(a: Tensor) -> Tensor:
     s = _sigmoid_np(a.data)
     out = a.data * s
-    return _record((a,), out, lambda g: (g * (s * (1.0 + a.data * (1.0 - s))),))
+    return _record((a,), out, _UNDERFLOW_OK(lambda g: (g * (s * (1.0 + a.data * (1.0 - s))),)))
 
 
+@_UNDERFLOW_OK
 def softplus(a: Tensor) -> Tensor:
     out = np.logaddexp(a.data.dtype.type(0), a.data)
-    return _record((a,), out, lambda g: (g * _sigmoid_np(a.data),))
+    return _record((a,), out, _UNDERFLOW_OK(lambda g: (g * _sigmoid_np(a.data),)))
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -469,16 +476,22 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 def gelu(a: Tensor) -> Tensor:
     """GELU in its tanh approximation."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
+    # integer powers as products: on float32, `x**3` takes numpy's slow `pow` loop
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
     out = 0.5 * x * (1.0 + t)
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        return (g * d.astype(x.dtype),)
+        # 0.5*(1+t) + 0.5*x*(1-t*t) * c*(1+3*0.044715*x*x), built in place
+        d = x * x
+        d *= 3 * 0.044715
+        d += 1.0
+        d *= _GELU_C
+        d *= 0.5 * x * (1.0 - t * t)
+        d += 0.5 * (1.0 + t)
+        d *= g
+        return (d,)
 
-    return _record((a,), out.astype(x.dtype), backward)
+    return _record((a,), out.astype(x.dtype, copy=False), backward)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
@@ -505,13 +518,17 @@ def log_softmax(a: Tensor, axis: int) -> Tensor:
     return _record((a,), out, backward)
 
 
+@_UNDERFLOW_OK
 def _sigmoid_np(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function as 1/(1+e) for x >= 0 and e/(1+e) below, where
+    e = exp(-|x|) <= 1 cannot overflow.  The numerator is picked arithmetically,
+    max(e, x >= 0), because masked selects are ~10x slower than the formula."""
+    e = np.negative(x)
+    np.minimum(x, e, out=e)  # -|x|, keeping a NaN's bits as they are
+    np.exp(e, out=e)
+    d = 1.0 + e
+    np.maximum(e, x >= 0, out=e)
+    return np.divide(e, d, out=d)
 
 
 # ---------------------------------------------------------------------------

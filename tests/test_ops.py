@@ -90,6 +90,47 @@ def test_conv3d_grad(rng):
     assert grad_check(f, [x, w, b], max_coords=12) < 1e-6
 
 
+def _conv3d_loops(x, w, b, dilation, padding):
+    """Direct cross-correlation, one output voxel at a time."""
+    (dd, dh, dw), (pd, ph, pw) = dilation, padding
+    _, _, kd, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
+    od, oh, ow = (xp.shape[2] - dd * (kd - 1), xp.shape[3] - dh * (kh - 1), xp.shape[4] - dw * (kw - 1))
+    out = np.empty((x.shape[0], w.shape[0], od, oh, ow))
+    for n in range(x.shape[0]):
+        for o in range(w.shape[0]):
+            for z in range(od):
+                for y in range(oh):
+                    for v in range(ow):
+                        win = xp[n, :, z : z + dd * kd : dd, y : y + dh * kh : dh, v : v + dw * kw : dw]
+                        out[n, o, z, y, v] = (w[o] * win).sum() + b[o]
+    return out
+
+
+@pytest.mark.parametrize(
+    "x_shape,w_shape,dilation,padding",
+    [
+        ((2, 2, 5, 4, 3), (3, 2, 3, 3, 3), (2, 1, 1), (2, 1, 1)),
+        ((2, 4, 3, 2, 5), (3, 4, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+        ((1, 4, 3, 2, 5), (3, 4, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+    ],
+)
+def test_conv3d_matches_loop_reference_and_grads(rng, x_shape, w_shape, dilation, padding):
+    x = Parameter("x", rng.standard_normal(x_shape), dtype=np.float64)
+    w = Parameter("w", rng.standard_normal(w_shape) * 0.5, dtype=np.float64)
+    b = Parameter("b", rng.standard_normal(w_shape[0]), dtype=np.float64)
+    out = conv3d(x.value, w.value, b.value, dilation=dilation, padding=padding)
+    ref = _conv3d_loops(x.data, w.data, b.data, dilation, padding)
+    np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+
+    r = Tensor(rng.standard_normal(ref.shape), dtype=np.float64)
+
+    def f():
+        return T.tsum(T.mul(conv3d(x.value, w.value, b.value, dilation=dilation, padding=padding), r))
+
+    assert grad_check(f, [x, w, b], max_coords=24) < 1e-7
+
+
 # ---------------------------------------------------------------------------
 # conv1d_depthwise
 

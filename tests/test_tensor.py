@@ -159,6 +159,82 @@ def test_gelu_tanh_value():
     assert abs(out.data[0] - 0.8412) < 1e-3
 
 
+def _two_branch_sigmoid(x):
+    """The logistic function split on the sign of x through boolean masks."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    with np.errstate(all="ignore"):
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _activation_inputs(dtype):
+    special = [0.0, -0.0, 1e4, -1e4, np.inf, -np.inf, np.nan]
+    wide = np.random.default_rng(7).normal(0.0, 20.0, 20000)
+    return np.concatenate([special, wide]).astype(dtype)
+
+
+def _forward_backward(fn, x, g):
+    p = Parameter("x", x)
+    with recording() as tape:
+        y = fn(p.value)
+    tape.backward(y, seed=g)
+    return y.data, p.grad
+
+
+def _bits(a):
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_family_bit_identical_to_two_branch_formula(dtype):
+    x = _activation_inputs(dtype)
+    g = np.random.default_rng(8).standard_normal(x.shape).astype(dtype)
+    s = _two_branch_sigmoid(x)
+    with np.errstate(all="ignore"):
+        expected = {
+            T.sigmoid: (s, g * s * (1.0 - s)),
+            T.silu: (x * s, g * (s * (1.0 + x * (1.0 - s)))),
+            T.softplus: (np.logaddexp(dtype(0), x), g * s),
+        }
+        for fn, (ref_out, ref_grad) in expected.items():
+            out, grad = _forward_backward(fn, x, g)
+            np.testing.assert_array_equal(_bits(out), _bits(ref_out), err_msg=fn.__name__)
+            np.testing.assert_array_equal(_bits(grad), _bits(ref_grad), err_msg=fn.__name__)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("fn", [T.sigmoid, T.silu, T.softplus], ids=lambda fn: fn.__name__)
+def test_sigmoid_family_raises_no_floating_point_error(dtype, fn):
+    x = _activation_inputs(dtype)
+    if fn is not T.sigmoid:
+        # silu(+-inf) meets inf * 0 and numpy's logaddexp flags a NaN operand:
+        # real invalid operations on non-finite input, not underflow
+        x = x[np.isfinite(x)]
+    with np.errstate(all="raise"):
+        _forward_backward(fn, x, np.ones_like(x))
+
+
+def test_gelu_float32_matches_float64_formula():
+    x = np.linspace(-8.0, 8.0, 160001, dtype=np.float32)
+    out, grad = _forward_backward(T.gelu, x, np.ones_like(x))
+    x64 = x.astype(np.float64)
+    c = np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (x64 + 0.044715 * x64**3))
+    ref_out = 0.5 * x64 * (1.0 + t)
+    ref_grad = 0.5 * (1.0 + t) + 0.5 * x64 * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x64**2)
+
+    def err(a, ref):
+        return np.max(np.abs(a - ref) / np.maximum(1.0, np.abs(ref)))
+
+    assert err(out, ref_out) < 1e-6
+    # 1 - t*t keeps the f32 rounding of t (6e-8 as |t| -> 1), scaled by up to
+    # x * d(inner)/dx ~ 21 on this grid: 16 f32 ulps at 1
+    assert err(grad, ref_grad) < 2e-6
+
+
 @pytest.mark.parametrize("shape", [(7,), (3, 2, 4)])
 def test_elementwise_grads(rng, shape):
     x = Parameter("x", rng.standard_normal(shape) * 0.5, dtype=np.float64)
