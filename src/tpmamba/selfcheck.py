@@ -35,6 +35,7 @@ def check_scan(n_configs: int = 24) -> list[Check]:
     rng = np.random.default_rng(42)
     lengths = [1, 2, 7, 64, 513]
     worst = {"f32": 0.0, "f64": 0.0}
+    exact = True
     for i in range(n_configs):
         L = lengths[i % len(lengths)]
         b = int(rng.integers(1, 3))
@@ -46,7 +47,9 @@ def check_scan(n_configs: int = 24) -> list[Check]:
             slow = selective_scan_sequential(*args).data
             denom = max(1.0, float(np.abs(slow).max()))
             worst[key] = max(worst[key], float(np.abs(fast - slow).max()) / denom)
+            exact &= np.array_equal(fast, slow)
     return [
+        ("scan forward bit-identical to oracle", exact, f"{2 * n_configs} configs, f32 and f64"),
         ("scan equivalence f32 < 1e-5", worst["f32"] < 1e-5, f"max rel err {worst['f32']:.3e}"),
         ("scan equivalence f64 < 1e-10", worst["f64"] < 1e-10, f"max rel err {worst['f64']:.3e}"),
     ]

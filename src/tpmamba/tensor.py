@@ -24,7 +24,7 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 class Tensor:
     """A dense n-dimensional value, optionally participating in gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_is_node")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data, dtype=dtype)
@@ -33,7 +33,6 @@ class Tensor:
         self.data: Array = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[Array] = None
-        self._is_node = False  # set when produced by a recorded primitive
 
     @property
     def shape(self) -> tuple:
@@ -62,22 +61,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
-
-    # Convenience arithmetic (thin wrappers over the module primitives).
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other, self.dtype))
-
-    def __neg__(self):
-        return neg(self)
 
 
 class Parameter:
@@ -193,28 +176,25 @@ def recording(tape: Optional[Tape] = None):
         _ACTIVE_TAPE = None
 
 
-def _as_tensor(x, dtype=None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def as_value(x) -> Tensor:
     """Unwrap a Parameter to its Tensor; Tensors pass through."""
     return x.value if isinstance(x, Parameter) else x
 
 
+def _needs_grad(inputs: Sequence[Tensor]) -> bool:
+    """True when `_record` would record a node for these inputs."""
+    return _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
+
+
 def _record(inputs: Sequence[Tensor], out_data: Array, backward: Callable) -> Tensor:
     """Wrap a primitive result, recording a tape node when gradients flow."""
-    tape = _ACTIVE_TAPE
-    needs = tape is not None and any(t.requires_grad for t in inputs)
+    needs = _needs_grad(inputs)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
     out.requires_grad = needs
-    out._is_node = needs
     if needs:
-        tape.nodes.append(_Node(tuple(inputs), out, backward))
+        _ACTIVE_TAPE.nodes.append(_Node(tuple(inputs), out, backward))
     return out
 
 

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from tpmamba.ops import grad_check
 from tpmamba.ssm import (
     MambaBlockConfig,
     SSMParams,
-    discretize,
     mamba_block_forward,
     param_count_ssm,
+    scan_tile_steps,
     selective_scan,
     selective_scan_sequential,
 )
@@ -29,34 +30,47 @@ def random_scan_inputs(rng, b, L, E, N, dtype=np.float64):
 
 
 # ---------------------------------------------------------------------------
-# discretize
+# discretisation anchors, read through one-channel, one-state scans
 
 
-def test_discretize_small_delta_limits():
-    A = -np.exp(np.zeros((2, 3)))
-    B = np.ones(3)
-    delta = np.full(2, 1e-9)
-    A_bar, B_bar = discretize(A, B, delta)
-    np.testing.assert_allclose(A_bar, 1.0, atol=1e-8)
-    np.testing.assert_allclose(B_bar, 0.0, atol=1e-8)
+def scalar_scan(delta, u, A=-1.0, B=1.0, C=1.0, D=0.0):
+    """y_t = C*h_t + D*u_t with h_t = exp(delta*A)*h_{t-1} + delta*u_t*B."""
+    L = len(u)
+    args = (
+        np.reshape(u, (1, L, 1)),
+        np.full((1, L, 1), delta),
+        np.full((1, 1), A),
+        np.full((1, L, 1), B),
+        np.full((1, L, 1), C),
+        np.full(1, D),
+    )
+    return selective_scan(*(Tensor(a, dtype=np.float64) for a in args)).data[0, :, 0]
 
 
-def test_discretize_log_two():
-    A = np.array([[-1.0]])
-    A_bar, _ = discretize(A, np.array([1.0]), np.array([np.log(2.0)]))
-    np.testing.assert_allclose(A_bar, 0.5, rtol=1e-12)
+# The state starts at zero, so the decay exp(delta*A) first shows at step 2:
+# with u = (1, 0), y_1 = delta*B*C and y_2 = exp(delta*A) * y_1.
 
 
-def test_discretize_unit_case():
-    A = np.array([[-np.exp(0.0)]])  # -1
-    A_bar, B_bar = discretize(A, np.array([1.0]), np.array([1.0]))
-    np.testing.assert_allclose(A_bar, np.exp(-1.0), rtol=1e-12)
-    np.testing.assert_allclose(B_bar, 1.0, rtol=1e-12)
+def test_scan_small_delta_limits():
+    y = scalar_scan(1e-9, u=(1.0, 0.0))
+    np.testing.assert_allclose(y[0], 0.0, atol=1e-8)  # delta*B -> 0
+    np.testing.assert_allclose(y[1] / y[0], 1.0, atol=1e-8)  # exp(delta*A) -> 1
 
 
-def test_discretize_nonfinite_delta():
+def test_scan_log_two_decay():
+    y = scalar_scan(np.log(2.0), u=(1.0, 0.0))
+    np.testing.assert_allclose(y[1] / y[0], 0.5, rtol=1e-12)
+
+
+def test_scan_unit_case():
+    y = scalar_scan(1.0, u=(1.0, 0.0), A=-np.exp(0.0))
+    np.testing.assert_allclose(y, [1.0, np.exp(-1.0)], rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scan_rejects_nonfinite_delta(bad):
     with pytest.raises(NumericError):
-        discretize(np.array([[-1.0]]), np.array([1.0]), np.array([np.nan]))
+        scalar_scan(bad, u=(1.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +144,74 @@ def test_scan_single_step_bit_exact(rng):
     fast = selective_scan(u, delta, A, B, C, D).data
     slow = selective_scan_sequential(u, delta, A, B, C, D).data
     assert np.array_equal(fast, slow)
+
+
+# (b, E, N) with a tile of a few steps, so lengths straddle tile boundaries
+TILED = (2, 96, 128)
+
+
+def tile_lengths():
+    b, E, N = TILED
+    T = scan_tile_steps(b, 10**6, E, N)
+    assert 2 <= T <= 8
+    return [1, T - 1, T, T + 1, 2 * T + 3]
+
+
+def recorded_scan(arrays):
+    params = [Parameter(n, a.data, dtype=a.data.dtype) for n, a in zip("udABCD", arrays)]
+    with recording():
+        return selective_scan(*[p.value for p in params]).data
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["plain", "taped"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scan_forward_bit_identical_to_oracle(rng, dtype, taped):
+    b, E, N = TILED
+    for L in tile_lengths():
+        arrays = random_scan_inputs(rng, b, L, E, N, dtype=dtype)
+        fast = recorded_scan(arrays) if taped else selective_scan(*arrays).data
+        assert np.array_equal(fast, selective_scan_sequential(*arrays).data), L
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scan_taped_and_plain_forward_same_bits(rng, dtype):
+    b, E, N = TILED
+    for L in tile_lengths():
+        arrays = random_scan_inputs(rng, b, L, E, N, dtype=dtype)
+        assert recorded_scan(arrays).tobytes() == selective_scan(*arrays).data.tobytes(), L
+
+
+def traced_bytes(fn):
+    """(bytes still held after fn returns, peak bytes during fn); result kept alive."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return held - base, peak - base
+
+
+def test_recorded_scan_holds_one_state_array(rng):
+    b, L, E, N = 6, 100, 48, 16
+    arrays = random_scan_inputs(rng, b, L, E, N, dtype=np.float32)
+    params = [Parameter(n, a.data, dtype=np.float32) for n, a in zip("udABCD", arrays)]
+    state = b * L * E * N * 4
+    with recording():
+        held, _ = traced_bytes(lambda: selective_scan(*[p.value for p in params]))
+    assert state <= held <= state + 2 * b * L * E * 4
+
+
+def test_plain_scan_keeps_no_state_history(rng):
+    b, L, E, N = 6, 300, 48, 16
+    arrays = random_scan_inputs(rng, b, L, E, N, dtype=np.float32)
+    tiles = 2 * scan_tile_steps(b, L, E, N) * b * E * N * 4
+    held, peak = traced_bytes(lambda: selective_scan(*arrays))
+    assert held <= 2 * b * L * E * 4
+    assert peak <= tiles + 8 * b * L * E * 4 < b * L * E * N * 4
 
 
 def test_scan_gradient_matches_oracle_gradient(rng):
