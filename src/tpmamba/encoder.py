@@ -95,9 +95,6 @@ class LoRALinear:
     def parameters(self):
         return [self.w_base, self.b_base, self.a_lora, self.b_lora]
 
-    def trainable_parameters(self):
-        return [self.a_lora, self.b_lora]
-
 
 @dataclass
 class FrozenLinear:

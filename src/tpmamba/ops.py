@@ -1,10 +1,11 @@
 """Structured operations: convolutions, normalization, upsampling, grad check.
 
 All convolutions use the cross-correlation convention (no kernel flip),
-stride 1, and zero padding.  conv3d runs one BLAS GEMM per kernel tap over a
-channel-major copy of the zero-padded input flattened to (Cin, B*Dp*Hp*Wp):
-each tap reads a contiguous column window of it, shifted by the tap's offset
-on the padded grid, and the output is computed on that grid and cropped.
+stride 1, and zero padding.  conv3d flattens the zero-padded input
+channel-major to (Cin, B*Dp*Hp*Wp), where tap t of the output in column c
+reads input column c + offset_t, and crops the output computed on that grid.
+It walks the columns in tiles of CONV_TILE_VALUES // (Cin + Cout), one BLAS
+GEMM per tap and tile, so a tile's operands stay in cache across the taps.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from .errors import ConfigError, NumericError, ShapeError
 from .tensor import Parameter, Tensor, _record, as_value, recording
 
 Array = np.ndarray
+
+CONV_TILE_VALUES = 2**17  # (Cin + Cout) * columns per conv3d column tile, ~L2-sized
 
 
 def same_padding(kernel: int, dilation: int) -> int:
@@ -61,33 +64,49 @@ def conv3d(
         raise ShapeError(f"conv3d output extent would be non-positive: ({od},{oh},{ow})")
 
     # On the padded grid flattened to columns, tap (i,j,k) of the output voxel
-    # in column c reads the input in column c + offset: one GEMM per tap.
+    # in column c reads the input in column c + offset: one GEMM per tap and
+    # column tile, so each tile's operands stay in cache across the taps.
     Dp, Hp, Wp = D + 2 * pd, H + 2 * ph, W + 2 * pw
-    xf = _padded_columns(x.data, ((pd, pd), (ph, ph), (pw, pw)))
+    pads = ((pd, pd), (ph, ph), (pw, pw))
+    xf = _padded_columns(x.data, pads)
     offsets = [i * dd * Hp * Wp + j * dh * Wp + k * dw for i in range(kd) for j in range(kh) for k in range(kw)]
     n = xf.shape[1] - offsets[-1]  # every output voxel lies in the first n columns
     wt = np.ascontiguousarray(np.moveaxis(weight.data.reshape(cout, cin, -1), 2, 0))  # (taps,Cout,Cin)
+    cols = max(1, CONV_TILE_VALUES // (cin + cout))
 
     acc = np.empty((cout, xf.shape[1]), dtype=x.data.dtype)
-    np.matmul(wt[0], xf[:, :n], out=acc[:, :n])
-    tmp = np.empty((cout, n), dtype=acc.dtype)
-    for t in range(1, len(offsets)):
-        acc[:, :n] += np.matmul(wt[t], xf[:, offsets[t] : offsets[t] + n], out=tmp)
+    tmp = np.empty((cout, min(cols, n)), dtype=acc.dtype)
+    for c0 in range(0, n, cols):
+        c1 = min(c0 + cols, n)
+        a = acc[:, c0:c1]
+        np.matmul(wt[0], xf[:, c0:c1], out=a)
+        for t in range(1, len(offsets)):
+            a += np.matmul(wt[t], xf[:, offsets[t] + c0 : offsets[t] + c1], out=tmp[:, : c1 - c0])
     out = np.ascontiguousarray(acc.reshape(cout, B, Dp, Hp, Wp)[:, :, :od, :oh, :ow].transpose(1, 0, 2, 3, 4))
     if bias is not None:
         out += bias.data.reshape(1, cout, 1, 1, 1)
 
     def backward(g):
+        # Walk the input columns in tiles: input column c receives tap t from
+        # gradient column c - offset_t, and those same pairs give tap t's gw.
         gf = _padded_columns(g, ((0, Dp - od), (0, Hp - oh), (0, Wp - ow)))[:, :n]
-        gwt = np.empty_like(wt)
+        xf = _padded_columns(x.data, pads)  # rebuilt, so the tape keeps no padded copy
+        gwt = np.zeros_like(wt)
         gxf = np.empty_like(xf)
-        gxf[:, n:] = 0
-        np.matmul(wt[0].T, gf, out=gxf[:, :n])
-        tmp = np.empty((cin, n), dtype=gxf.dtype)
-        for t, off in enumerate(offsets):
-            np.matmul(gf, xf[:, off : off + n].T, out=gwt[t])
-            if t:
-                gxf[:, off : off + n] += np.matmul(wt[t].T, gf, out=tmp)
+        tmp = np.empty((cin, min(cols, xf.shape[1])), dtype=gxf.dtype)
+        for c0 in range(0, xf.shape[1], cols):
+            c1 = min(c0 + cols, xf.shape[1])
+            gxf[:, max(c0, n) : c1] = 0  # the columns tap 0 (offset 0) does not write
+            for t, off in enumerate(offsets):
+                s0, s1 = max(c0 - off, 0), min(c1 - off, n)
+                if s0 >= s1:
+                    continue
+                gs, gx_s = gf[:, s0:s1], gxf[:, s0 + off : s1 + off]
+                if t:
+                    gx_s += np.matmul(wt[t].T, gs, out=tmp[:, : s1 - s0])
+                else:
+                    np.matmul(wt[0].T, gs, out=gx_s)
+                gwt[t] += gs @ xf[:, s0 + off : s1 + off].T
         gw = np.moveaxis(gwt, 0, 2).reshape(weight.shape)
         gx = gxf.reshape(cin, B, Dp, Hp, Wp)[:, :, pd : pd + D, ph : ph + H, pw : pw + W].transpose(1, 0, 2, 3, 4)
         if bias is not None:
@@ -208,13 +227,13 @@ def upsample_hw(x: Tensor, factor: int) -> Tensor:
     B, C, D, H, W = x.shape
     Mh = _interp_matrix(H, factor * H, x.data.dtype)
     Mw = _interp_matrix(W, factor * W, x.data.dtype)
-    t = np.einsum("ph,bcdhw->bcdpw", Mh, x.data, optimize=True)
-    out = np.einsum("qw,bcdpw->bcdpq", Mw, t, optimize=True)
+    # W pass as one flat GEMM, then H pass as a matmul broadcast over (B,C,D).
+    t = (x.data.reshape(-1, W) @ Mw.T).reshape(B, C, D, H, factor * W)
+    out = np.matmul(Mh, t)
 
     def backward(g):
-        gt = np.einsum("qw,bcdpq->bcdpw", Mw, g, optimize=True)
-        gx = np.einsum("ph,bcdpw->bcdhw", Mh, gt, optimize=True)
-        return (gx,)
+        gt = np.matmul(Mh.T, g)
+        return ((gt.reshape(-1, factor * W) @ Mw).reshape(x.shape),)
 
     return _record((x,), out, backward)
 

@@ -255,22 +255,26 @@ def sliding_window_infer(
     stride = tuple(max(int(round(w * (1.0 - overlap))), 1) for w in window)
     weight = gaussian_importance(window)
 
+    # Blend in the logits' float dtype; each window is weighted into one reused buffer.
     acc: Optional[np.ndarray] = None
-    norm = np.zeros((pD, pH, pW), dtype=np.float64)
     for zs in _window_starts(pD, window[0], stride[0]):
         for ys in _window_starts(pH, window[1], stride[1]):
             for xs in _window_starts(pW, window[2], stride[2]):
                 patch = padded[:, :, zs : zs + window[0], ys : ys + window[1], xs : xs + window[2]]
                 logits = np.asarray(model(patch))
                 if acc is None:
-                    acc = np.zeros((logits.shape[1], pD, pH, pW), dtype=np.float64)
+                    dtype = np.result_type(logits.dtype, np.float32)
+                    weight = weight.astype(dtype)
+                    acc = np.zeros((logits.shape[1], pD, pH, pW), dtype=dtype)
+                    norm = np.zeros((pD, pH, pW), dtype=dtype)
+                    weighted = np.empty(logits.shape[1:], dtype=dtype)
                 region = (
                     slice(zs, zs + window[0]),
                     slice(ys, ys + window[1]),
                     slice(xs, xs + window[2]),
                 )
-                acc[(slice(None),) + region] += logits[0] * weight
+                acc[(slice(None),) + region] += np.multiply(logits[0], weight, out=weighted)
                 norm[region] += weight
-    blended = acc / norm
+    blended = np.divide(acc, norm, out=acc)
     blended = blended[None, :, pads[0][0] : pads[0][0] + D, pads[1][0] : pads[1][0] + H, pads[2][0] : pads[2][0] + W]
     return SegmentationOutput(logits=blended, labels=blended.argmax(axis=1))

@@ -190,6 +190,9 @@ def selective_scan(
     """
     ud, dd, Ad, Bd, Cd, Dd = u.data, delta.data, A.data, B.data, C.data, D.data
     b, L, E, N = _check_scan_shapes(ud, dd, Ad, Bd, Cd, Dd)
+    dtypes = [a.dtype.name for a in (ud, dd, Ad, Bd, Cd, Dd)]
+    if len(set(dtypes)) > 1:
+        raise ShapeError(f"selective_scan: mixed dtypes (u, delta, A, B, C, D) = {tuple(dtypes)}")
     if not np.isfinite(dd).all():
         raise NumericError("selective_scan: non-finite delta")
     if L == 0:

@@ -400,27 +400,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight, bias=None) -> Tensor:
-    """y = x @ weight.T (+ bias) with weight of shape (out, in)."""
+    """y = x @ weight.T (+ bias) with weight of shape (out, in), as one 2-D
+    GEMM over the flattened leading axes, forward and backward."""
     weight = as_value(weight)
     bias = as_value(bias) if bias is not None else None
     if x.shape[-1] != weight.shape[1]:
         raise ShapeError(f"linear: input width {x.shape} vs weight {weight.shape}")
-    xd = np.ascontiguousarray(x.data)
-    out = np.matmul(xd, weight.data.T)
+    flat_x = np.ascontiguousarray(x.data).reshape(-1, x.shape[-1])
+    out = flat_x @ weight.data.T
     if bias is not None:
-        out = out + bias.data
+        out += bias.data
 
     def backward(g):
-        gx = np.matmul(g, weight.data)
         flat_g = np.ascontiguousarray(g).reshape(-1, g.shape[-1])
-        flat_x = xd.reshape(-1, x.shape[-1])
+        gx = (flat_g @ weight.data).reshape(x.shape)
         gw = flat_g.T @ flat_x
         if bias is not None:
             return gx, gw, flat_g.sum(axis=0)
         return gx, gw
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _record(inputs, out, backward)
+    return _record(inputs, out.reshape(x.shape[:-1] + (weight.shape[0],)), backward)
 
 
 # ---------------------------------------------------------------------------

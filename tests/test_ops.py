@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tpmamba import ops
 from tpmamba import tensor as T
 from tpmamba.errors import ConfigError, ShapeError
 from tpmamba.ops import (
@@ -9,6 +10,7 @@ from tpmamba.ops import (
     grad_check,
     normalize,
     one_hot,
+    _interp_matrix,
     same_padding,
     upsample_hw,
 )
@@ -119,6 +121,33 @@ def test_conv3d_matches_loop_reference_and_grads(rng, x_shape, w_shape, dilation
     x = Parameter("x", rng.standard_normal(x_shape), dtype=np.float64)
     w = Parameter("w", rng.standard_normal(w_shape) * 0.5, dtype=np.float64)
     b = Parameter("b", rng.standard_normal(w_shape[0]), dtype=np.float64)
+    out = conv3d(x.value, w.value, b.value, dilation=dilation, padding=padding)
+    ref = _conv3d_loops(x.data, w.data, b.data, dilation, padding)
+    np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+
+    r = Tensor(rng.standard_normal(ref.shape), dtype=np.float64)
+
+    def f():
+        return T.tsum(T.mul(conv3d(x.value, w.value, b.value, dilation=dilation, padding=padding), r))
+
+    assert grad_check(f, [x, w, b], max_coords=24) < 1e-7
+
+
+# Padded grid of x (2,2,5,4,3) under padding (2,1,1): Dp, Hp, Wp = 9, 6, 5, so
+# 540 columns.  The last 3x3x3 tap at dilation (2,1,1) sits 2*2*30 + 2*5 + 2 =
+# 132 columns on, so the forward covers n = 408 columns.  Tile widths below
+# the 132-column offset span put tile boundaries inside every tap's shifted
+# window (12 forward tiles at 37); 136 = 408 / 3 makes n an exact multiple of
+# the tile; 407 makes n = tile + 1, a one-column last tile.
+
+@pytest.mark.parametrize("cols", [37, 136, 407])
+def test_conv3d_column_tiles_match_loop_reference_and_grads(rng, monkeypatch, cols):
+    x = Parameter("x", rng.standard_normal((2, 2, 5, 4, 3)), dtype=np.float64)
+    w = Parameter("w", rng.standard_normal((3, 2, 3, 3, 3)) * 0.5, dtype=np.float64)
+    b = Parameter("b", rng.standard_normal(3), dtype=np.float64)
+    dilation, padding = (2, 1, 1), (2, 1, 1)
+    monkeypatch.setattr(ops, "CONV_TILE_VALUES", cols * (2 + 3))
+
     out = conv3d(x.value, w.value, b.value, dilation=dilation, padding=padding)
     ref = _conv3d_loops(x.data, w.data, b.data, dilation, padding)
     np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
@@ -263,6 +292,33 @@ def test_upsample_grad(rng):
         return T.tsum(T.mul(upsample_hw(x.value, 2), wgt))
 
     assert grad_check(f, [x], max_coords=16) < 1e-7
+
+
+def _upsample_dense(x, factor):
+    """The interpolation written as two dense einsums over the full matrices."""
+    Mh = _interp_matrix(x.shape[3], factor * x.shape[3], x.dtype)
+    Mw = _interp_matrix(x.shape[4], factor * x.shape[4], x.dtype)
+    return np.einsum("qw,bcdpw->bcdpq", Mw, np.einsum("ph,bcdhw->bcdpw", Mh, x))
+
+
+@pytest.mark.parametrize("factor", [2, 3])
+@pytest.mark.parametrize("permuted", [False, True])
+def test_upsample_matches_dense_formula_and_grads(rng, factor, permuted):
+    # (B,C,D,H,W) = (2,3,2,4,5); the permuted case feeds a non-contiguous view.
+    shape = (2, 3, 5, 2, 4) if permuted else (2, 3, 2, 4, 5)
+    x = Parameter("x", rng.standard_normal(shape), dtype=np.float64)
+
+    def up():
+        v = T.permute(x.value, (0, 1, 3, 4, 2)) if permuted else x.value
+        return upsample_hw(v, factor)
+
+    xv = x.data.transpose(0, 1, 3, 4, 2) if permuted else x.data
+    out = up()
+    assert out.shape == (2, 3, 2, 4 * factor, 5 * factor)
+    np.testing.assert_allclose(out.data, _upsample_dense(xv, factor), rtol=1e-12, atol=1e-12)
+
+    wgt = Tensor(rng.standard_normal(out.shape), dtype=np.float64)
+    assert grad_check(lambda: T.tsum(T.mul(up(), wgt)), [x], max_coords=24) < 1e-7
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,28 @@ def test_sliding_window_probabilities_sum_to_one(rng):
     np.testing.assert_allclose(sums, 1.0, atol=1e-5)
 
 
+def test_sliding_window_f32_blend_matches_f64(rng):
+    # A 24x20x20 volume under 16^3 windows at stride 8 takes 2*2*2 windows.
+    def model(patch):
+        p = patch[0, 0].astype(np.float32)
+        return np.stack([np.sin(3 * p), p * p - 0.5, np.cos(2 * p) * p])[None]
+
+    calls = []
+
+    def model64(patch):
+        calls.append(patch.shape)
+        return model(patch).astype(np.float64)
+
+    vol = rng.standard_normal((1, 1, 24, 20, 20)).astype(np.float32)
+    result = sliding_window_infer(vol, model, window=(16, 16, 16))
+    ref = sliding_window_infer(vol, model64, window=(16, 16, 16))
+    assert len(calls) == 8
+    assert result.logits.dtype == np.float32 and ref.logits.dtype == np.float64
+    scale = np.abs(ref.logits).max()
+    np.testing.assert_allclose(result.logits, ref.logits, rtol=1e-6, atol=1e-6 * scale)
+    np.testing.assert_array_equal(result.labels, ref.labels)
+
+
 def test_sliding_window_pads_small_volume(rng):
     vol = rng.standard_normal((1, 1, 8, 8, 8))
     result = sliding_window_infer(vol, constant_model(K=2, value=[0.0, 1.0]), window=(16, 16, 16))

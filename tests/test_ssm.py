@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tpmamba import tensor as T
-from tpmamba.errors import NumericError
+from tpmamba.errors import NumericError, ShapeError
 from tpmamba.ops import grad_check
 from tpmamba.ssm import (
     MambaBlockConfig,
@@ -71,6 +71,13 @@ def test_scan_unit_case():
 def test_scan_rejects_nonfinite_delta(bad):
     with pytest.raises(NumericError):
         scalar_scan(bad, u=(1.0,))
+
+
+def test_scan_rejects_mixed_dtypes(rng):
+    u, delta, A, B, C, D = random_scan_inputs(rng, 2, 5, 3, 4, dtype=np.float32)
+    A64 = Tensor(A.data, dtype=np.float64)
+    with pytest.raises(ShapeError, match="float64.*float32|float32.*float64"):
+        selective_scan(u, delta, A64, B, C, D)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,27 @@ def test_linear_grad(rng):
     assert err < 1e-6
 
 
+@pytest.mark.parametrize("x_shape", [(7, 5), (3, 6, 5), (4, 2, 3, 5)])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_linear_leading_axes_match_reference_and_grads(rng, x_shape, with_bias):
+    # 4-D is patch embedding's (BD, h, w, p*p) layout.
+    x = Parameter("x", rng.standard_normal(x_shape), dtype=np.float64)
+    w = Parameter("w", rng.standard_normal((4, 5)), dtype=np.float64)
+    b = Parameter("b", rng.standard_normal(4), dtype=np.float64)
+    params = [x, w, b] if with_bias else [x, w]
+
+    def lin():
+        return T.linear(x.value, w.value, b.value if with_bias else None)
+
+    ref = np.einsum("...i,oi->...o", x.data, w.data) + (b.data if with_bias else 0.0)
+    out = lin()
+    assert out.shape == x_shape[:-1] + (4,)
+    np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+
+    r = Tensor(rng.standard_normal(ref.shape), dtype=np.float64)
+    assert grad_check(lambda: T.tsum(T.mul(lin(), r)), params, max_coords=24) < 1e-7
+
+
 def test_permute_round_trip_bit_exact(rng):
     x = Tensor(rng.standard_normal((3, 5)))
     back = permute(permute(x, (1, 0)), (1, 0))
