@@ -5,12 +5,12 @@ from tpmamba import ops
 from tpmamba import tensor as T
 from tpmamba.errors import ConfigError, ShapeError
 from tpmamba.ops import (
+    _interp_matrix,
     conv1d_depthwise,
     conv3d,
     grad_check,
     normalize,
     one_hot,
-    _interp_matrix,
     same_padding,
     upsample_hw,
 )
@@ -139,7 +139,6 @@ def test_conv3d_matches_loop_reference_and_grads(rng, x_shape, w_shape, dilation
 # the 132-column offset span put tile boundaries inside every tap's shifted
 # window (12 forward tiles at 37); 136 = 408 / 3 makes n an exact multiple of
 # the tile; 407 makes n = tile + 1, a one-column last tile.
-
 @pytest.mark.parametrize("cols", [37, 136, 407])
 def test_conv3d_column_tiles_match_loop_reference_and_grads(rng, monkeypatch, cols):
     x = Parameter("x", rng.standard_normal((2, 2, 5, 4, 3)), dtype=np.float64)
