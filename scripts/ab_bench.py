@@ -78,11 +78,18 @@ def git_id(checkout: Path) -> str:
     return out.stdout.strip()
 
 
+def _at_least_two(text: str) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 pairs for quartiles, got {n}")
+    return n
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=_at_least_two, default=10, help="pairs per workload, >= 2 for quartiles")
     ap.add_argument("--traced-pairs", type=int, default=3)
     ap.add_argument("--seed", type=int, default=100, help="first seed; pair i uses seed + i")
     ap.add_argument("--workloads", nargs="*")

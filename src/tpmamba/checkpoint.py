@@ -20,6 +20,8 @@ from .errors import CheckpointError
 MAGIC = b"TPMB"
 FORMAT_VERSION = 1
 
+_PREAMBLE_BYTES = 12  # magic, u32 format version, u32 header length
+_HEADER_KEYS = {"payload_crc32", "manifest", "config", "seed"}
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
@@ -65,39 +67,46 @@ def load_checkpoint(path) -> tuple[dict, dict, int]:
         blob = f.read()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint")
+    if len(blob) < _PREAMBLE_BYTES:
+        raise CheckpointError(f"{path}: truncated preamble ({len(blob)} bytes, expected {_PREAMBLE_BYTES})")
     version, header_len = struct.unpack_from("<II", blob, 4)
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format version {version} unsupported (expected {FORMAT_VERSION})"
         )
-    header_end = 12 + header_len
+    header_end = _PREAMBLE_BYTES + header_len
     try:
-        header = json.loads(blob[12:header_end].decode("utf-8"))
+        header = json.loads(blob[_PREAMBLE_BYTES:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from e
+    if not isinstance(header, dict) or not _HEADER_KEYS <= header.keys():
+        raise CheckpointError(f"{path}: header needs the keys {sorted(_HEADER_KEYS)}")
+    if not isinstance(header["manifest"], list):
+        raise CheckpointError(f"{path}: manifest is not a list")
     payload = blob[header_end:]
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     if crc != header["payload_crc32"]:
         raise CheckpointError(f"{path}: payload CRC mismatch (corrupt file)")
 
-    covered = 0
     arrays = {}
     prev_end = 0
-    for entry in header["manifest"]:
-        off, ln = entry["byte_offset"], entry["byte_len"]
-        if off != prev_end:
-            raise CheckpointError(f"{path}: manifest offsets have gaps at {entry['name']}")
-        if off + ln > len(payload):
-            raise CheckpointError(f"{path}: truncated payload at tensor {entry['name']}")
-        dtype = _DTYPES.get(entry["dtype"])
-        if dtype is None:
-            raise CheckpointError(f"{path}: tensor {entry['name']} has unknown dtype {entry['dtype']}")
-        arr = np.frombuffer(payload, dtype=dtype, count=ln // dtype.itemsize, offset=off)
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).astype(dtype.newbyteorder("="))
+    for i, entry in enumerate(header["manifest"]):
+        try:
+            name, off, ln = entry["name"], entry["byte_offset"], entry["byte_len"]
+            if off != prev_end:
+                raise CheckpointError(f"{path}: manifest offsets have gaps at {name}")
+            if off + ln > len(payload):
+                raise CheckpointError(f"{path}: truncated payload at tensor {name}")
+            dtype = _DTYPES.get(entry["dtype"])
+            if dtype is None:
+                raise CheckpointError(f"{path}: tensor {name} has unknown dtype {entry['dtype']}")
+            arr = np.frombuffer(payload, dtype=dtype, count=ln // dtype.itemsize, offset=off)
+            arrays[name] = arr.reshape(entry["shape"]).astype(dtype.newbyteorder("="))
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(f"{path}: malformed manifest entry {i}: {e!r}") from e
         prev_end = off + ln
-        covered += ln
-    if covered != len(payload):
-        raise CheckpointError(f"{path}: payload has {len(payload) - covered} unaccounted bytes")
+    if prev_end != len(payload):
+        raise CheckpointError(f"{path}: payload has {len(payload) - prev_end} unaccounted bytes")
     return arrays, header["config"], header["seed"]
 
 

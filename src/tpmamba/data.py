@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InputError
 
 RVOL_MAGIC = b"RVOL"
+RVOL_HEADER_BYTES = 29  # magic, 3 x u32 extents, 3 x f32 spacings, u8 dtype code
 HU_LO, HU_HI = -200.0, 250.0
 
 VOLUME_SUFFIX = ".img.rvol"
@@ -35,8 +36,8 @@ class VolumeRecord:
     def __post_init__(self):
         if self.voxels.ndim != 3:
             raise InputError(f"voxels must be 3-D, got shape {self.voxels.shape}")
-        if any(s <= 0 for s in self.spacing):
-            raise InputError(f"spacing components must be positive, got {self.spacing}")
+        if not all(np.isfinite(s) and s > 0 for s in self.spacing):
+            raise InputError(f"spacing components must be finite and positive, got {self.spacing}")
         if self.labels is not None and self.labels.shape != self.voxels.shape:
             raise InputError(
                 f"labels grid {self.labels.shape} differs from voxels {self.voxels.shape}"
@@ -68,16 +69,18 @@ def read_rvol(path) -> tuple[np.ndarray, tuple]:
         blob = f.read()
     if blob[:4] != RVOL_MAGIC:
         raise InputError(f"{path}: not an RVOL file")
+    if len(blob) < RVOL_HEADER_BYTES:
+        raise InputError(f"{path}: truncated header ({len(blob)} bytes, expected {RVOL_HEADER_BYTES})")
     d, h, w = struct.unpack_from("<3I", blob, 4)
     spacing = struct.unpack_from("<3f", blob, 16)
     (code,) = struct.unpack_from("<B", blob, 28)
     dtype = {0: np.dtype("<f4"), 1: np.dtype("u1")}.get(code)
     if dtype is None:
         raise InputError(f"{path}: unknown dtype code {code}")
-    expected = 29 + d * h * w * dtype.itemsize
+    expected = RVOL_HEADER_BYTES + d * h * w * dtype.itemsize
     if len(blob) != expected:
         raise InputError(f"{path}: truncated payload ({len(blob)} bytes, expected {expected})")
-    arr = np.frombuffer(blob, dtype=dtype, offset=29).reshape(d, h, w)
+    arr = np.frombuffer(blob, dtype=dtype, offset=RVOL_HEADER_BYTES).reshape(d, h, w)
     return arr.astype(dtype.newbyteorder("=")), spacing
 
 
@@ -160,7 +163,10 @@ def preprocess(rec: VolumeRecord) -> VolumeRecord:
     spacing of exactly 1.0 mm skips resampling bit-exactly.
     """
     vox = rec.voxels.astype(np.float32)
-    if vox.min() < 0.0 or vox.max() > 1.0:
+    lo, hi = vox.min(), vox.max()  # NaN if any voxel is NaN
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise InputError("voxels must be finite")
+    if lo < 0.0 or hi > 1.0:
         vox = np.clip(vox, HU_LO, HU_HI)
         vox = (vox - HU_LO) / (HU_HI - HU_LO)
     labels = rec.labels

@@ -90,28 +90,40 @@ def conv3d(
         # Walk the input columns in tiles: input column c receives tap t from
         # gradient column c - offset_t, and those same pairs give tap t's gw.
         gf = _padded_columns(g, ((0, Dp - od), (0, Hp - oh), (0, Wp - ow)))[:, :n]
-        xf = _padded_columns(x.data, pads)  # rebuilt, so the tape keeps no padded copy
-        gwt = np.zeros_like(wt)
-        gxf = np.empty_like(xf)
-        tmp = np.empty((cin, min(cols, xf.shape[1])), dtype=gxf.dtype)
-        for c0 in range(0, xf.shape[1], cols):
-            c1 = min(c0 + cols, xf.shape[1])
-            gxf[:, max(c0, n) : c1] = 0  # the columns tap 0 (offset 0) does not write
+        m = B * Dp * Hp * Wp
+        gx = gw = gb = None
+        if weight.requires_grad:
+            xf = _padded_columns(x.data, pads)  # rebuilt, so the tape keeps no padded copy
+            gwt = np.zeros_like(wt)
+        if x.requires_grad:
+            gxf = np.empty((cin, m), dtype=x.data.dtype)
+            tmp = np.empty((cin, min(cols, m)), dtype=gxf.dtype)
+        for c0 in range(0, m, cols):
+            c1 = min(c0 + cols, m)
+            if x.requires_grad:
+                gxf[:, max(c0, n) : c1] = 0  # the columns tap 0 (offset 0) does not write
             for t, off in enumerate(offsets):
                 s0, s1 = max(c0 - off, 0), min(c1 - off, n)
                 if s0 >= s1:
                     continue
-                gs, gx_s = gf[:, s0:s1], gxf[:, s0 + off : s1 + off]
-                if t:
-                    gx_s += np.matmul(wt[t].T, gs, out=tmp[:, : s1 - s0])
-                else:
-                    np.matmul(wt[0].T, gs, out=gx_s)
-                gwt[t] += gs @ xf[:, s0 + off : s1 + off].T
-        gw = np.moveaxis(gwt, 0, 2).reshape(weight.shape)
-        gx = gxf.reshape(cin, B, Dp, Hp, Wp)[:, :, pd : pd + D, ph : ph + H, pw : pw + W].transpose(1, 0, 2, 3, 4)
-        if bias is not None:
-            return gx, gw, g.sum(axis=(0, 2, 3, 4))
-        return gx, gw
+                gs = gf[:, s0:s1]
+                if x.requires_grad:
+                    gx_s = gxf[:, s0 + off : s1 + off]
+                    if t:
+                        gx_s += np.matmul(wt[t].T, gs, out=tmp[:, : s1 - s0])
+                    else:
+                        np.matmul(wt[0].T, gs, out=gx_s)
+                if weight.requires_grad:
+                    gwt[t] += gs @ xf[:, s0 + off : s1 + off].T
+        if weight.requires_grad:
+            gw = np.moveaxis(gwt, 0, 2).reshape(weight.shape)
+        if x.requires_grad:
+            gx = gxf.reshape(cin, B, Dp, Hp, Wp)[:, :, pd : pd + D, ph : ph + H, pw : pw + W].transpose(1, 0, 2, 3, 4)
+        if bias is None:
+            return gx, gw
+        if bias.requires_grad:
+            gb = g.sum(axis=(0, 2, 3, 4))
+        return gx, gw, gb
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return _record(inputs, out, backward)
@@ -138,16 +150,22 @@ def conv1d_depthwise(x: Tensor, weight, bias=None) -> Tensor:
         out += bias.data.reshape(1, E, 1)
 
     def backward(g):
-        gw = np.empty_like(w)
-        gxp = np.zeros_like(xp)
-        for i in range(k):
-            gw[:, i] = (g * xp[:, :, i : i + L]).sum(axis=(0, 2))
-            gxp[:, :, i : i + L] += w[None, :, i : i + 1] * g
-        gx = gxp[:, :, k - 1 :]
-        gw_full = gw if weight.data.ndim == 2 else gw[:, None, :]
-        if bias is not None:
-            return gx, gw_full, g.sum(axis=(0, 2))
-        return gx, gw_full
+        gx = gw = gb = None
+        if weight.requires_grad:
+            gw = np.empty_like(w)
+            for i in range(k):
+                gw[:, i] = (g * xp[:, :, i : i + L]).sum(axis=(0, 2))
+            gw = gw.reshape(weight.shape)
+        if x.requires_grad:
+            gxp = np.zeros_like(xp)
+            for i in range(k):
+                gxp[:, :, i : i + L] += w[None, :, i : i + 1] * g
+            gx = gxp[:, :, k - 1 :]
+        if bias is None:
+            return gx, gw
+        if bias.requires_grad:
+            gb = g.sum(axis=(0, 2))
+        return gx, gw, gb
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return _record(inputs, out, backward)
@@ -185,15 +203,19 @@ def normalize(
     n = int(np.prod([x.shape[a] for a in axes]))
 
     def backward(g):
-        gg = g * gam
-        # standard layer-norm vjp over the normalized axes
-        t1 = gg.sum(axis=axes, keepdims=True)
-        t2 = (gg * xhat).sum(axis=axes, keepdims=True)
-        gx = (inv / n) * (n * gg - t1 - xhat * t2)
+        gx = ggamma = gbeta = None
+        if x.requires_grad:
+            gg = g * gam
+            # standard layer-norm vjp over the normalized axes
+            t1 = gg.sum(axis=axes, keepdims=True)
+            t2 = (gg * xhat).sum(axis=axes, keepdims=True)
+            gx = ((inv / n) * (n * gg - t1 - xhat * t2)).astype(x.data.dtype)
         reduce_axes = tuple(i for i in range(x.ndim) if i not in (1,)) if kind == "instance_norm" else tuple(range(x.ndim - 1))
-        ggamma = (g * xhat).sum(axis=reduce_axes)
-        gbeta = g.sum(axis=reduce_axes)
-        return gx.astype(x.data.dtype), ggamma.reshape(gamma.shape), gbeta.reshape(beta.shape)
+        if gamma.requires_grad:
+            ggamma = (g * xhat).sum(axis=reduce_axes).reshape(gamma.shape)
+        if beta.requires_grad:
+            gbeta = g.sum(axis=reduce_axes).reshape(beta.shape)
+        return gx, ggamma, gbeta
 
     return _record((x, gamma, beta), out, backward)
 

@@ -201,7 +201,8 @@ def selective_scan(
     T = scan_tile_steps(b, L, E, N)
     tiles = [(t0, min(t0 + T, L)) for t0 in range(0, L, T)]
     inputs = (u, delta, A, B, C, D)
-    hs = np.empty((L, b, E, N), dtype=ud.dtype) if _needs_grad(inputs) else None
+    # the backward reads the states only for the gradients of delta, A and C
+    hs = np.empty((L, b, E, N), dtype=ud.dtype) if _needs_grad((delta, A, C)) else None
     xbuf, abuf = np.empty((2, T, b, E, N), dtype=ud.dtype)
     dT, dtuT, BT, CT = _time_major(dd, dd * ud, Bd, Cd)
     out = np.empty((b, L, E), dtype=ud.dtype)
@@ -220,15 +221,20 @@ def selective_scan(
     out += ud * Dd
 
     def backward(g):
-        dD = np.einsum("ble,ble->e", g, ud, optimize=True)
-        du = g * Dd
-        ddelta, dB, dC = np.empty_like(dd), np.empty_like(Bd), np.empty_like(Cd)
-        duT, ddT, dBT, dCT = (x.swapaxes(0, 1) for x in (du, ddelta, dB, dC))
+        need_u, need_delta, need_A, need_B, need_C, need_D = (t.requires_grad for t in inputs)
+        recur = need_u or need_delta or need_A or need_B  # the inputs that need dh
+        du = g * Dd if need_u else None
+        ddelta, dB, dC = (np.empty_like(x) if need else None for x, need in ((dd, need_delta), (Bd, need_B), (Cd, need_C)))
+        dA_acc = np.zeros_like(Ad) if need_A else None
+        duT, ddT, dBT, dCT = (None if x is None else x.swapaxes(0, 1) for x in (du, ddelta, dB, dC))
         dT, uT, gT, BT, CT = _time_major(dd, ud, g, Bd, Cd)
-        dA_acc = np.zeros_like(Ad)
         dhbuf, abuf = np.empty((2, T, b, E, N), dtype=ud.dtype)
         carry = np.zeros((b, E, N), dtype=ud.dtype)  # dA_{t+1} * dh_{t+1}
         for t0, t1 in reversed(tiles):
+            if need_C:
+                dCT[t0:t1] = np.matmul(gT[t0:t1, :, None, :], hs[t0:t1])[:, :, 0]
+            if not recur:
+                continue
             dh = np.einsum("tbe,tbn->tben", gT[t0:t1], CT[t0:t1], out=dhbuf[: t1 - t0])
             dh[-1] += carry  # carry may alias abuf: read it before a is overwritten
             a = _decay(dT[t0:t1], Ad, abuf[: t1 - t0])
@@ -237,16 +243,23 @@ def selective_scan(
                 dh[j - 1] += a[j]
             a[0] *= dh[0]
             carry = a[0]
-            s = np.matmul(dh, BT[t0:t1, :, :, None])[..., 0]
-            duT[t0:t1] += s * dT[t0:t1]
-            dBT[t0:t1] = np.matmul((dT[t0:t1] * uT[t0:t1])[:, :, None, :], dh)[:, :, 0]
-            dCT[t0:t1] = np.matmul(gT[t0:t1, :, None, :], hs[t0:t1])[:, :, 0]
+            if need_u or need_delta:
+                s = np.matmul(dh, BT[t0:t1, :, :, None])[..., 0]
+            if need_u:
+                duT[t0:t1] += s * dT[t0:t1]
+            if need_B:
+                dBT[t0:t1] = np.matmul((dT[t0:t1] * uT[t0:t1])[:, :, None, :], dh)[:, :, 0]
+            if not (need_delta or need_A):
+                continue
             # dh becomes d(loss)/d(delta*A) = dA * dh * h_{t-1}, with h_{-1} = 0
             np.multiply(a[1:], hs[t0 : t1 - 1], out=dh[1:])
             np.multiply(a[0], hs[t0 - 1] if t0 else 0, out=dh[0])
             q = dh.reshape(-1, E, N).swapaxes(0, 1)  # (E, T*b, N)
-            ddT[t0:t1] = s * uT[t0:t1] + np.matmul(q, Ad[:, :, None])[..., 0].T.reshape(t1 - t0, b, E)
-            dA_acc += np.matmul(dT[t0:t1].reshape(-1, E).T[:, None, :], q)[:, 0]
+            if need_delta:
+                ddT[t0:t1] = s * uT[t0:t1] + np.matmul(q, Ad[:, :, None])[..., 0].T.reshape(t1 - t0, b, E)
+            if need_A:
+                dA_acc += np.matmul(dT[t0:t1].reshape(-1, E).T[:, None, :], q)[:, 0]
+        dD = np.einsum("ble,ble->e", g, ud, optimize=True) if need_D else None
         return du, ddelta, dA_acc, dB, dC, dD
 
     return _record(inputs, out, backward)

@@ -2,9 +2,11 @@
 
 Values are numpy arrays in row-major order (f32 for training, f64 for the
 check suites).  Every differentiable primitive records a node on the active
-tape; replaying the tape in reverse order accumulates gradients into the
-trainable leaves.  With no tape active the same numpy code runs, so recorded
-and unrecorded forward passes are bit-identical.
+tape when one of its inputs requires a gradient; replaying the tape in reverse
+order accumulates gradients into the trainable leaves.  A node's backward
+returns a gradient for exactly the inputs that require one and None for the
+rest, whose work it skips.  With no tape active the same numpy code runs, so
+recorded and unrecorded forward passes are bit-identical.
 """
 
 from __future__ import annotations
@@ -124,39 +126,32 @@ class Tape:
         return len(self.nodes)
 
     def backward(self, loss: Tensor, seed: Optional[Array] = None) -> None:
-        """Accumulate d(loss)/d(leaf) into .grad of every trainable leaf."""
-        grads: dict[int, Array] = {}
+        """Accumulate d(loss)/d(leaf) into .grad of every trainable leaf.
+
+        Each node leaves the tape once its backward has run, so the values it
+        keeps are freed as the pass goes: a tape runs backward once."""
         if seed is None:
             seed = np.ones_like(loss.data)
-        grads[id(loss)] = np.asarray(seed, dtype=loss.data.dtype)
-        for node in reversed(self.nodes):
+        grads: dict[int, Array] = {id(loss): np.asarray(seed, dtype=loss.data.dtype)}
+        produced = {id(n.output) for n in self.nodes}
+        leaves: dict[int, Tensor] = {}
+        while self.nodes:
+            node = self.nodes.pop()
             g = grads.pop(id(node.output), None)
             if g is None:
                 continue
-            in_grads = node.backward(g)
-            for t, ig in zip(node.inputs, in_grads):
-                if ig is None or not t.requires_grad:
+            for t, ig in zip(node.inputs, node.backward(g)):
+                if ig is None:
                     continue
                 key = id(t)
                 if key in grads:
                     grads[key] = grads[key] + ig
                 else:
                     grads[key] = ig
-        for _, t in _leaf_items(self, grads):
-            if t.grad is None:
-                t.grad = grads[id(t)].copy()
-            else:
-                t.grad = t.grad + grads[id(t)]
-
-
-def _leaf_items(tape: Tape, grads: dict):
-    produced = {id(n.output) for n in tape.nodes}
-    seen = set()
-    for node in tape.nodes:
-        for t in node.inputs:
-            if t.requires_grad and id(t) not in produced and id(t) in grads and id(t) not in seen:
-                seen.add(id(t))
-                yield id(t), t
+                    if key not in produced:
+                        leaves[key] = t
+        for key, t in leaves.items():
+            t.grad = grads[key].copy() if t.grad is None else t.grad + grads[key]
 
 
 _ACTIVE_TAPE: Optional[Tape] = None
@@ -219,7 +214,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        )
 
     return _record((a, b), out, backward)
 
@@ -228,7 +226,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        )
 
     return _record((a, b), out, backward)
 
@@ -237,7 +238,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (
+            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+        )
 
     return _record((a, b), out, backward)
 
@@ -247,8 +251,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         return (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None,
         )
 
     return _record((a, b), out, backward)
@@ -359,7 +363,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         for i, t in enumerate(tensors):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(idx)])
+            grads.append(g[tuple(idx)] if t.requires_grad else None)
         return tuple(grads)
 
     return _record(tuple(tensors), out, backward)
@@ -369,7 +373,7 @@ def stack(tensors: Sequence[Tensor], axis: int) -> Tensor:
     out = np.stack([t.data for t in tensors], axis=axis)
 
     def backward(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
+        return tuple(np.take(g, i, axis=axis) if t.requires_grad else None for i, t in enumerate(tensors))
 
     return _record(tuple(tensors), out, backward)
 
@@ -392,9 +396,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = np.matmul(ad, bd)
 
     def backward(g):
-        ga = np.matmul(g, np.ascontiguousarray(np.swapaxes(bd, -1, -2)))
-        gb = np.matmul(np.ascontiguousarray(np.swapaxes(ad, -1, -2)), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.ascontiguousarray(np.swapaxes(bd, -1, -2))), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.ascontiguousarray(np.swapaxes(ad, -1, -2)), g), b.shape)
+        return ga, gb
 
     return _record((a, b), out, backward)
 
@@ -413,10 +420,10 @@ def linear(x: Tensor, weight, bias=None) -> Tensor:
 
     def backward(g):
         flat_g = np.ascontiguousarray(g).reshape(-1, g.shape[-1])
-        gx = (flat_g @ weight.data).reshape(x.shape)
-        gw = flat_g.T @ flat_x
+        gx = (flat_g @ weight.data).reshape(x.shape) if x.requires_grad else None
+        gw = flat_g.T @ flat_x if weight.requires_grad else None
         if bias is not None:
-            return gx, gw, flat_g.sum(axis=0)
+            return gx, gw, flat_g.sum(axis=0) if bias.requires_grad else None
         return gx, gw
 
     inputs = (x, weight) if bias is None else (x, weight, bias)

@@ -1,7 +1,14 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tpmamba.checkpoint import FORMAT_VERSION, load_checkpoint, load_into_model, save_checkpoint
+from strategies import damaged_bytes
+from tpmamba.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, load_into_model, save_checkpoint
 from tpmamba.config import TrainConfig, to_flat_dict
 from tpmamba.errors import CheckpointError
 from tpmamba.model import SegModel
@@ -84,3 +91,70 @@ def test_model_round_trip_and_mismatch(tmp_path):
     other = SegModel.init(bad.vit_config(), bad.n_classes, seed=1)
     with pytest.raises(CheckpointError, match=r"tpmamba"):
         load_into_model(other, path)
+
+
+def _valid_header(rng):
+    w = rng.standard_normal(3).astype(np.float32)
+    entry = {"name": "w", "dtype": "f32", "shape": [3], "byte_offset": 0, "byte_len": w.nbytes}
+    return {"manifest": [entry], "config": {}, "seed": 0, "payload_crc32": 0}, w.tobytes()
+
+
+def _write_raw(path, header: dict, payload: bytes) -> None:
+    """A checkpoint written byte by byte, so its header can be malformed."""
+    header = dict(header)
+    if "payload_crc32" in header:
+        header["payload_crc32"] = zlib.crc32(payload) & 0xFFFFFFFF
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, len(raw)) + raw + payload)
+
+
+@pytest.mark.parametrize("length", [4, 8, 11])
+def test_short_preamble_is_checkpoint_error(tmp_path, rng, length):
+    path = tmp_path / "s.ckpt"
+    save_checkpoint(path, {"w": rng.standard_normal(4).astype(np.float32)}, {}, 0)
+    path.write_bytes(path.read_bytes()[:length])
+    with pytest.raises(CheckpointError, match="truncated preamble"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["payload_crc32", "manifest", "config", "seed"])
+def test_header_missing_key_is_checkpoint_error(tmp_path, rng, key):
+    header, payload = _valid_header(rng)
+    path = tmp_path / "h.ckpt"
+    _write_raw(path, header, payload)
+    load_checkpoint(path)  # the complete header loads
+    del header[key]
+    _write_raw(path, header, payload)
+    with pytest.raises(CheckpointError, match="header needs"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["name", "dtype", "shape", "byte_offset", "byte_len"])
+def test_manifest_entry_missing_key_is_checkpoint_error(tmp_path, rng, key):
+    header, payload = _valid_header(rng)
+    del header["manifest"][0][key]
+    path = tmp_path / "m.ckpt"
+    _write_raw(path, header, payload)
+    with pytest.raises(CheckpointError, match="malformed manifest entry 0"):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    """A valid two-tensor checkpoint: its path and its bytes."""
+    rng = np.random.default_rng(5)
+    path = tmp_path_factory.mktemp("ckpt") / "fuzz.ckpt"
+    arrays = {"a.weight": rng.standard_normal((2, 3)).astype(np.float32), "b.bias": rng.standard_normal(2)}
+    save_checkpoint(path, arrays, {"epochs": 3, "crop": "8,32,32"}, seed=9)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_truncated_or_bit_flipped_checkpoint_loads_or_raises_checkpoint_error(checkpoint_file, data):
+    path, blob = checkpoint_file
+    path.write_bytes(data.draw(damaged_bytes(blob)))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass

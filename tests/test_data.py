@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strategies import damaged_bytes
 from tpmamba.data import (
     AugmentConfig,
     VolumeRecord,
@@ -55,6 +58,35 @@ def test_rvol_truncated(tmp_path, rng):
         read_rvol(path)
 
 
+@pytest.mark.parametrize("length", [4, 16, 28])
+def test_rvol_short_header_is_input_error(tmp_path, length):
+    path = tmp_path / "h.img.rvol"
+    write_rvol(path, np.zeros((2, 2, 2), dtype=np.float32), (1, 1, 1))
+    path.write_bytes(path.read_bytes()[:length])
+    with pytest.raises(InputError, match="truncated header"):
+        read_rvol(path)
+
+
+@pytest.fixture(scope="module")
+def rvol_file(tmp_path_factory):
+    """A valid 2x3x4 f32 RVOL volume: its path and its bytes."""
+    path = tmp_path_factory.mktemp("rvol") / "fuzz.img.rvol"
+    write_rvol(path, np.linspace(-1.0, 1.0, 24, dtype=np.float32).reshape(2, 3, 4), (1.0, 2.0, 0.5))
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_rvol_truncated_or_bit_flipped_loads_or_raises_input_error(rvol_file, data):
+    path, blob = rvol_file
+    damaged = data.draw(damaged_bytes(blob))
+    path.write_bytes(damaged)
+    try:
+        load_record(path)
+    except InputError:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # preprocessing
 
@@ -91,6 +123,21 @@ def test_preprocess_idempotent(rng):
 def test_preprocess_rejects_bad_spacing(rng):
     with pytest.raises(InputError):
         VolumeRecord(voxels=np.zeros((2, 2, 2), dtype=np.float32), spacing=(0.0, 1, 1))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_record_rejects_non_finite_spacing(bad):
+    with pytest.raises(InputError, match="finite"):
+        VolumeRecord(voxels=np.zeros((2, 2, 2), dtype=np.float32), spacing=(1.0, bad, 1.0))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("base", [0.5, 100.0])  # already windowed, and raw HU
+def test_preprocess_rejects_non_finite_voxels(bad, base):
+    vox = np.full((3, 3, 3), base, dtype=np.float32)
+    vox[1, 2, 0] = bad
+    with pytest.raises(InputError, match="finite"):
+        preprocess(VolumeRecord(voxels=vox, spacing=(1.0, 1.0, 1.0)))
 
 
 def test_resample_nearest_keeps_labels_integral(rng):

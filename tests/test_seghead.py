@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from tpmamba import tensor as T
 from tpmamba.errors import ConfigError, InputError, ShapeError
-from tpmamba.ops import grad_check
+from tpmamba.ops import grad_check, one_hot
 from tpmamba.seghead import (
+    DICE_EPS,
     Decoder,
     DecoderConfig,
     _window_starts,
@@ -119,6 +120,54 @@ def test_loss_grad_finite_differences(rng):
         return dice_ce_loss(P.value, labels)
 
     assert grad_check(f, [P], max_coords=12) < 1e-3
+
+
+def _composed_dice_ce(logits, labels):
+    """The loss built from generic tape primitives and a float one-hot: the
+    reference for the fused node."""
+    B, K = logits.shape[0], logits.shape[1]
+    y = one_hot(labels, K, axis=1, dtype=logits.data.dtype)
+    ce = T.neg(T.tmean(T.tsum(T.mul(T.log_softmax(logits, axis=1), y), axis=1)))
+    p = T.softmax(logits, axis=1)
+    red_axes = (0,) + tuple(range(2, logits.ndim))
+    eps = Tensor(np.full(K, DICE_EPS, dtype=logits.data.dtype))
+    numer = T.add(T.scale(T.tsum(T.mul(p, y), axis=red_axes), 2.0), eps)
+    denom = T.add(T.add(T.tsum(p, axis=red_axes), T.tsum(y, axis=red_axes)), eps)
+    dice = T.tmean(T.div(numer, denom))
+    one = Tensor(np.ones((), dtype=logits.data.dtype))
+    return T.add(ce, T.add(one, T.neg(dice)))
+
+
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("B", [1, 2])
+@pytest.mark.parametrize("case", ["random", "absent_class", "saturated"])
+def test_fused_loss_matches_composed_reference(K, B, case):
+    rng = np.random.default_rng(K * 10 + B)
+    shape = (B, K, 3, 4, 5)
+    labels = rng.integers(0, K - 1 if case == "absent_class" else K, shape[:1] + shape[2:])
+    raw = rng.choice([-30.0, 30.0], shape) if case == "saturated" else 2.0 * rng.standard_normal(shape)
+    results = []
+    for loss_fn in (_composed_dice_ce, dice_ce_loss):
+        logits = Tensor(raw, dtype=np.float64, requires_grad=True)
+        with T.recording() as tape:
+            loss = loss_fn(logits, labels)
+        tape.backward(loss)
+        results.append((loss.item(), logits.grad))
+    (ref, ref_grad), (val, grad) = results
+    assert abs(val - ref) <= 1e-12 * abs(ref)
+    assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+
+def test_fused_loss_is_one_node_keeping_one_class_volume(rng):
+    labels = rng.integers(0, 3, (1, 4, 4, 4))
+    logits = Tensor(rng.standard_normal((1, 3, 4, 4, 4)).astype(np.float32), requires_grad=True)
+    with T.recording() as tape:
+        loss = dice_ce_loss(logits, labels)
+    assert len(tape) == 1 and loss.dtype == np.float32
+    # the closure holds the probabilities and no other class-sized array
+    kept = [c.cell_contents for c in tape.nodes[0].backward.__closure__]
+    sized = [v for v in kept if isinstance(v, np.ndarray) and v.size >= logits.size]
+    assert len(sized) == 1 and sized[0].shape == logits.shape
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,18 @@ def test_frozen_parameter_gets_no_grad(rng):
     tape.backward(loss)
     assert frozen.grad is None
     assert free.grad is not None
+
+
+def test_backward_releases_each_node_as_it_goes(rng):
+    x = Parameter("x", rng.standard_normal(4), dtype=np.float64)
+    with recording() as tape:
+        h = T.exp(x.value)
+        loss = T.tsum(T.mul(h, h))
+    kept = weakref.ref(h.data)
+    del h
+    tape.backward(loss)
+    assert len(tape) == 0 and kept() is None
+    np.testing.assert_allclose(x.grad, 2 * np.exp(2 * x.data), rtol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
