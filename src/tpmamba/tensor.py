@@ -126,17 +126,13 @@ class Tape:
         return len(self.nodes)
 
     def backward(self, loss: Tensor, seed: Optional[Array] = None) -> None:
-        """Accumulate d(loss)/d(leaf) into .grad of every trainable leaf.
-
-        Each node leaves the tape once its backward has run, so the values it
-        keeps are freed as the pass goes: a tape runs backward once."""
+        """Accumulate d(loss)/d(leaf) into .grad of every trainable leaf."""
         if seed is None:
             seed = np.ones_like(loss.data)
         grads: dict[int, Array] = {id(loss): np.asarray(seed, dtype=loss.data.dtype)}
         produced = {id(n.output) for n in self.nodes}
         leaves: dict[int, Tensor] = {}
-        while self.nodes:
-            node = self.nodes.pop()
+        for node in reversed(self.nodes):
             g = grads.pop(id(node.output), None)
             if g is None:
                 continue

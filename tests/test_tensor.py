@@ -1,4 +1,3 @@
-import weakref
 
 import numpy as np
 import pytest
@@ -151,15 +150,14 @@ def test_frozen_parameter_gets_no_grad(rng):
     assert free.grad is not None
 
 
-def test_backward_releases_each_node_as_it_goes(rng):
+def test_backward_leaves_the_recorded_nodes_on_the_tape(rng):
     x = Parameter("x", rng.standard_normal(4), dtype=np.float64)
     with recording() as tape:
         h = T.exp(x.value)
         loss = T.tsum(T.mul(h, h))
-    kept = weakref.ref(h.data)
-    del h
+    recorded = len(tape)
     tape.backward(loss)
-    assert len(tape) == 0 and kept() is None
+    assert len(tape) == recorded == 3
     np.testing.assert_allclose(x.grad, 2 * np.exp(2 * x.data), rtol=1e-12)
 
 
