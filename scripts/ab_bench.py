@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Alternating parent/change runs of the benchmark, summarised as BENCH_<n>.json.
 
-    python3 scripts/ab_bench.py --parent ../parent-checkout --change . \\
+    python3 scripts/ab_bench.py --parent ../parent --change ../change \\
         --pairs 10 --seed 100 --traced-pairs 3 --out BENCH_2.json
 
 Each pair runs `perfbench/run.py` once in each checkout with the same workload
 and seed, one process at a time; which side goes first alternates from pair to
-pair, and every pair uses a fresh seed.  For every end-to-end metric the
+pair, and every pair uses a fresh seed.  The two checkouts' resolved paths
+must be of equal length, because peak RSS shifts with the path's length.  For every end-to-end metric the
 summary holds each side's median and quartiles, the number of pairs the change
 won, and whether the change's median is worse than the parent's by more than
 the metric's bound in BENCHMARK.json.  Traced pairs give per-layer medians.
@@ -96,8 +97,11 @@ def main() -> int:
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(str(sides["parent"])) != len(str(sides["change"])):
+        # peak_rss_mb shifts by about 1 MiB with the length of the checkout path
+        ap.error(f"checkout paths differ in length: {sides['parent']} and {sides['change']}")
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
     names = args.workloads or [w["name"] for w in spec["workloads"]]
     report = {
         "machine": {"cpu": cpu_model(), "cpus": len(os.sched_getaffinity(0)), "platform": platform.platform(),

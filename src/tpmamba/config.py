@@ -23,7 +23,6 @@ class TrainConfig:
     lr_start: float = 2e-4
     lr_end: float = 0.0
     weight_decay: float = 1e-2
-    batch_size: int = 1
     crop: tuple = (96, 96, 96)
     seed: int = 0
     n_classes: int = 2
@@ -38,7 +37,6 @@ class TrainConfig:
     mlp_ratio: int = 4
     lora_rank: int = 4
     lora_alpha: float = 4.0
-    n_outputs: int = 4
     # adapter (prefix `adapter.` in config files)
     adapter_r: int = 24
     adapter_dilations: tuple = (1, 2, 4, 8)
@@ -60,8 +58,6 @@ class TrainConfig:
         for ext in self.crop[1:]:
             if ext % self.patch != 0:
                 raise ConfigError(f"crop H/W {self.crop} must be divisible by patch {self.patch}")
-        if self.batch_size != 1:
-            raise ConfigError("only batch_size=1 is supported")
 
     def vit_config(self) -> ViTConfig:
         adapter = TPMambaConfig(
@@ -85,7 +81,6 @@ class TrainConfig:
             lora_rank=self.lora_rank,
             lora_alpha=self.lora_alpha,
             adapter=adapter,
-            n_outputs=self.n_outputs,
             img_hw=(self.crop[1], self.crop[2]),
         )
 

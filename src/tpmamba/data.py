@@ -34,8 +34,8 @@ class VolumeRecord:
     labels: Optional[np.ndarray] = None  # (D,H,W) integer class ids
 
     def __post_init__(self):
-        if self.voxels.ndim != 3:
-            raise InputError(f"voxels must be 3-D, got shape {self.voxels.shape}")
+        if self.voxels.ndim != 3 or 0 in self.voxels.shape:
+            raise InputError(f"voxels must be a non-empty 3-D grid, got shape {self.voxels.shape}")
         if not all(np.isfinite(s) and s > 0 for s in self.spacing):
             raise InputError(f"spacing components must be finite and positive, got {self.spacing}")
         if self.labels is not None and self.labels.shape != self.voxels.shape:

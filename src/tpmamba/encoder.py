@@ -11,7 +11,7 @@ one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .ops import normalize
 from .tensor import (
+    Module,
     Parameter,
     Tensor,
     add,
@@ -46,16 +47,13 @@ class ViTConfig:
     lora_rank: int = 4
     lora_alpha: float = 4.0
     adapter: Optional[TPMambaConfig] = None
-    n_outputs: int = 4
     img_hw: tuple = (96, 96)
 
     def __post_init__(self):
         if self.C % self.n_heads != 0:
             raise ConfigError(f"C={self.C} not divisible by n_heads={self.n_heads}")
-        if self.n_blocks < self.n_outputs:
-            raise ConfigError(
-                f"n_blocks={self.n_blocks} must be >= n_outputs={self.n_outputs}"
-            )
+        if self.n_blocks < 4:
+            raise ConfigError(f"need at least 4 blocks for the output taps, got n_blocks={self.n_blocks}")
         for ext in self.img_hw:
             if ext % self.patch != 0:
                 raise ConfigError(f"image extent {ext} not divisible by patch {self.patch}")
@@ -68,7 +66,7 @@ class ViTConfig:
 
 
 @dataclass
-class LoRALinear:
+class LoRALinear(Module):
     """Frozen linear map plus a trainable rank-r correction B@(A@x)*alpha/r."""
 
     w_base: Parameter
@@ -92,12 +90,9 @@ class LoRALinear:
         delta = linear(linear(x, self.a_lora), self.b_lora)
         return add(base, scale(delta, self.scale))
 
-    def parameters(self):
-        return [self.w_base, self.b_base, self.a_lora, self.b_lora]
-
 
 @dataclass
-class FrozenLinear:
+class FrozenLinear(Module):
     weight: Parameter
     bias: Parameter
 
@@ -111,12 +106,9 @@ class FrozenLinear:
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
 
-    def parameters(self):
-        return [self.weight, self.bias]
-
 
 @dataclass
-class ViTBlock:
+class ViTBlock(Module):
     cfg: ViTConfig
     ln1_g: Parameter
     ln1_b: Parameter
@@ -152,42 +144,26 @@ class ViTBlock:
             adapter=TPMambaAdapter.init(cfg.adapter, rng, f"{prefix}.tpmamba", dtype),
         )
 
-    def parameters(self):
-        out = [self.ln1_g, self.ln1_b]
-        out += self.q.parameters() + self.k.parameters()
-        out += self.v.parameters() + self.out.parameters()
-        out += [self.ln2_g, self.ln2_b]
-        out += self.mlp1.parameters() + self.mlp2.parameters()
-        out += self.adapter.parameters()
-        return out
-
 
 @dataclass
-class Encoder:
+class Encoder(Module):
     cfg: ViTConfig
     patch_w: Parameter
     patch_b: Parameter
     pos: Parameter
-    blocks: list = field(default_factory=list)
+    blocks: list
 
     @classmethod
     def init(cls, cfg: ViTConfig, rng: np.random.Generator, dtype=np.float32) -> "Encoder":
         p, C = cfg.patch, cfg.C
         h0, w0 = cfg.img_hw[0] // p, cfg.img_hw[1] // p
-        enc = cls(
+        return cls(
             cfg=cfg,
             patch_w=Parameter("patch_embed.weight", uniform_init(rng, (C, p * p), p * p, dtype), trainable=False),
             patch_b=Parameter("patch_embed.bias", uniform_init(rng, (C,), p * p, dtype), trainable=False),
             pos=Parameter("pos_embed", (0.02 * rng.standard_normal((1, C, h0, w0))).astype(dtype), trainable=False),
             blocks=[ViTBlock.init(cfg, rng, f"block{i}", dtype) for i in range(cfg.n_blocks)],
         )
-        return enc
-
-    def parameters(self):
-        out = [self.patch_w, self.patch_b, self.pos]
-        for blk in self.blocks:
-            out += blk.parameters()
-        return out
 
 
 def patch_embed_slices(X: Tensor, enc: Encoder) -> Tensor:
@@ -243,8 +219,6 @@ def vit_block_forward(F: Tensor, blk: ViTBlock, dims: tuple, adapters_enabled: b
 def encoder_forward(X: Tensor, enc: Encoder, adapters_enabled: bool = True) -> list[Tensor]:
     """Chain all blocks; return the feature taps of the last four blocks."""
     cfg = enc.cfg
-    if cfg.n_blocks < 4:
-        raise ConfigError(f"need at least 4 blocks for the output taps, got {cfg.n_blocks}")
     B, _, D, H, W = X.shape
     F = patch_embed_slices(X, enc)
     if F.shape[2:] != enc.pos.shape[2:]:
@@ -259,14 +233,3 @@ def encoder_forward(X: Tensor, enc: Encoder, adapters_enabled: bool = True) -> l
         if i >= cfg.n_blocks - 4:
             taps.append(F)
     return taps
-
-
-def freeze_partition(params: list[Parameter]) -> tuple[list[Parameter], list[Parameter]]:
-    """Split parameters into (trainable, frozen); the two sets partition all."""
-    trainable = [p for p in params if p.trainable]
-    frozen = [p for p in params if not p.trainable]
-    assert len(trainable) + len(frozen) == len(params)
-    names = [p.name for p in params]
-    if len(set(names)) != len(names):
-        raise ConfigError("duplicate parameter names break the partition")
-    return trainable, frozen

@@ -6,13 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import Encoder, ViTConfig, encoder_forward, freeze_partition
+from .encoder import Encoder, ViTConfig, encoder_forward
 from .seghead import Decoder, DecoderConfig, decoder_forward
-from .tensor import Parameter, Tensor
+from .tensor import Module, Tensor
 
 
 @dataclass
-class SegModel:
+class SegModel(Module):
     encoder: Encoder
     decoder: Decoder
 
@@ -23,20 +23,6 @@ class SegModel:
         dec_cfg = DecoderConfig(C=vit_cfg.C, K=n_classes, patch=vit_cfg.patch)
         decoder = Decoder.init(dec_cfg, rng, dtype=dtype)
         return cls(encoder=encoder, decoder=decoder)
-
-    def parameters(self) -> list[Parameter]:
-        return self.encoder.parameters() + self.decoder.parameters()
-
-    def named_parameters(self) -> dict[str, Parameter]:
-        out = {}
-        for p in self.parameters():
-            if p.name in out:
-                raise ValueError(f"duplicate parameter name {p.name}")
-            out[p.name] = p
-        return out
-
-    def partition(self):
-        return freeze_partition(self.parameters())
 
     def forward(self, X: Tensor, adapters_enabled: bool = True) -> Tensor:
         """(B,1,D,H,W) volume -> (B,K,D,H,W) logits."""

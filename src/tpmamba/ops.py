@@ -136,11 +136,9 @@ def conv1d_depthwise(x: Tensor, weight, bias=None) -> Tensor:
     if x.ndim != 3:
         raise ShapeError(f"conv1d_depthwise expects (B,E,L), got {x.shape}")
     w = weight.data
-    if w.ndim == 3:  # accept (E,1,k) layout
-        w = w[:, 0, :]
     B, E, L = x.shape
-    if w.shape[0] != E:
-        raise ShapeError(f"conv1d_depthwise channel mismatch: input {E} vs weight {w.shape[0]}")
+    if w.ndim != 2 or w.shape[0] != E:
+        raise ShapeError(f"conv1d_depthwise needs an (E,k) weight with E={E}, got {w.shape}")
     k = w.shape[1]
     xp = np.pad(x.data, ((0, 0), (0, 0), (k - 1, 0)))
     out = np.zeros_like(x.data)
@@ -155,7 +153,6 @@ def conv1d_depthwise(x: Tensor, weight, bias=None) -> Tensor:
             gw = np.empty_like(w)
             for i in range(k):
                 gw[:, i] = (g * xp[:, :, i : i + L]).sum(axis=(0, 2))
-            gw = gw.reshape(weight.shape)
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for i in range(k):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -10,9 +10,10 @@ import numpy as np
 from . import tensor
 from .errors import ConfigError, InputError, ShapeError
 from .ops import conv3d, normalize, upsample_hw
-from .tensor import Parameter, Tensor, concat, gelu, permute, reshape, uniform_init
+from .tensor import Module, Parameter, Tensor, concat, gelu, permute, reshape, uniform_init
 
 DICE_EPS = 1e-5
+DECODER_STAGES = 4
 
 
 @dataclass
@@ -21,78 +22,69 @@ class DecoderConfig:
 
     Depth is never downsampled by the slice-wise encoder, so only H and W are
     upsampled; the k=3 stage convolutions provide inter-slice mixing.  Stage
-    widths taper so the decoder stays small next to the frozen backbone.
+    widths taper (C/2, C/4, C/8, C/16, at least 4) so the decoder stays small
+    next to the frozen backbone.
     """
 
     C: int
     K: int
-    stages: int = 4
-    stage_widths: Optional[tuple] = None
     patch: int = 16
 
     def __post_init__(self):
-        if 2**self.stages != self.patch:
+        if self.patch != 2**DECODER_STAGES:
             raise ConfigError(
-                f"2^stages must equal the patch size: 2^{self.stages} != {self.patch}"
+                f"the {DECODER_STAGES} 2x upsampling stages need patch {2**DECODER_STAGES}, got {self.patch}"
             )
         if self.K < 2:
             raise ConfigError(f"need at least 2 classes, got K={self.K}")
-        if self.stage_widths is None:
-            c = self.C
-            # floor of 4 keeps tiny toy widths from collapsing to 1 channel
-            self.stage_widths = (
-                max(c // 2, 4),
-                max(c // 4, 4),
-                max(c // 8, 4),
-                max(c // 16, 4),
-            )
-        if len(self.stage_widths) != self.stages:
-            raise ConfigError("stage_widths must list one width per stage")
 
 
 @dataclass
-class Decoder:
+class DecoderStage(Module):
+    conv_w: Parameter
+    conv_b: Parameter
+    norm_g: Parameter
+    norm_b: Parameter
+
+
+@dataclass
+class Decoder(Module):
     cfg: DecoderConfig
     reduce_w: Parameter
     reduce_b: Parameter
-    stage_ws: list = field(default_factory=list)
-    stage_bs: list = field(default_factory=list)
-    in_gs: list = field(default_factory=list)
-    in_bs: list = field(default_factory=list)
-    head_w: Parameter = None
-    head_b: Parameter = None
+    stages: list
+    head_w: Parameter
+    head_b: Parameter
 
     @classmethod
     def init(cls, cfg: DecoderConfig, rng, dtype=np.float32, prefix="decoder"):
-        widths = cfg.stage_widths
+        # floor of 4 keeps tiny toy widths from collapsing to 1 channel
+        widths = [max(cfg.C // 2 ** (i + 1), 4) for i in range(DECODER_STAGES)]
 
         def par(name, data):
-            return Parameter(f"{prefix}.{name}", data, trainable=True, dtype=dtype)
+            return Parameter(f"{prefix}.{name}", data, dtype=dtype)
 
-        dec = cls(
-            cfg=cfg,
-            reduce_w=par("reduce.weight", uniform_init(rng, (widths[0], 4 * cfg.C, 1, 1, 1), 4 * cfg.C, dtype)),
-            reduce_b=par("reduce.bias", uniform_init(rng, (widths[0],), 4 * cfg.C, dtype)),
-        )
-        for i in range(cfg.stages):
-            cin = widths[i]
-            cout = widths[min(i + 1, cfg.stages - 1)]
+        reduce_w = par("reduce.weight", uniform_init(rng, (widths[0], 4 * cfg.C, 1, 1, 1), 4 * cfg.C, dtype))
+        reduce_b = par("reduce.bias", uniform_init(rng, (widths[0],), 4 * cfg.C, dtype))
+        stages = []
+        for i, cin in enumerate(widths):
+            cout = widths[min(i + 1, DECODER_STAGES - 1)]
             fan = cin * 27
-            dec.stage_ws.append(par(f"stage{i}.conv.weight", uniform_init(rng, (cout, cin, 3, 3, 3), fan, dtype)))
-            dec.stage_bs.append(par(f"stage{i}.conv.bias", uniform_init(rng, (cout,), fan, dtype)))
-            dec.in_gs.append(par(f"stage{i}.norm.gamma", np.ones(cout, dtype=dtype)))
-            dec.in_bs.append(par(f"stage{i}.norm.beta", np.zeros(cout, dtype=dtype)))
+            stages.append(DecoderStage(
+                conv_w=par(f"stage{i}.conv.weight", uniform_init(rng, (cout, cin, 3, 3, 3), fan, dtype)),
+                conv_b=par(f"stage{i}.conv.bias", uniform_init(rng, (cout,), fan, dtype)),
+                norm_g=par(f"stage{i}.norm.gamma", np.ones(cout, dtype=dtype)),
+                norm_b=par(f"stage{i}.norm.beta", np.zeros(cout, dtype=dtype)),
+            ))
         last = widths[-1]
-        dec.head_w = par("head.weight", uniform_init(rng, (cfg.K, last, 1, 1, 1), last, dtype))
-        dec.head_b = par("head.bias", uniform_init(rng, (cfg.K,), last, dtype))
-        return dec
-
-    def parameters(self) -> list[Parameter]:
-        out = [self.reduce_w, self.reduce_b]
-        for i in range(self.cfg.stages):
-            out += [self.stage_ws[i], self.stage_bs[i], self.in_gs[i], self.in_bs[i]]
-        out += [self.head_w, self.head_b]
-        return out
+        return cls(
+            cfg=cfg,
+            reduce_w=reduce_w,
+            reduce_b=reduce_b,
+            stages=stages,
+            head_w=par("head.weight", uniform_init(rng, (cfg.K, last, 1, 1, 1), last, dtype)),
+            head_b=par("head.bias", uniform_init(rng, (cfg.K,), last, dtype)),
+        )
 
 
 def decoder_forward(taps: list[Tensor], dims: tuple, dec: Decoder) -> Tensor:
@@ -109,9 +101,9 @@ def decoder_forward(taps: list[Tensor], dims: tuple, dec: Decoder) -> Tensor:
     vols = [permute(reshape(t, (B, D, C, h, w)), (0, 2, 1, 3, 4)) for t in taps]
     x = concat(vols, axis=1)  # (B, 4C, D, h, w)
     x = conv3d(x, dec.reduce_w, dec.reduce_b)
-    for i in range(dec.cfg.stages):
-        x = conv3d(x, dec.stage_ws[i], dec.stage_bs[i], padding=(1, 1, 1))
-        x = normalize(x, "instance_norm", dec.in_gs[i], dec.in_bs[i])
+    for stage in dec.stages:
+        x = conv3d(x, stage.conv_w, stage.conv_b, padding=(1, 1, 1))
+        x = normalize(x, "instance_norm", stage.norm_g, stage.norm_b)
         x = gelu(x)
         x = upsample_hw(x, 2)
     return conv3d(x, dec.head_w, dec.head_b)

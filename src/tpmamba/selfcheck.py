@@ -1,7 +1,8 @@
-"""Built-in verification suites behind `tpmamba check`.
+"""Built-in verification suites behind `tpmamba check` and the acceptance tests.
 
-Each suite returns (name, passed, detail) triples; the CLI prints one line
-per check and exits non-zero when anything fails.
+`scan_oracle_errors`, `gradient_errors` and `plane_roundtrip_exact` measure;
+the suites turn their results into (name, passed, detail) triples, and the
+CLI prints one line per check and exits non-zero when anything fails.
 """
 
 from __future__ import annotations
@@ -13,12 +14,21 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
+from .encoder import Encoder, ViTConfig, vit_block_forward
 from .ops import conv1d_depthwise, conv3d, grad_check, normalize, upsample_hw
+from .seghead import Decoder, DecoderConfig, decoder_forward, dice_ce_loss
 from .ssm import MambaBlockConfig, SSMParams, mamba_block_forward, selective_scan, selective_scan_sequential
 from .tensor import Parameter, Tensor
 from .triplane import TPMambaAdapter, TPMambaConfig, plane_flatten, plane_unflatten, tp_mamba_forward
 
 Check = tuple[str, bool, str]
+
+SCAN_TOLERANCE = {"f32": 1e-5, "f64": 1e-10}
+
+
+def grad_tolerance(case: str) -> float:
+    """Bound on a gradient case's error: matmul is exact up to rounding."""
+    return 1e-6 if case == "matmul" else 1e-3
 
 
 def _scan_case(rng, b, L, E, N, dtype):
@@ -31,14 +41,20 @@ def _scan_case(rng, b, L, E, N, dtype):
     return u, delta, A, B, C, D
 
 
-def check_scan(n_configs: int = 24) -> list[Check]:
-    rng = np.random.default_rng(42)
+def scan_oracle_errors(seed: int, n_configs: int) -> tuple[dict[str, float], bool]:
+    """`selective_scan` against the sequential oracle on random configs.
+
+    Config i has length (1, 2, 7, 64, 513)[i % 5], batch 1-3 and E, N in 2-8,
+    run at f32 and f64.  Returns the worst relative error per dtype and
+    whether every forward was bit-identical.
+    """
+    rng = np.random.default_rng(seed)
     lengths = [1, 2, 7, 64, 513]
     worst = {"f32": 0.0, "f64": 0.0}
     exact = True
     for i in range(n_configs):
         L = lengths[i % len(lengths)]
-        b = int(rng.integers(1, 3))
+        b = int(rng.integers(1, 4))
         E = int(rng.integers(2, 9))
         N = int(rng.integers(2, 9))
         for dtype, key in ((np.float32, "f32"), (np.float64, "f64")):
@@ -48,86 +64,132 @@ def check_scan(n_configs: int = 24) -> list[Check]:
             denom = max(1.0, float(np.abs(slow).max()))
             worst[key] = max(worst[key], float(np.abs(fast - slow).max()) / denom)
             exact &= np.array_equal(fast, slow)
-    return [
-        ("scan forward bit-identical to oracle", exact, f"{2 * n_configs} configs, f32 and f64"),
-        ("scan equivalence f32 < 1e-5", worst["f32"] < 1e-5, f"max rel err {worst['f32']:.3e}"),
-        ("scan equivalence f64 < 1e-10", worst["f64"] < 1e-10, f"max rel err {worst['f64']:.3e}"),
+    return worst, bool(exact)
+
+
+def gradient_errors(seed: int) -> dict[str, float]:
+    """f64 tape gradients against central differences, one error per case.
+
+    The cases run in a fixed order from one generator, so each draws the
+    same data whatever cases follow it.
+    """
+    rng = np.random.default_rng(seed)
+    f64 = np.float64
+    results = {}
+
+    a = Parameter("a", rng.standard_normal((3, 4)), dtype=f64)
+    b = Parameter("b", rng.standard_normal((4, 2)), dtype=f64)
+    results["matmul"] = grad_check(lambda: T.tsum(T.matmul(a.value, b.value)), [a, b])
+
+    x = Parameter("x", rng.standard_normal((1, 2, 3, 2, 2)), dtype=f64)
+    w = Parameter("w", rng.standard_normal((2, 2, 3, 1, 1)), dtype=f64)
+    wb = Parameter("wb", rng.standard_normal(2), dtype=f64)
+    results["conv3d"] = grad_check(
+        lambda: T.tsum(T.square(conv3d(x.value, w.value, wb.value, dilation=(2, 1, 1), padding=(2, 0, 0)))),
+        [x, w, wb],
+        max_coords=8,
+    )
+
+    xc = Parameter("xc", rng.standard_normal((1, 3, 6)), dtype=f64)
+    wc = Parameter("wc", rng.standard_normal((3, 4)), dtype=f64)
+    bc = Parameter("bc", rng.standard_normal(3), dtype=f64)
+    results["conv1d_depthwise"] = grad_check(
+        lambda: T.tsum(T.square(conv1d_depthwise(xc.value, wc.value, bc.value))), [xc, wc, bc]
+    )
+
+    for kind, shape, cdim in (("layer_norm", (3, 5), 5), ("instance_norm", (1, 2, 2, 3, 3), 2)):
+        xn = Parameter("xn", rng.standard_normal(shape), dtype=f64)
+        gg = Parameter("gg", 1 + 0.1 * rng.standard_normal(cdim), dtype=f64)
+        bb = Parameter("bb", rng.standard_normal(cdim), dtype=f64)
+        wgt = Tensor(rng.standard_normal(shape), dtype=f64)
+        results[kind] = grad_check(
+            lambda xn=xn, gg=gg, bb=bb, kind=kind, wgt=wgt: T.tsum(
+                T.mul(normalize(xn.value, kind, gg.value, bb.value), wgt)
+            ),
+            [xn, gg, bb],
+            max_coords=8,
+        )
+
+    xu = Parameter("xu", rng.standard_normal((1, 1, 2, 3, 3)), dtype=f64)
+    wu = Tensor(rng.standard_normal((1, 1, 2, 6, 6)), dtype=f64)
+    results["upsample_hw"] = grad_check(lambda: T.tsum(T.mul(upsample_hw(xu.value, 2), wu)), [xu], max_coords=8)
+
+    # full tri-plane adapter with every zero-init path given signal
+    adapter = TPMambaAdapter.init(TPMambaConfig(C=8, r=4, d_state=2), rng, "tp", dtype=f64)
+    for p in (adapter.raise_w, adapter.phi_hw.w_out, adapter.phi_dw.w_out, adapter.phi_dh.w_out):
+        p.data = 0.3 * rng.standard_normal(p.shape)
+    F = Tensor(rng.standard_normal((3, 8, 2, 2)), dtype=f64)
+    wgt = Tensor(rng.standard_normal((3, 8, 2, 2)), dtype=f64)
+    results["tp_mamba_adapter"] = grad_check(
+        lambda: T.tsum(T.mul(tp_mamba_forward(F, adapter, dims=(1, 3)), wgt)), adapter.parameters(), max_coords=3
+    )
+
+    # one full ViT block over its trainables
+    vcfg = ViTConfig(
+        C=8, n_heads=2, n_blocks=4, lora_rank=2, lora_alpha=2.0,
+        adapter=TPMambaConfig(C=8, r=4, d_state=2), img_hw=(32, 32),
+    )
+    blk = Encoder.init(vcfg, rng, dtype=f64).blocks[0]
+    ad = blk.adapter
+    for p in (ad.raise_w, blk.q.b_lora, blk.v.b_lora, ad.phi_hw.w_out, ad.phi_dw.w_out, ad.phi_dh.w_out):
+        p.data = 0.2 * rng.standard_normal(p.shape)
+    Fb = Tensor(rng.standard_normal((3, 8, 2, 2)), dtype=f64)
+    wb2 = Tensor(rng.standard_normal((3, 8, 2, 2)), dtype=f64)
+    results["vit_block"] = grad_check(
+        lambda: T.tsum(T.mul(vit_block_forward(Fb, blk, (1, 3)), wb2)), blk.partition()[0], max_coords=3
+    )
+
+    dec = Decoder.init(DecoderConfig(C=8, K=2), rng, dtype=f64)
+    taps = [Tensor(rng.standard_normal((2, 8, 1, 1)), dtype=f64) for _ in range(4)]
+    wd = Tensor(rng.standard_normal((1, 2, 2, 16, 16)), dtype=f64)
+    results["decoder"] = grad_check(
+        lambda: T.tsum(T.mul(decoder_forward(taps, (1, 2), dec), wd)), dec.parameters(), max_coords=3
+    )
+
+    labels = rng.integers(0, 2, (1, 4, 4, 4))
+    P = Parameter("logits", 0.5 * rng.standard_normal((1, 2, 4, 4, 4)), dtype=f64)
+    results["dice_ce_loss"] = grad_check(lambda: dice_ce_loss(P.value, labels), [P], max_coords=10)
+
+    params = SSMParams.init(MambaBlockConfig(d_model=4, d_state=2), rng, "blk", dtype=f64)
+    params.w_out.data = 0.1 * rng.standard_normal(params.w_out.shape)
+    seq = Tensor(rng.standard_normal((1, 6, 4)), dtype=f64)
+    results["mamba_block"] = grad_check(
+        lambda: T.tsum(T.square(mamba_block_forward(seq, params))), params.parameters(), max_coords=4
+    )
+    return results
+
+
+def plane_roundtrip_exact(seed: int) -> bool:
+    """plane_unflatten(plane_flatten(G)) == G bit for bit, for each plane mode
+    on 5 random (B,r,D,h,w) shapes with extents 1-5."""
+    rng = np.random.default_rng(seed)
+    ok = True
+    for mode in ("hw", "dh", "dw", "volume"):
+        for _ in range(5):
+            dims = tuple(int(rng.integers(1, 6)) for _ in range(5))
+            G = Tensor(rng.standard_normal(dims).astype(np.float32))
+            ok &= np.array_equal(plane_unflatten(plane_flatten(G, mode), mode, dims).data, G.data)
+    return bool(ok)
+
+
+def check_scan(n_configs: int = 24) -> list[Check]:
+    worst, exact = scan_oracle_errors(42, n_configs)
+    return [("scan forward bit-identical to oracle", exact, f"{2 * n_configs} configs, f32 and f64")] + [
+        (f"scan equivalence {key} < {tol:.0e}", worst[key] < tol, f"max rel err {worst[key]:.3e}")
+        for key, tol in SCAN_TOLERANCE.items()
     ]
 
 
 def check_grad() -> list[Check]:
-    rng = np.random.default_rng(7)
-    checks: list[Check] = []
-
-    a = Parameter("a", rng.standard_normal((3, 4)), dtype=np.float64)
-    b = Parameter("b", rng.standard_normal((4, 2)), dtype=np.float64)
-    err = grad_check(lambda: T.tsum(T.matmul(a.value, b.value)), [a, b])
-    checks.append(("matmul grad < 1e-6", err < 1e-6, f"err {err:.3e}"))
-
-    x = Parameter("x", rng.standard_normal((1, 2, 3, 2, 2)), dtype=np.float64)
-    w = Parameter("w", rng.standard_normal((2, 2, 3, 1, 1)), dtype=np.float64)
-    err = grad_check(
-        lambda: T.tsum(T.square(conv3d(x.value, w.value, padding=(1, 0, 0)))), [x, w], max_coords=8
-    )
-    checks.append(("conv3d grad < 1e-3", err < 1e-3, f"err {err:.3e}"))
-
-    xc = Parameter("xc", rng.standard_normal((1, 2, 6)), dtype=np.float64)
-    wc = Parameter("wc", rng.standard_normal((2, 4)), dtype=np.float64)
-    err = grad_check(lambda: T.tsum(T.square(conv1d_depthwise(xc.value, wc.value))), [xc, wc])
-    checks.append(("causal depthwise conv grad < 1e-3", err < 1e-3, f"err {err:.3e}"))
-
-    g = Parameter("g", 1 + 0.1 * rng.standard_normal(5), dtype=np.float64)
-    be = Parameter("be", rng.standard_normal(5), dtype=np.float64)
-    xn = Parameter("xn", rng.standard_normal((3, 5)), dtype=np.float64)
-    wgt = Tensor(rng.standard_normal((3, 5)), dtype=np.float64)
-    err = grad_check(
-        lambda: T.tsum(T.mul(normalize(xn.value, "layer_norm", g.value, be.value), wgt)),
-        [xn, g, be],
-    )
-    checks.append(("layer_norm grad < 1e-3", err < 1e-3, f"err {err:.3e}"))
-
-    xu = Parameter("xu", rng.standard_normal((1, 1, 2, 3, 3)), dtype=np.float64)
-    wu = Tensor(rng.standard_normal((1, 1, 2, 6, 6)), dtype=np.float64)
-    err = grad_check(lambda: T.tsum(T.mul(upsample_hw(xu.value, 2), wu)), [xu], max_coords=8)
-    checks.append(("upsample grad < 1e-3", err < 1e-3, f"err {err:.3e}"))
-
-    cfg = MambaBlockConfig(d_model=4, d_state=2)
-    params = SSMParams.init(cfg, rng, "blk", dtype=np.float64)
-    params.w_out.data = 0.1 * rng.standard_normal(params.w_out.shape)
-    seq = Tensor(rng.standard_normal((1, 6, 4)), dtype=np.float64)
-    err = grad_check(
-        lambda: T.tsum(T.square(mamba_block_forward(seq, params))), params.parameters(), max_coords=4
-    )
-    checks.append(("mamba block grad < 1e-3", err < 1e-3, f"err {err:.3e}"))
-
-    acfg = TPMambaConfig(C=8, r=4, d_state=2)
-    adapter = TPMambaAdapter.init(acfg, rng, "tp", dtype=np.float64)
-    adapter.raise_w.data = 0.3 * rng.standard_normal(adapter.raise_w.shape)
-    for phi in (adapter.phi_hw, adapter.phi_dw, adapter.phi_dh):
-        phi.w_out.data = 0.3 * rng.standard_normal(phi.w_out.shape)
-    F = Tensor(rng.standard_normal((3, 8, 2, 2)), dtype=np.float64)
-    err = grad_check(
-        lambda: T.tsum(T.square(tp_mamba_forward(F, adapter, dims=(1, 3)))),
-        adapter.parameters(),
-        max_coords=3,
-    )
-    checks.append(("tri-plane adapter grad < 1e-3", err < 1e-3, f"err {err:.3e}"))
-    return checks
+    return [
+        (f"{case} grad < {grad_tolerance(case):.0e}", err < grad_tolerance(case), f"err {err:.3e}")
+        for case, err in gradient_errors(7).items()
+    ]
 
 
 def check_roundtrip() -> list[Check]:
+    checks = [("plane flatten/unflatten bit-exact", plane_roundtrip_exact(11), "4 modes x 5 shapes")]
     rng = np.random.default_rng(11)
-    checks: list[Check] = []
-
-    ok = True
-    for mode in ("hw", "dh", "dw", "volume"):
-        for _ in range(5):
-            dims = tuple(int(rng.integers(1, 5)) for _ in range(5))
-            G = Tensor(rng.standard_normal(dims).astype(np.float32))
-            back = plane_unflatten(plane_flatten(G, mode), mode, dims)
-            ok &= np.array_equal(back.data, G.data)
-    checks.append(("plane flatten/unflatten bit-exact", bool(ok), "4 modes x 5 shapes"))
-
     with tempfile.TemporaryDirectory() as td:
         p1 = Path(td) / "a.ckpt"
         p2 = Path(td) / "b.ckpt"
@@ -149,10 +211,7 @@ SUITES = {"grad": check_grad, "scan": check_scan, "roundtrip": check_roundtrip}
 
 def run_suite(name: str) -> list[Check]:
     if name == "all":
-        out = []
-        for key in ("grad", "scan", "roundtrip"):
-            out.extend(SUITES[key]())
-        return out
+        return [check for suite in SUITES.values() for check in suite()]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from grad, scan, roundtrip, all")
     return SUITES[name]()

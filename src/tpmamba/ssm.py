@@ -16,13 +16,14 @@ gradients agree to 1e-5 relative at f32 and 1e-10 at f64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 from .tensor import (
+    Module,
     Parameter,
     Tensor,
     _needs_grad,
@@ -69,7 +70,7 @@ class MambaBlockConfig:
 
 
 @dataclass
-class SSMParams:
+class SSMParams(Module):
     """Parameters of one scanner block (see `mamba_block_forward`)."""
 
     cfg: MambaBlockConfig
@@ -84,18 +85,11 @@ class SSMParams:
     w_out: Parameter
 
     @classmethod
-    def init(
-        cls,
-        cfg: MambaBlockConfig,
-        rng: np.random.Generator,
-        prefix: str,
-        dtype=np.float32,
-        trainable: bool = True,
-    ) -> "SSMParams":
+    def init(cls, cfg: MambaBlockConfig, rng: np.random.Generator, prefix: str, dtype=np.float32) -> "SSMParams":
         r, E, N, k, dtr = cfg.d_model, cfg.d_inner, cfg.d_state, cfg.d_conv, cfg.dt_rank
 
         def par(name, data):
-            return Parameter(f"{prefix}.{name}", data, trainable=trainable, dtype=dtype)
+            return Parameter(f"{prefix}.{name}", data, dtype=dtype)
 
         # delta bias chosen so softplus(bias) is log-uniform in [1e-3, 0.1]
         dt = np.exp(rng.uniform(math.log(1e-3), math.log(0.1), size=E))
@@ -114,9 +108,6 @@ class SSMParams:
             # zero-initialised output projection: the block starts as identity
             w_out=par("w_out", np.zeros((r, E), dtype=dtype)),
         )
-
-    def parameters(self) -> list[Parameter]:
-        return [getattr(self, f.name) for f in fields(self) if f.name != "cfg"]
 
 
 def param_count_ssm(cfg: MambaBlockConfig) -> int:

@@ -12,11 +12,12 @@ recorded and unrecorded forward passes are bit-identical.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 Array = np.ndarray
 
@@ -54,9 +55,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def numpy(self) -> Array:
-        return self.data
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -105,6 +103,41 @@ class Parameter:
     def __repr__(self) -> str:
         kind = "trainable" if self.trainable else "frozen"
         return f"Parameter({self.name!r}, shape={self.shape}, {kind})"
+
+
+class Module:
+    """Base of the model's parameter dataclasses.
+
+    `parameters()` walks the dataclass fields in declaration order, taking
+    Parameters, nested Modules and lists of either; that order is the
+    checkpoint order.  Parameter names key the AdamW moments and the
+    checkpoint manifest, so `named_parameters()` and `partition()` reject a
+    model in which two parameters share a name.
+    """
+
+    def parameters(self) -> list[Parameter]:
+        out = []
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            for item in value if isinstance(value, list) else (value,):
+                if isinstance(item, Parameter):
+                    out.append(item)
+                elif isinstance(item, Module):
+                    out.extend(item.parameters())
+        return out
+
+    def named_parameters(self) -> dict[str, Parameter]:
+        named = {}
+        for p in self.parameters():
+            if p.name in named:
+                raise ConfigError(f"duplicate parameter name {p.name!r}")
+            named[p.name] = p
+        return named
+
+    def partition(self) -> tuple[list[Parameter], list[Parameter]]:
+        """(trainable, frozen), each in walk order."""
+        params = self.named_parameters().values()
+        return [p for p in params if p.trainable], [p for p in params if not p.trainable]
 
 
 class _Node:

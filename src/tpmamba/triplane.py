@@ -12,7 +12,8 @@ identity map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,11 +21,10 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .ops import conv3d, same_padding
 from .ssm import MambaBlockConfig, SSMParams, mamba_block_forward, param_count_ssm
-from .tensor import Parameter, Tensor, add, concat, permute, reshape, uniform_init
+from .tensor import Module, Parameter, Tensor, add, concat, permute, reshape, uniform_init
 
 SCAN_MODES = ("tri_plane", "hw_only", "dw_only", "dh_only", "volume_flatten")
 CONV_MODES = ("multiscale", "single")
-PLANES = ("hw", "dh", "dw", "volume")
 
 
 @dataclass
@@ -67,17 +67,17 @@ class TPMambaConfig:
 
 
 @dataclass
-class TPMambaAdapter:
+class TPMambaAdapter(Module):
     cfg: TPMambaConfig
     reduce_w: Parameter
     reduce_b: Parameter
-    branch_ws: list = field(default_factory=list)
-    branch_bs: list = field(default_factory=list)
-    phi_hw: SSMParams = None
-    phi_dw: SSMParams = None
-    phi_dh: SSMParams = None
-    raise_w: Parameter = None
-    raise_b: Parameter = None
+    branch_ws: list
+    branch_bs: list
+    phi_hw: SSMParams
+    phi_dw: SSMParams
+    phi_dh: SSMParams
+    raise_w: Parameter
+    raise_b: Parameter
 
     @classmethod
     def init(
@@ -86,7 +86,7 @@ class TPMambaAdapter:
         C, r, k = cfg.C, cfg.r, cfg.depth_kernel
 
         def par(name, data):
-            return Parameter(f"{prefix}.{name}", data, trainable=True, dtype=dtype)
+            return Parameter(f"{prefix}.{name}", data, dtype=dtype)
 
         branch_ws, branch_bs = [], []
         if cfg.conv_mode == "multiscale":
@@ -114,15 +114,6 @@ class TPMambaAdapter:
             raise_w=par("raise.weight", np.zeros((C, r, k, 1, 1), dtype=dtype)),
             raise_b=par("raise.bias", np.zeros((C,), dtype=dtype)),
         )
-
-    def parameters(self) -> list[Parameter]:
-        out = [self.reduce_w, self.reduce_b]
-        out.extend(self.branch_ws)
-        out.extend(self.branch_bs)
-        for phi in (self.phi_hw, self.phi_dw, self.phi_dh):
-            out.extend(phi.parameters())
-        out.extend([self.raise_w, self.raise_b])
-        return out
 
 
 def param_count_adapter(cfg: TPMambaConfig) -> int:
@@ -156,48 +147,40 @@ def multiscale_depth_conv(G: Tensor, adapter: TPMambaAdapter) -> Tensor:
     return concat(outs, axis=1)
 
 
+# plane mode -> (axis order of (B,r,D,h,w), count of leading axes folded into the batch)
+_PLANE_LAYOUTS = {
+    "hw": ((0, 2, 3, 4, 1), 2),
+    "dh": ((0, 4, 2, 3, 1), 2),
+    "dw": ((0, 3, 2, 4, 1), 2),
+    "volume": ((0, 2, 3, 4, 1), 1),
+}
+
+
+def _plane_layout(mode: str, dims: tuple) -> tuple:
+    """(axis order, permuted extents, sequence shape) of one plane mode."""
+    if mode not in _PLANE_LAYOUTS:
+        raise ConfigError(f"unknown plane mode {mode!r}; choose from {tuple(_PLANE_LAYOUTS)}")
+    order, fold = _PLANE_LAYOUTS[mode]
+    mid = tuple(dims[a] for a in order)
+    return order, mid, (math.prod(mid[:fold]), math.prod(mid[fold:4]), mid[4])
+
+
 def plane_flatten(G: Tensor, mode: str) -> Tensor:
     """Flatten (B,r,D,h,w) into channel-last sequences along one plane.
 
     hw: (B*D, h*w, r) row-major in (h,w); dh: (B*w, D*h, r); dw: (B*h, D*w, r);
     volume: (B, D*h*w, r) scanning depth, then rows, then columns.
     """
-    B, r, D, h, w = G.shape
-    if mode == "hw":
-        return reshape(permute(G, (0, 2, 3, 4, 1)), (B * D, h * w, r))
-    if mode == "dh":
-        return reshape(permute(G, (0, 4, 2, 3, 1)), (B * w, D * h, r))
-    if mode == "dw":
-        return reshape(permute(G, (0, 3, 2, 4, 1)), (B * h, D * w, r))
-    if mode == "volume":
-        return reshape(permute(G, (0, 2, 3, 4, 1)), (B, D * h * w, r))
-    raise ConfigError(f"unknown plane mode {mode!r}; choose from {PLANES}")
+    order, _, seq = _plane_layout(mode, G.shape)
+    return reshape(permute(G, order), seq)
 
 
 def plane_unflatten(seq: Tensor, mode: str, dims: tuple) -> Tensor:
     """Exact inverse of `plane_flatten` for matching mode and (B,r,D,h,w)."""
-    B, r, D, h, w = dims
-    if mode == "hw":
-        expect = (B * D, h * w, r)
-        back = (0, 4, 1, 2, 3)
-        mid = (B, D, h, w, r)
-    elif mode == "dh":
-        expect = (B * w, D * h, r)
-        back = (0, 4, 2, 3, 1)
-        mid = (B, w, D, h, r)
-    elif mode == "dw":
-        expect = (B * h, D * w, r)
-        back = (0, 4, 2, 1, 3)
-        mid = (B, h, D, w, r)
-    elif mode == "volume":
-        expect = (B, D * h * w, r)
-        back = (0, 4, 1, 2, 3)
-        mid = (B, D, h, w, r)
-    else:
-        raise ConfigError(f"unknown plane mode {mode!r}; choose from {PLANES}")
+    order, mid, expect = _plane_layout(mode, dims)
     if tuple(seq.shape) != expect:
         raise ShapeError(f"sequence shape {seq.shape} does not match {mode} layout {expect}")
-    return permute(reshape(seq, mid), back)
+    return permute(reshape(seq, mid), np.argsort(order))
 
 
 _MODE_PLANES = {

@@ -12,18 +12,18 @@ import pytest
 from tpmamba import tensor as T
 from tpmamba.config import TrainConfig
 from tpmamba.data import VolumeRecord, gen_synth, preprocess
-from tpmamba.encoder import Encoder, ViTConfig, encoder_forward, vit_block_forward
+from tpmamba.encoder import Encoder, ViTConfig, encoder_forward
 from tpmamba.flops import gflops_estimate
-from tpmamba.ops import conv1d_depthwise, conv3d, grad_check, normalize, upsample_hw
-from tpmamba.seghead import Decoder, DecoderConfig, decoder_forward, dice_ce_loss
-from tpmamba.ssm import (
-    MambaBlockConfig,
-    SSMParams,
-    mamba_block_forward,
-    selective_scan,
-    selective_scan_sequential,
+from tpmamba.ops import grad_check
+from tpmamba.selfcheck import (
+    SCAN_TOLERANCE,
+    grad_tolerance,
+    gradient_errors,
+    plane_roundtrip_exact,
+    scan_oracle_errors,
 )
-from tpmamba.tensor import Parameter, Tensor
+from tpmamba.ssm import MambaBlockConfig, SSMParams, mamba_block_forward
+from tpmamba.tensor import Tensor
 from tpmamba.train import train
 from tpmamba.triplane import (
     TPMambaAdapter,
@@ -40,139 +40,27 @@ def _report(n, text):
     print(f"\n[PASS] criterion {n}: {text}")
 
 
-def _scan_args(rng, b, L, E, N, dtype):
-    u = Tensor(rng.standard_normal((b, L, E)).astype(dtype))
-    delta = Tensor(np.log1p(np.exp(rng.standard_normal((b, L, E)))).astype(dtype))
-    A = Tensor((-np.exp(rng.standard_normal((E, N)) * 0.5)).astype(dtype))
-    B = Tensor(rng.standard_normal((b, L, N)).astype(dtype))
-    C = Tensor(rng.standard_normal((b, L, N)).astype(dtype))
-    D = Tensor(rng.standard_normal(E).astype(dtype))
-    return u, delta, A, B, C, D
-
-
 def test_criterion_1_scan_oracle_equivalence():
-    rng = np.random.default_rng(2024)
-    lengths = [1, 2, 7, 64, 513]
     start = time.perf_counter()
-    worst = {np.float32: 0.0, np.float64: 0.0}
-    for i in range(100):
-        L = lengths[i % 5]
-        b = int(rng.integers(1, 4))
-        E = int(rng.integers(2, 9))
-        N = int(rng.integers(2, 9))
-        for dtype in (np.float32, np.float64):
-            args = _scan_args(rng, b, L, E, N, dtype)
-            fast = selective_scan(*args).data
-            slow = selective_scan_sequential(*args).data
-            denom = max(1.0, float(np.abs(slow).max()))
-            worst[dtype] = max(worst[dtype], float(np.abs(fast - slow).max()) / denom)
+    worst, exact = scan_oracle_errors(2024, 100)
     elapsed = time.perf_counter() - start
-    assert worst[np.float32] < 1e-5
-    assert worst[np.float64] < 1e-10
+    assert exact
+    for key, tol in SCAN_TOLERANCE.items():
+        assert worst[key] < tol
     assert elapsed < 30.0
     _report(
         1,
-        f"scan equivalence on 100 configs: f32 err {worst[np.float32]:.2e}, "
-        f"f64 err {worst[np.float64]:.2e}, {elapsed:.1f}s",
+        f"scan equivalence on 100 configs: forward bit-identical, f32 err {worst['f32']:.2e}, "
+        f"f64 err {worst['f64']:.2e}, {elapsed:.1f}s",
     )
 
 
 def test_criterion_2_gradient_suite():
-    rng = np.random.default_rng(7)
     start = time.perf_counter()
-    results = {}
-
-    a = Parameter("a", rng.standard_normal((3, 4)), dtype=np.float64)
-    b = Parameter("b", rng.standard_normal((4, 2)), dtype=np.float64)
-    results["matmul"] = grad_check(lambda: T.tsum(T.matmul(a.value, b.value)), [a, b])
-
-    x = Parameter("x", rng.standard_normal((1, 2, 3, 2, 2)), dtype=np.float64)
-    w = Parameter("w", rng.standard_normal((2, 2, 3, 1, 1)), dtype=np.float64)
-    wb = Parameter("wb", rng.standard_normal(2), dtype=np.float64)
-    results["conv3d"] = grad_check(
-        lambda: T.tsum(T.square(conv3d(x.value, w.value, wb.value, dilation=(2, 1, 1), padding=(2, 0, 0)))),
-        [x, w, wb],
-        max_coords=8,
-    )
-
-    xc = Parameter("xc", rng.standard_normal((1, 3, 6)), dtype=np.float64)
-    wc = Parameter("wc", rng.standard_normal((3, 4)), dtype=np.float64)
-    bc = Parameter("bc", rng.standard_normal(3), dtype=np.float64)
-    results["conv1d_depthwise"] = grad_check(
-        lambda: T.tsum(T.square(conv1d_depthwise(xc.value, wc.value, bc.value))), [xc, wc, bc]
-    )
-
-    for kind, shape, cdim in (("layer_norm", (3, 5), 5), ("instance_norm", (1, 2, 2, 3, 3), 2)):
-        xn = Parameter("xn", rng.standard_normal(shape), dtype=np.float64)
-        gg = Parameter("gg", 1 + 0.1 * rng.standard_normal(cdim), dtype=np.float64)
-        bb = Parameter("bb", rng.standard_normal(cdim), dtype=np.float64)
-        wgt = Tensor(rng.standard_normal(shape), dtype=np.float64)
-        results[kind] = grad_check(
-            lambda xn=xn, gg=gg, bb=bb, kind=kind, wgt=wgt: T.tsum(
-                T.mul(normalize(xn.value, kind, gg.value, bb.value), wgt)
-            ),
-            [xn, gg, bb],
-            max_coords=8,
-        )
-
-    xu = Parameter("xu", rng.standard_normal((1, 1, 2, 3, 3)), dtype=np.float64)
-    wu = Tensor(rng.standard_normal((1, 1, 2, 6, 6)), dtype=np.float64)
-    results["upsample_hw"] = grad_check(
-        lambda: T.tsum(T.mul(upsample_hw(xu.value, 2), wu)), [xu], max_coords=8
-    )
-
-    # full tri-plane adapter with every zero-init path given signal
-    acfg = TPMambaConfig(C=8, r=4, d_state=2)
-    adapter = TPMambaAdapter.init(acfg, rng, "tp", dtype=np.float64)
-    adapter.raise_w.data = 0.3 * rng.standard_normal(adapter.raise_w.shape)
-    for phi in (adapter.phi_hw, adapter.phi_dw, adapter.phi_dh):
-        phi.w_out.data = 0.3 * rng.standard_normal(phi.w_out.shape)
-    F = Tensor(rng.standard_normal((3, 8, 2, 2)), dtype=np.float64)
-    wgt = Tensor(rng.standard_normal((3, 8, 2, 2)), dtype=np.float64)
-    results["tp_mamba_adapter"] = grad_check(
-        lambda: T.tsum(T.mul(tp_mamba_forward(F, adapter, dims=(1, 3)), wgt)),
-        adapter.parameters(),
-        max_coords=3,
-    )
-
-    # one full ViT block over its trainables
-    vcfg = ViTConfig(
-        C=8, n_heads=2, n_blocks=4, lora_rank=2, lora_alpha=2.0,
-        adapter=TPMambaConfig(C=8, r=4, d_state=2), img_hw=(32, 32),
-    )
-    enc = Encoder.init(vcfg, rng, dtype=np.float64)
-    blk = enc.blocks[0]
-    blk.adapter.raise_w.data = 0.2 * rng.standard_normal(blk.adapter.raise_w.shape)
-    blk.q.b_lora.data = 0.2 * rng.standard_normal(blk.q.b_lora.shape)
-    blk.v.b_lora.data = 0.2 * rng.standard_normal(blk.v.b_lora.shape)
-    for phi in (blk.adapter.phi_hw, blk.adapter.phi_dw, blk.adapter.phi_dh):
-        phi.w_out.data = 0.2 * rng.standard_normal(phi.w_out.shape)
-    Fb = Tensor(rng.standard_normal((3, 8, 2, 2)), dtype=np.float64)
-    wb2 = Tensor(rng.standard_normal((3, 8, 2, 2)), dtype=np.float64)
-    results["vit_block"] = grad_check(
-        lambda: T.tsum(T.mul(vit_block_forward(Fb, blk, (1, 3)), wb2)),
-        [p for p in blk.parameters() if p.trainable],
-        max_coords=3,
-    )
-
-    # decoder
-    dec = Decoder.init(DecoderConfig(C=8, K=2), rng, dtype=np.float64)
-    taps = [Tensor(rng.standard_normal((2, 8, 1, 1)), dtype=np.float64) for _ in range(4)]
-    wd = Tensor(rng.standard_normal((1, 2, 2, 16, 16)), dtype=np.float64)
-    results["decoder"] = grad_check(
-        lambda: T.tsum(T.mul(decoder_forward(taps, (1, 2), dec), wd)),
-        dec.parameters(),
-        max_coords=3,
-    )
-
-    # loss
-    labels = rng.integers(0, 2, (1, 4, 4, 4))
-    P = Parameter("logits", 0.5 * rng.standard_normal((1, 2, 4, 4, 4)), dtype=np.float64)
-    results["dice_ce_loss"] = grad_check(lambda: dice_ce_loss(P.value, labels), [P], max_coords=10)
-
+    results = gradient_errors(7)
     elapsed = time.perf_counter() - start
     for name, err in results.items():
-        assert err < 1e-3, f"{name}: {err}"
+        assert err < grad_tolerance(name), f"{name}: {err}"
     assert elapsed < 120.0
     worst = max(results, key=results.get)
     _report(2, f"gradient suite ({len(results)} checks), worst {worst} = {results[worst]:.2e}, {elapsed:.1f}s")
@@ -195,14 +83,9 @@ def test_criterion_3_init_transparency():
 
 
 def test_criterion_4_triplane_bijectivity_and_sum():
-    rng = np.random.default_rng(5)
-    for mode in ("hw", "dh", "dw", "volume"):
-        for _ in range(5):
-            dims = tuple(int(rng.integers(1, 6)) for _ in range(5))
-            G = Tensor(rng.standard_normal(dims).astype(np.float32))
-            back = plane_unflatten(plane_flatten(G, mode), mode, dims)
-            assert np.array_equal(back.data, G.data)
+    assert plane_roundtrip_exact(5)
 
+    rng = np.random.default_rng(5)
     acfg = TPMambaConfig(C=8, r=4, d_state=2)
     adapter = TPMambaAdapter.init(acfg, rng, "tp", dtype=np.float64)
     for phi in (adapter.phi_hw, adapter.phi_dw, adapter.phi_dh):

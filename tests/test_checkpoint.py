@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import zlib
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from strategies import damaged_bytes
 from tpmamba.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, load_into_model, save_checkpoint
 from tpmamba.config import TrainConfig, to_flat_dict
-from tpmamba.errors import CheckpointError
+from tpmamba.errors import CheckpointError, ConfigError
 from tpmamba.model import SegModel
 
 
@@ -91,6 +92,32 @@ def test_model_round_trip_and_mismatch(tmp_path):
     other = SegModel.init(bad.vit_config(), bad.n_classes, seed=1)
     with pytest.raises(CheckpointError, match=r"tpmamba"):
         load_into_model(other, path)
+
+
+# SHA-256 of the "\n"-joined parameter names of SegModel for TrainConfig(n_classes=3).
+# The walk order is the checkpoint order, so a change here reorders every
+# checkpoint's manifest and payload.
+DEFAULT_NAMES_SHA256 = "85dd7f050b88106789411271bc99ddfb1cc9e646c6d2325ec2a4f3d5a8f1838a"
+
+
+def test_parameter_walk_is_the_checkpoint_order():
+    cfg = TrainConfig(n_classes=3)
+    model = SegModel.init(cfg.vit_config(), cfg.n_classes, seed=cfg.seed)
+    names = "\n".join(p.name for p in model.parameters())
+    assert hashlib.sha256(names.encode()).hexdigest() == DEFAULT_NAMES_SHA256
+    parts = ("conv.weight", "conv.bias", "norm.gamma", "norm.beta")
+    stages = [f"stage{i}.{part}" for i in range(4) for part in parts]
+    expected = ["reduce.weight", "reduce.bias", *stages, "head.weight", "head.bias"]
+    assert [p.name for p in model.decoder.parameters()] == ["decoder." + n for n in expected]
+
+
+def test_duplicate_parameter_names_rejected():
+    cfg = small_cfg()
+    model = SegModel.init(cfg.vit_config(), cfg.n_classes, seed=0)
+    model.decoder.head_b.name = "decoder.head.weight"
+    for walk in (model.named_parameters, model.partition):
+        with pytest.raises(ConfigError, match="duplicate parameter name 'decoder.head.weight'"):
+            walk()
 
 
 def _valid_header(rng):

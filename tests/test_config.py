@@ -16,7 +16,6 @@ def test_defaults_follow_training_protocol():
     assert cfg.epochs == 1000
     assert cfg.lr_start == 2e-4
     assert cfg.lr_end == 0.0
-    assert cfg.batch_size == 1
     assert cfg.crop == (96, 96, 96)
     assert cfg.adapter_dilations == (1, 2, 4, 8)
 
@@ -43,8 +42,9 @@ def test_parse_dotted_adapter_keys():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigError, match="unknown config key"):
-        parse_config_text("optimizer=sgd")
+    for line in ("optimizer=sgd", "batch_size=1", "n_outputs=4"):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config_text(line)
 
 
 def test_bad_line_rejected():

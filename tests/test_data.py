@@ -125,6 +125,14 @@ def test_preprocess_rejects_bad_spacing(rng):
         VolumeRecord(voxels=np.zeros((2, 2, 2), dtype=np.float32), spacing=(0.0, 1, 1))
 
 
+@pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+def test_load_record_rejects_empty_grid(tmp_path, shape):
+    path = tmp_path / "empty.img.rvol"
+    write_rvol(path, np.zeros(shape, dtype=np.float32), (1.0, 1.0, 1.0))
+    with pytest.raises(InputError, match="non-empty"):
+        load_record(path)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_record_rejects_non_finite_spacing(bad):
     with pytest.raises(InputError, match="finite"):

@@ -6,13 +6,11 @@ from tpmamba.encoder import (
     Encoder,
     ViTConfig,
     encoder_forward,
-    freeze_partition,
     mhsa_lora,
     patch_embed_slices,
     vit_block_forward,
 )
 from tpmamba.errors import ConfigError, ShapeError
-from tpmamba.ops import grad_check
 from tpmamba.tensor import Tensor, recording
 from tpmamba.triplane import TPMambaConfig
 
@@ -231,7 +229,7 @@ def test_slice_permutation_consistency(rng):
 def test_freeze_partition_covers_all(rng):
     enc = toy_encoder(rng)
     params = enc.parameters()
-    trainable, frozen = freeze_partition(params)
+    trainable, frozen = enc.partition()
     assert len(trainable) + len(frozen) == len(params)
     assert {id(p) for p in trainable}.isdisjoint({id(p) for p in frozen})
     trainable_names = {p.name for p in trainable}
@@ -244,8 +242,7 @@ def test_freeze_partition_covers_all(rng):
 def test_gradients_reach_only_trainables(rng):
     enc = toy_encoder(rng, dtype=np.float64)
     X = Tensor(rng.standard_normal((1, 1, 3, 32, 32)), dtype=np.float64)
-    params = enc.parameters()
-    trainable, frozen = freeze_partition(params)
+    trainable, frozen = enc.partition()
     with recording() as tape:
         taps = encoder_forward(X, enc)
         loss = T.tsum(T.square(taps[-1]))
@@ -254,22 +251,3 @@ def test_gradients_reach_only_trainables(rng):
         assert p.grad is None, p.name
     reached = sum(p.grad is not None for p in trainable)
     assert reached > 0
-
-
-def test_block_grad_check_trainables(rng):
-    enc = toy_encoder(rng, dtype=np.float64, n_blocks=4)
-    blk = enc.blocks[0]
-    # give zero-init paths signal so finite differences see every parameter
-    blk.adapter.raise_w.data = 0.2 * rng.standard_normal(blk.adapter.raise_w.shape)
-    blk.q.b_lora.data = 0.2 * rng.standard_normal(blk.q.b_lora.shape)
-    blk.v.b_lora.data = 0.2 * rng.standard_normal(blk.v.b_lora.shape)
-    for phi in (blk.adapter.phi_hw, blk.adapter.phi_dw, blk.adapter.phi_dh):
-        phi.w_out.data = 0.2 * rng.standard_normal(phi.w_out.shape)
-    F = Tensor(rng.standard_normal((3, 8, 2, 2)), dtype=np.float64)
-    wgt = Tensor(rng.standard_normal((3, 8, 2, 2)), dtype=np.float64)
-    trainables = [p for p in enc.blocks[0].parameters() if p.trainable]
-
-    def f():
-        return T.tsum(T.mul(vit_block_forward(F, blk, (1, 3)), wgt))
-
-    assert grad_check(f, trainables, max_coords=4) < 1e-3

@@ -66,18 +66,7 @@ def test_decoder_tap_mismatch(rng):
 
 def test_decoder_stage_count_matches_patch():
     with pytest.raises(ConfigError):
-        DecoderConfig(C=8, K=2, stages=3)
-
-
-def test_decoder_grad(rng):
-    dec = toy_decoder(rng, dtype=np.float64)
-    taps = make_taps(rng, BD=2, h=1, w=1, dtype=np.float64)
-    wgt = Tensor(rng.standard_normal((1, 2, 2, 16, 16)), dtype=np.float64)
-
-    def f():
-        return T.tsum(T.mul(decoder_forward(taps, (1, 2), dec), wgt))
-
-    assert grad_check(f, dec.parameters(), max_coords=4) < 1e-3
+        DecoderConfig(C=8, K=2, patch=8)
 
 
 # ---------------------------------------------------------------------------

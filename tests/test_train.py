@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from tpmamba.config import TrainConfig
+from tpmamba.checkpoint import save_checkpoint
+from tpmamba.config import TrainConfig, to_flat_dict
 from tpmamba.data import gen_synth, load_record, preprocess
-from tpmamba.errors import InputError
-from tpmamba.train import evaluate_model, model_from_checkpoint, train
+from tpmamba.errors import ConfigError, InputError
+from tpmamba.train import build_model, evaluate_model, model_from_checkpoint, train
 
 
 def tiny_cfg(**kw):
@@ -76,6 +77,15 @@ def test_checkpoint_reload_reproduces_model(tmp_path, tiny_dataset):
     model2, _ = model_from_checkpoint(ckpt)
     out2 = model2.predict_logits(x)
     np.testing.assert_array_equal(out1, out2)
+
+
+def test_checkpoint_with_removed_config_key_rejected(tmp_path):
+    cfg = tiny_cfg()
+    named = {name: p.data for name, p in build_model(cfg).named_parameters().items()}
+    ckpt = tmp_path / "old.ckpt"
+    save_checkpoint(ckpt, named, {**to_flat_dict(cfg), "batch_size": 1}, cfg.seed)
+    with pytest.raises(ConfigError, match="unknown config key 'batch_size'"):
+        model_from_checkpoint(ckpt)
 
 
 # ---------------------------------------------------------------------------

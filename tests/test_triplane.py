@@ -237,17 +237,6 @@ def test_mode_consistency_eq3(rng):
     np.testing.assert_allclose(tri, parts, rtol=1e-6)
 
 
-def test_forward_grad_full_adapter(rng):
-    adapter = nonzero_adapter(rng, C=8, r=4, dtype=np.float64)
-    F = Tensor(rng.standard_normal((3, 8, 2, 2)), dtype=np.float64)
-    wgt = Tensor(rng.standard_normal((3, 8, 2, 2)), dtype=np.float64)
-
-    def f():
-        return T.tsum(T.mul(tp_mamba_forward(F, adapter, dims=(1, 3)), wgt))
-
-    assert grad_check(f, adapter.parameters(), max_coords=4) < 1e-3
-
-
 @pytest.mark.parametrize("r", [24, 48, 96, 192])
 def test_rank_sweep_param_count(rng, r):
     cfg = TPMambaConfig(C=32, r=r)
