@@ -110,9 +110,9 @@ def load_checkpoint(path) -> tuple[dict, dict, int]:
     return arrays, header["config"], header["seed"]
 
 
-def load_into_model(model, path) -> tuple[dict, int]:
-    """Restore every model parameter from a checkpoint, strictly by name."""
-    arrays, config, seed = load_checkpoint(path)
+def load_into_model(model, arrays: dict, path) -> None:
+    """Restore every model parameter, strictly by name, from the arrays that
+    `load_checkpoint(path)` returned; `path` names the file in errors."""
     params = model.named_parameters()
     for name in params:
         if name not in arrays:
@@ -127,4 +127,3 @@ def load_into_model(model, path) -> tuple[dict, int]:
                 f"{path}: tensor {name} has shape {tuple(arr.shape)}, model expects {tuple(p.shape)}"
             )
         p.data = arr.astype(p.data.dtype)
-    return config, seed

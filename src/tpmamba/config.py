@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .encoder import ViTConfig
+from .encoder import PATCH, ViTConfig
 from .errors import ConfigError
 from .triplane import TPMambaConfig
 
@@ -31,7 +31,6 @@ class TrainConfig:
     scale_jitter: bool = True
     # encoder
     C: int = 96
-    patch: int = 16
     n_blocks: int = 4
     n_heads: int = 4
     mlp_ratio: int = 4
@@ -56,33 +55,15 @@ class TrainConfig:
         if len(self.crop) != 3:
             raise ConfigError(f"crop must have 3 extents, got {self.crop}")
         for ext in self.crop[1:]:
-            if ext % self.patch != 0:
-                raise ConfigError(f"crop H/W {self.crop} must be divisible by patch {self.patch}")
+            if ext % PATCH != 0:
+                raise ConfigError(f"crop H/W {self.crop} must be divisible by patch {PATCH}")
 
     def vit_config(self) -> ViTConfig:
-        adapter = TPMambaConfig(
-            C=self.C,
-            r=self.adapter_r,
-            dilations=self.adapter_dilations,
-            depth_kernel=self.adapter_depth_kernel,
-            scan_mode=self.adapter_scan_mode,
-            conv_mode=self.adapter_conv_mode,
-            d_state=self.adapter_d_state,
-            expand=self.adapter_expand,
-            d_conv=self.adapter_d_conv,
-            dt_rank=self.adapter_dt_rank,
-        )
-        return ViTConfig(
-            C=self.C,
-            patch=self.patch,
-            n_blocks=self.n_blocks,
-            n_heads=self.n_heads,
-            mlp_ratio=self.mlp_ratio,
-            lora_rank=self.lora_rank,
-            lora_alpha=self.lora_alpha,
-            adapter=adapter,
-            img_hw=(self.crop[1], self.crop[2]),
-        )
+        """`adapter_<f>` fields go to TPMambaConfig.<f>, same-named ones to ViTConfig."""
+        own = {f.name: getattr(self, f.name) for f in fields(self)}
+        adapter = {k.removeprefix("adapter_"): v for k, v in own.items() if k.startswith("adapter_")}
+        shared = {f.name: own[f.name] for f in fields(ViTConfig) if f.name in own}
+        return ViTConfig(**shared, adapter=TPMambaConfig(C=self.C, **adapter), img_hw=tuple(self.crop[1:]))
 
 
 def _key_of(field_name: str) -> str:
@@ -134,10 +115,9 @@ def from_flat_dict(flat: dict) -> TrainConfig:
     return TrainConfig(**kwargs)
 
 
-def parse_config_text(text: str, base: Optional[TrainConfig] = None) -> TrainConfig:
-    """key=value lines; '#' starts a comment; later keys win."""
-    defaults = base if base is not None else TrainConfig()
-    flat = to_flat_dict(defaults)
+def parse_config_text(text: str) -> TrainConfig:
+    """key=value lines over the defaults; '#' starts a comment; later keys win."""
+    flat = to_flat_dict(TrainConfig())
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -155,9 +135,9 @@ def parse_config_text(text: str, base: Optional[TrainConfig] = None) -> TrainCon
     return from_flat_dict(flat)
 
 
-def load_config(path, base: Optional[TrainConfig] = None) -> TrainConfig:
+def load_config(path) -> TrainConfig:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_config_text(f.read(), base=base)
+        return parse_config_text(f.read())
 
 
 def write_config(path, cfg: TrainConfig) -> None:

@@ -22,6 +22,8 @@ from .errors import InputError
 RVOL_MAGIC = b"RVOL"
 RVOL_HEADER_BYTES = 29  # magic, 3 x u32 extents, 3 x f32 spacings, u8 dtype code
 HU_LO, HU_HI = -200.0, 250.0
+CONTRAST_RANGE = (0.7, 1.3)  # augmentation gamma about the mean intensity
+SCALE_RANGE = (0.9, 1.1)  # augmentation isotropic resampling factor
 
 VOLUME_SUFFIX = ".img.rvol"
 LABEL_SUFFIX = ".lbl.rvol"
@@ -32,6 +34,7 @@ class VolumeRecord:
     voxels: np.ndarray  # (D,H,W) float32
     spacing: tuple  # (sd,sh,sw) mm per voxel
     labels: Optional[np.ndarray] = None  # (D,H,W) integer class ids
+    windowed: bool = False  # voxels already mapped from HU onto [0,1] by `preprocess`
 
     def __post_init__(self):
         if self.voxels.ndim != 3 or 0 in self.voxels.shape:
@@ -158,15 +161,15 @@ def preprocess(rec: VolumeRecord) -> VolumeRecord:
     """Window to [-200, 250] HU, map onto [0,1] with fixed bounds, resample
     to 1.0 mm isotropic spacing (nearest-neighbour for labels).
 
-    Idempotent on already-processed records: data entirely within [0,1] is
-    treated as windowed (raw HU volumes always exceed that range) and a
-    spacing of exactly 1.0 mm skips resampling bit-exactly.
+    Every record not marked `windowed` is windowed, whatever its range; the
+    result is marked.  So a processed record passes through again unchanged:
+    it is not re-windowed and a spacing of exactly 1.0 mm skips resampling.
     """
     vox = rec.voxels.astype(np.float32)
     lo, hi = vox.min(), vox.max()  # NaN if any voxel is NaN
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise InputError("voxels must be finite")
-    if lo < 0.0 or hi > 1.0:
+    if not rec.windowed:
         vox = np.clip(vox, HU_LO, HU_HI)
         vox = (vox - HU_LO) / (HU_HI - HU_LO)
     labels = rec.labels
@@ -174,7 +177,7 @@ def preprocess(rec: VolumeRecord) -> VolumeRecord:
         vox = resample(vox, rec.spacing, "linear")
         if labels is not None:
             labels = resample(labels, rec.spacing, "nearest")
-    return VolumeRecord(voxels=vox.astype(np.float32), spacing=(1.0, 1.0, 1.0), labels=labels)
+    return VolumeRecord(voxels=vox.astype(np.float32), spacing=(1.0, 1.0, 1.0), labels=labels, windowed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +190,6 @@ class AugmentConfig:
     flip: bool = True
     contrast: bool = True
     scale_jitter: bool = True
-    contrast_range: tuple = (0.7, 1.3)
-    scale_range: tuple = (0.9, 1.1)
 
 
 def _crop_or_pad(arr: np.ndarray, target: tuple, starts: Optional[tuple], pad_value) -> np.ndarray:
@@ -211,7 +212,7 @@ def augment(rec: VolumeRecord, rng: np.random.Generator, cfg: AugmentConfig) -> 
     """Scale jitter, random crop (pad 0 when short), flips, contrast."""
     vox, labels = rec.voxels, rec.labels
     if cfg.scale_jitter:
-        f = float(rng.uniform(*cfg.scale_range))
+        f = float(rng.uniform(*SCALE_RANGE))
         vox = resample(vox, (f, f, f), "linear")
         if labels is not None:
             labels = resample(labels, (f, f, f), "nearest")
@@ -228,13 +229,14 @@ def augment(rec: VolumeRecord, rng: np.random.Generator, cfg: AugmentConfig) -> 
                 if labels is not None:
                     labels = np.flip(labels, axis=ax)
     if cfg.contrast:
-        gamma = float(rng.uniform(*cfg.contrast_range))
+        gamma = float(rng.uniform(*CONTRAST_RANGE))
         mean = float(vox.mean())
         vox = np.clip(mean + gamma * (vox - mean), 0.0, 1.0)
     return VolumeRecord(
         voxels=np.ascontiguousarray(vox, dtype=np.float32),
         spacing=rec.spacing,
         labels=np.ascontiguousarray(labels) if labels is not None else None,
+        windowed=rec.windowed,
     )
 
 
@@ -257,14 +259,12 @@ def _smooth_noise(rng: np.random.Generator, shape: tuple, sigma_vox: int = 4) ->
     return field / denom
 
 
-def make_synthetic_record(
-    size: tuple, K: int, rng: np.random.Generator, min_frac: float = 0.01
-) -> VolumeRecord:
+def make_synthetic_record(size: tuple, K: int, rng: np.random.Generator) -> VolumeRecord:
     """One volume with K-1 ellipsoidal structures in distinct intensity bands.
 
     Intensities span a HU-like range [-200, 300] so the preprocessing window
     clips the brightest class.  Each foreground class is guaranteed at least
-    `min_frac` of the voxels (centres and radii are re-drawn until it holds).
+    1% of the voxels (centres and radii are re-drawn until it holds).
     """
     D, H, W = size
     zz, yy, xx = np.meshgrid(
@@ -287,7 +287,7 @@ def make_synthetic_record(
                 + ((xx - center[2]) / radii[2]) ** 2
             ) <= 1.0
             mask &= labels == 0
-            if mask.sum() >= min_frac * labels.size:
+            if mask.sum() >= 0.01 * labels.size:
                 break
         labels[mask] = k
         vox[mask] = levels[k - 1] + 15.0 * _smooth_noise(rng, size)[mask]

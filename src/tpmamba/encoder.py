@@ -34,13 +34,14 @@ from .tensor import (
 )
 from .triplane import TPMambaAdapter, TPMambaConfig, tp_mamba_forward
 
+PATCH = 16  # patch-embedding side; the decoder's four 2x stages undo it
+
 
 @dataclass
 class ViTConfig:
     """Encoder hyper-parameters; toy defaults keep f64 grad checks fast."""
 
     C: int = 96
-    patch: int = 16
     n_blocks: int = 4
     n_heads: int = 4
     mlp_ratio: int = 4
@@ -55,8 +56,8 @@ class ViTConfig:
         if self.n_blocks < 4:
             raise ConfigError(f"need at least 4 blocks for the output taps, got n_blocks={self.n_blocks}")
         for ext in self.img_hw:
-            if ext % self.patch != 0:
-                raise ConfigError(f"image extent {ext} not divisible by patch {self.patch}")
+            if ext % PATCH != 0:
+                raise ConfigError(f"image extent {ext} not divisible by patch {PATCH}")
         if self.adapter is None:
             self.adapter = TPMambaConfig(C=self.C, r=24)
         if self.adapter.C != self.C:
@@ -155,7 +156,7 @@ class Encoder(Module):
 
     @classmethod
     def init(cls, cfg: ViTConfig, rng: np.random.Generator, dtype=np.float32) -> "Encoder":
-        p, C = cfg.patch, cfg.C
+        p, C = PATCH, cfg.C
         h0, w0 = cfg.img_hw[0] // p, cfg.img_hw[1] // p
         return cls(
             cfg=cfg,
@@ -168,9 +169,8 @@ class Encoder(Module):
 
 def patch_embed_slices(X: Tensor, enc: Encoder) -> Tensor:
     """(B,1,D,H,W) -> (B*D, C, h, w) via non-overlapping patch projection."""
-    cfg = enc.cfg
     B, one, D, H, W = X.shape
-    p = cfg.patch
+    p = PATCH
     if one != 1:
         raise ShapeError(f"expected a single input channel, got {one}")
     if H % p or W % p:

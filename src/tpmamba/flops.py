@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 
+from .encoder import PATCH
 from .errors import ConfigError
 
-PATCH = 16
 LORA_BASELINE_RANK = 4
 LORA_BASELINE_PROJECTIONS = 3
 SCAN_FLOPS_PER_STATE = 10  # discretize, input injection, state update, readout

@@ -17,18 +17,16 @@ class SegModel(Module):
     decoder: Decoder
 
     @classmethod
-    def init(cls, vit_cfg: ViTConfig, n_classes: int, seed: int, dtype=np.float32) -> "SegModel":
+    def init(cls, vit_cfg: ViTConfig, n_classes: int, seed: int) -> "SegModel":
         rng = np.random.default_rng(seed)
-        encoder = Encoder.init(vit_cfg, rng, dtype=dtype)
-        dec_cfg = DecoderConfig(C=vit_cfg.C, K=n_classes, patch=vit_cfg.patch)
-        decoder = Decoder.init(dec_cfg, rng, dtype=dtype)
+        encoder = Encoder.init(vit_cfg, rng)
+        decoder = Decoder.init(DecoderConfig(C=vit_cfg.C, K=n_classes), rng)
         return cls(encoder=encoder, decoder=decoder)
 
-    def forward(self, X: Tensor, adapters_enabled: bool = True) -> Tensor:
+    def forward(self, X: Tensor) -> Tensor:
         """(B,1,D,H,W) volume -> (B,K,D,H,W) logits."""
         B, _, D, H, W = X.shape
-        taps = encoder_forward(X, self.encoder, adapters_enabled=adapters_enabled)
-        return decoder_forward(taps, (B, D), self.decoder)
+        return decoder_forward(encoder_forward(X, self.encoder), (B, D), self.decoder)
 
     def predict_logits(self, volume: np.ndarray) -> np.ndarray:
         """Inference entry point for sliding-window: numpy in, numpy out."""

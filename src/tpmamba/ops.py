@@ -10,7 +10,7 @@ GEMM per tap and tile, so a tile's operands stay in cache across the taps.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .tensor import Parameter, Tensor, _record, as_value, recording
 Array = np.ndarray
 
 CONV_TILE_VALUES = 2**17  # (Cin + Cout) * columns per conv3d column tile, ~L2-sized
+NORM_EPS = 1e-5
+GRAD_CHECK_STEP = 1e-4  # central-difference step of `grad_check`
 
 
 def same_padding(kernel: int, dilation: int) -> int:
@@ -168,17 +170,9 @@ def conv1d_depthwise(x: Tensor, weight, bias=None) -> Tensor:
     return _record(inputs, out, backward)
 
 
-def normalize(
-    x: Tensor,
-    kind: str,
-    gamma,
-    beta,
-    eps: float = 1e-5,
-) -> Tensor:
+def normalize(x: Tensor, kind: str, gamma, beta) -> Tensor:
     """layer_norm over the last axis, or instance_norm over spatial axes per (B,C)."""
     x, gamma, beta = as_value(x), as_value(gamma), as_value(beta)
-    if eps <= 0:
-        raise ConfigError(f"normalize needs eps > 0, got {eps}")
     if kind == "layer_norm":
         axes: tuple = (x.ndim - 1,)
         affine_shape = (x.shape[-1],)
@@ -193,7 +187,7 @@ def normalize(
     mu = x.data.mean(axis=axes, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + x.data.dtype.type(NORM_EPS))
     xhat = xc * inv
     gam = gamma.data.reshape(affine_shape)
     out = xhat * gam + beta.data.reshape(affine_shape)
@@ -257,27 +251,14 @@ def upsample_hw(x: Tensor, factor: int) -> Tensor:
     return _record((x,), out, backward)
 
 
-def one_hot(labels: Array, num_classes: int, axis: int = 1, dtype=np.float32) -> Tensor:
-    """Constant one-hot encoding of an integer label array."""
-    eye = np.eye(num_classes, dtype=dtype)
-    oh = eye[labels]  # (..., K)
-    oh = np.moveaxis(oh, -1, axis)
-    return Tensor(np.ascontiguousarray(oh))
-
-
-def grad_check(
-    f: Callable[[], Tensor],
-    params: Sequence[Parameter],
-    h: float = 1e-4,
-    max_coords: int = 16,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
+def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter], max_coords: int = 16) -> float:
     """Max relative error between tape gradients and central differences.
 
     `f` must rebuild the scalar loss from the current parameter values on
     every call.  Run at f64; f32 finite differences are too noisy to trust.
+    A parameter above `max_coords` entries is probed at a fixed random sample.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     trainables = [p for p in params if p.trainable]
     for p in trainables:
         p.zero_grad()
@@ -301,14 +282,14 @@ def grad_check(
         gflat = p.grad.reshape(-1)
         for c in coords:
             orig = flat[c]
-            flat[c] = orig + h
+            flat[c] = orig + GRAD_CHECK_STEP
             fp = float(f().data)
-            flat[c] = orig - h
+            flat[c] = orig - GRAD_CHECK_STEP
             fm = float(f().data)
             flat[c] = orig
             if not (np.isfinite(fp) and np.isfinite(fm)):
                 raise NumericError(f"grad_check: non-finite perturbed loss at {p.name}[{c}]")
-            numeric = (fp - fm) / (2 * h)
+            numeric = (fp - fm) / (2 * GRAD_CHECK_STEP)
             analytic = float(gflat[c])
             err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
             worst = max(worst, err)

@@ -7,13 +7,14 @@ import numpy as np
 from .errors import NumericError
 from .tensor import Parameter
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 class AdamWState:
     """First/second moment buffers keyed by parameter name."""
 
-    def __init__(self, params: list[Parameter], betas=(0.9, 0.999), eps=1e-8):
-        self.betas = betas
-        self.eps = eps
+    def __init__(self, params: list[Parameter]):
         self.step_count = 0
         self.m = {p.name: np.zeros_like(p.data) for p in params if p.trainable}
         self.v = {p.name: np.zeros_like(p.data) for p in params if p.trainable}
@@ -30,7 +31,7 @@ def adamw_step(
     Decay is decoupled: p -= lr*wd*p happens independently of the moment
     update, so a zero-gradient parameter still shrinks by exactly (1-lr*wd).
     """
-    b1, b2 = state.betas
+    b1, b2 = ADAM_BETAS
     state.step_count += 1
     t = state.step_count
     bias1 = 1.0 - b1**t
@@ -49,7 +50,7 @@ def adamw_step(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        update = (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
         new = p.data.astype(np.float64)
         if weight_decay:
             new = new - lr * weight_decay * new

@@ -10,10 +10,12 @@ import numpy as np
 from . import tensor
 from .errors import ConfigError, InputError, ShapeError
 from .ops import conv3d, normalize, upsample_hw
-from .tensor import Module, Parameter, Tensor, concat, gelu, permute, reshape, uniform_init
+from .tensor import Module, Parameter, Tensor, concat, gelu, permute, reshape, softmax, uniform_init
 
 DICE_EPS = 1e-5
-DECODER_STAGES = 4
+DECODER_STAGES = 4  # 2x upsampling stages: 2**4 recovers the encoder's PATCH
+WINDOW_OVERLAP = 0.5  # fraction of a sliding window shared with its neighbour
+GAUSSIAN_SIGMA_SCALE = 0.125  # blending weight sigma per window extent
 
 
 @dataclass
@@ -28,13 +30,8 @@ class DecoderConfig:
 
     C: int
     K: int
-    patch: int = 16
 
     def __post_init__(self):
-        if self.patch != 2**DECODER_STAGES:
-            raise ConfigError(
-                f"the {DECODER_STAGES} 2x upsampling stages need patch {2**DECODER_STAGES}, got {self.patch}"
-            )
         if self.K < 2:
             raise ConfigError(f"need at least 2 classes, got K={self.K}")
 
@@ -57,12 +54,12 @@ class Decoder(Module):
     head_b: Parameter
 
     @classmethod
-    def init(cls, cfg: DecoderConfig, rng, dtype=np.float32, prefix="decoder"):
+    def init(cls, cfg: DecoderConfig, rng, dtype=np.float32):
         # floor of 4 keeps tiny toy widths from collapsing to 1 channel
         widths = [max(cfg.C // 2 ** (i + 1), 4) for i in range(DECODER_STAGES)]
 
         def par(name, data):
-            return Parameter(f"{prefix}.{name}", data, dtype=dtype)
+            return Parameter(f"decoder.{name}", data, dtype=dtype)
 
         reduce_w = par("reduce.weight", uniform_init(rng, (widths[0], 4 * cfg.C, 1, 1, 1), 4 * cfg.C, dtype))
         reduce_b = par("reduce.bias", uniform_init(rng, (widths[0],), 4 * cfg.C, dtype))
@@ -204,13 +201,7 @@ class SegmentationOutput:
     @property
     def probabilities(self) -> np.ndarray:
         """Softmax of the logits over K, computed on each access."""
-        return _softmax_np(self.logits, axis=1)
-
-
-def _softmax_np(x: np.ndarray, axis: int) -> np.ndarray:
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=axis, keepdims=True)
+        return softmax(Tensor(self.logits), axis=1).data
 
 
 def _window_starts(extent: int, win: int, stride: int) -> list[int]:
@@ -223,12 +214,12 @@ def _window_starts(extent: int, win: int, stride: int) -> list[int]:
     return starts
 
 
-def gaussian_importance(window: tuple, sigma_scale: float = 0.125) -> np.ndarray:
-    """Separable Gaussian weight map, sigma = extent * sigma_scale per axis."""
+def gaussian_importance(window: tuple) -> np.ndarray:
+    """Separable Gaussian weight map, sigma = extent * GAUSSIAN_SIGMA_SCALE per axis."""
     axes = []
     for n in window:
         center = (n - 1) / 2.0
-        sigma = max(n * sigma_scale, 1e-8)
+        sigma = max(n * GAUSSIAN_SIGMA_SCALE, 1e-8)
         ax = np.exp(-0.5 * ((np.arange(n) - center) / sigma) ** 2)
         axes.append(ax)
     out = axes[0][:, None, None] * axes[1][None, :, None] * axes[2][None, None, :]
@@ -239,7 +230,6 @@ def sliding_window_infer(
     volume: np.ndarray,
     model: Callable[[np.ndarray], np.ndarray],
     window: tuple = (96, 96, 96),
-    overlap: float = 0.5,
 ) -> SegmentationOutput:
     """Cover (1,1,D,H,W) with overlapping windows, Gaussian-blend the logits.
 
@@ -264,7 +254,7 @@ def sliding_window_infer(
         constant_values=float(volume.min()),
     )
     pD, pH, pW = padded.shape[2:]
-    stride = tuple(max(int(round(w * (1.0 - overlap))), 1) for w in window)
+    stride = tuple(max(int(round(w * (1.0 - WINDOW_OVERLAP))), 1) for w in window)
     weight = gaussian_importance(window)
 
     # Blend in the logits' float dtype; each window is weighted into one reused buffer.

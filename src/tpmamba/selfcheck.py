@@ -172,9 +172,9 @@ def plane_roundtrip_exact(seed: int) -> bool:
     return bool(ok)
 
 
-def check_scan(n_configs: int = 24) -> list[Check]:
-    worst, exact = scan_oracle_errors(42, n_configs)
-    return [("scan forward bit-identical to oracle", exact, f"{2 * n_configs} configs, f32 and f64")] + [
+def check_scan() -> list[Check]:
+    worst, exact = scan_oracle_errors(42, 24)
+    return [("scan forward bit-identical to oracle", exact, "48 configs, f32 and f64")] + [
         (f"scan equivalence {key} < {tol:.0e}", worst[key] < tol, f"max rel err {worst[key]:.3e}")
         for key, tol in SCAN_TOLERANCE.items()
     ]

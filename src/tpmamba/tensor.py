@@ -53,12 +53,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
@@ -158,11 +152,9 @@ class Tape:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def backward(self, loss: Tensor, seed: Optional[Array] = None) -> None:
+    def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into .grad of every trainable leaf."""
-        if seed is None:
-            seed = np.ones_like(loss.data)
-        grads: dict[int, Array] = {id(loss): np.asarray(seed, dtype=loss.data.dtype)}
+        grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
         produced = {id(n.output) for n in self.nodes}
         leaves: dict[int, Tensor] = {}
         for node in reversed(self.nodes):
@@ -187,13 +179,12 @@ _ACTIVE_TAPE: Optional[Tape] = None
 
 
 @contextlib.contextmanager
-def recording(tape: Optional[Tape] = None):
-    """Activate a tape; yields it.  Nested recording is not supported."""
+def recording():
+    """Activate a new tape; yields it.  Nested recording is not supported."""
     global _ACTIVE_TAPE
     if _ACTIVE_TAPE is not None:
         raise RuntimeError("a tape is already recording")
-    tape = tape if tape is not None else Tape()
-    _ACTIVE_TAPE = tape
+    _ACTIVE_TAPE = tape = Tape()
     try:
         yield tape
     finally:
@@ -251,18 +242,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record((a, b), out, backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def backward(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.shape) if b.requires_grad else None,
-        )
-
-    return _record((a, b), out, backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
@@ -270,18 +249,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return (
             _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
             _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
-        )
-
-    return _record((a, b), out, backward)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data / b.data
-
-    def backward(g):
-        return (
-            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None,
         )
 
     return _record((a, b), out, backward)
@@ -302,16 +269,6 @@ def exp(a: Tensor) -> Tensor:
     return _record((a,), out, lambda g: (g * out,))
 
 
-def log(a: Tensor) -> Tensor:
-    out = np.log(a.data)
-    return _record((a,), out, lambda g: (g / a.data,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-    return _record((a,), out, lambda g: (g * (0.5 / out),))
-
-
 def square(a: Tensor) -> Tensor:
     return _record((a,), a.data * a.data, lambda g: (2.0 * g * a.data,))
 
@@ -325,19 +282,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def backward(g):
         g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _record((a,), out, backward)
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    denom = a.size if axis is None else np.prod([a.shape[i] for i in np.atleast_1d(axis)])
-
-    def backward(g):
-        g = np.asarray(g) / a.data.dtype.type(denom)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
@@ -468,11 +412,6 @@ def linear(x: Tensor, weight, bias=None) -> Tensor:
 _UNDERFLOW_OK = np.errstate(under="ignore")
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid_np(a.data)
-    return _record((a,), out, _UNDERFLOW_OK(lambda g: (g * out * (1.0 - out),)))
-
-
 @_UNDERFLOW_OK
 def silu(a: Tensor) -> Tensor:
     s = _sigmoid_np(a.data)
@@ -518,18 +457,6 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     def backward(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
         return (out * (g - dot),)
-
-    return _record((a,), out, backward)
-
-
-def log_softmax(a: Tensor, axis: int) -> Tensor:
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = a.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-
-    def backward(g):
-        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
 
     return _record((a,), out, backward)
 

@@ -8,6 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import checkpoint
 from .checkpoint import load_into_model, save_checkpoint
 from .config import TrainConfig, from_flat_dict, to_flat_dict
 from .data import (
@@ -26,17 +27,18 @@ from .seghead import dice_ce_loss, dice_score, sliding_window_infer
 from .tensor import Tensor, recording
 
 
-def build_model(cfg: TrainConfig, dtype=np.float32) -> SegModel:
-    return SegModel.init(cfg.vit_config(), cfg.n_classes, seed=cfg.seed, dtype=dtype)
+def build_model(cfg: TrainConfig) -> SegModel:
+    return SegModel.init(cfg.vit_config(), cfg.n_classes, seed=cfg.seed)
 
 
 def model_from_checkpoint(path) -> tuple[SegModel, TrainConfig]:
-    from .checkpoint import load_checkpoint
-
-    _, flat, seed = load_checkpoint(path)
+    """Build the model the checkpoint's config describes and restore it,
+    reading the file once.  `load_checkpoint` is looked up on its module, so
+    a wrapper installed there (the benchmark's tracer) sees the read."""
+    arrays, flat, _ = checkpoint.load_checkpoint(path)
     cfg = from_flat_dict(flat)
     model = build_model(cfg)
-    load_into_model(model, path)
+    load_into_model(model, arrays, path)
     return model, cfg
 
 
@@ -168,26 +170,26 @@ def write_eval_csv(path, rows: list[dict], K: int) -> None:
             )
 
 
-def evaluate(ckpt_path, data_dir, out_csv, window: Optional[tuple] = None) -> list[dict]:
+def evaluate(ckpt_path, data_dir, out_csv) -> list[dict]:
+    """Sliding-window Dice with windows of the training crop."""
     model, cfg = model_from_checkpoint(ckpt_path)
-    win = window if window is not None else tuple(cfg.crop)
     records = []
     for vol, lab in list_dataset(data_dir):
         if lab is None:
             raise InputError(f"{vol}: evaluation requires a label file")
         records.append((Path(vol).name, preprocess(load_record(vol, lab))))
-    rows = evaluate_model(model.predict_logits, records, cfg.n_classes, window=win)
+    rows = evaluate_model(model.predict_logits, records, cfg.n_classes, window=tuple(cfg.crop))
     write_eval_csv(out_csv, rows, cfg.n_classes)
     return rows
 
 
-def infer_volume(ckpt_path, volume_path, out_path, window: Optional[tuple] = None) -> np.ndarray:
-    """Segment one volume and write the labels as a u8 RVOL file."""
+def infer_volume(ckpt_path, volume_path, out_path) -> np.ndarray:
+    """Segment one volume with windows of the training crop and write the
+    labels as a u8 RVOL file."""
     model, cfg = model_from_checkpoint(ckpt_path)
-    win = window if window is not None else tuple(cfg.crop)
     rec = preprocess(load_record(volume_path))
     result = sliding_window_infer(
-        rec.voxels[None, None].astype(np.float32), model.predict_logits, window=win
+        rec.voxels[None, None].astype(np.float32), model.predict_logits, window=tuple(cfg.crop)
     )
     labels = result.labels[0].astype(np.uint8)
     write_rvol(out_path, labels, rec.spacing)

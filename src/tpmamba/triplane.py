@@ -13,7 +13,7 @@ identity map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -57,13 +57,10 @@ class TPMambaConfig:
             raise ConfigError("C and r must be positive")
 
     def ssm_config(self) -> MambaBlockConfig:
-        return MambaBlockConfig(
-            d_model=self.r,
-            d_state=self.d_state,
-            expand=self.expand,
-            d_conv=self.d_conv,
-            dt_rank=self.dt_rank,
-        )
+        """The scanner width is r; the other MambaBlockConfig fields share our names."""
+        own = {f.name for f in fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in fields(MambaBlockConfig) if f.name in own}
+        return MambaBlockConfig(d_model=self.r, **shared)
 
 
 @dataclass

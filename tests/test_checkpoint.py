@@ -80,7 +80,8 @@ def test_model_round_trip_and_mismatch(tmp_path):
     save_checkpoint(path, named, to_flat_dict(cfg), cfg.seed)
 
     clone = SegModel.init(cfg.vit_config(), cfg.n_classes, seed=99)
-    load_into_model(clone, path)
+    arrays = load_checkpoint(path)[0]
+    load_into_model(clone, arrays, path)
     for name, p in clone.named_parameters().items():
         np.testing.assert_array_equal(p.data, named[name])
 
@@ -91,7 +92,7 @@ def test_model_round_trip_and_mismatch(tmp_path):
     )
     other = SegModel.init(bad.vit_config(), bad.n_classes, seed=1)
     with pytest.raises(CheckpointError, match=r"tpmamba"):
-        load_into_model(other, path)
+        load_into_model(other, arrays, path)
 
 
 # SHA-256 of the "\n"-joined parameter names of SegModel for TrainConfig(n_classes=3).

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from tpmamba.config import (
@@ -8,7 +10,10 @@ from tpmamba.config import (
     to_flat_dict,
     write_config,
 )
+from tpmamba.encoder import ViTConfig
 from tpmamba.errors import ConfigError
+from tpmamba.ssm import MambaBlockConfig
+from tpmamba.triplane import TPMambaConfig
 
 
 def test_defaults_follow_training_protocol():
@@ -42,7 +47,7 @@ def test_parse_dotted_adapter_keys():
 
 
 def test_unknown_key_rejected():
-    for line in ("optimizer=sgd", "batch_size=1", "n_outputs=4"):
+    for line in ("optimizer=sgd", "batch_size=1", "n_outputs=4", "patch=16"):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config_text(line)
 
@@ -59,7 +64,7 @@ def test_flat_round_trip():
 
 
 def test_file_round_trip(tmp_path):
-    cfg = TrainConfig(epochs=3, adapter_r=8, C=16, n_heads=2, crop=(16, 16, 16), patch=16)
+    cfg = TrainConfig(epochs=3, adapter_r=8, C=16, n_heads=2, crop=(16, 16, 16))
     path = tmp_path / "train.cfg"
     write_config(path, cfg)
     assert load_config(path) == cfg
@@ -82,6 +87,27 @@ def test_vit_config_wiring():
     assert vit.adapter.r == 8
     assert vit.adapter.d_state == 4
     assert vit.img_hw == (32, 48)
+
+
+def test_vit_config_carries_every_encoder_and_adapter_field():
+    cfg = TrainConfig(
+        crop=(8, 32, 48), C=24, n_blocks=5, n_heads=3, mlp_ratio=2, lora_rank=3, lora_alpha=1.5,
+        adapter_r=6, adapter_dilations=(1, 3), adapter_depth_kernel=5, adapter_scan_mode="dh_only",
+        adapter_conv_mode="single", adapter_d_state=5, adapter_expand=3, adapter_d_conv=2, adapter_dt_rank=7,
+    )
+    defaults = TrainConfig()
+    vit = cfg.vit_config()
+    shared = [f.name for f in dataclasses.fields(ViTConfig) if f.name not in ("adapter", "img_hw")]
+    adapter = [f.name for f in dataclasses.fields(TPMambaConfig) if f.name != "C"]
+    for name in shared:
+        assert getattr(cfg, name) != getattr(defaults, name), name
+        assert getattr(vit, name) == getattr(cfg, name), name
+    for name in adapter:
+        assert getattr(cfg, f"adapter_{name}") != getattr(defaults, f"adapter_{name}"), name
+        assert getattr(vit.adapter, name) == getattr(cfg, f"adapter_{name}"), name
+    assert vit.adapter.C == 24 and vit.img_hw == (32, 48)
+    ssm = vit.adapter.ssm_config()
+    assert ssm == MambaBlockConfig(d_model=6, d_state=5, expand=3, d_conv=2, dt_rank=7)
 
 
 def test_dt_rank_none_round_trip(tmp_path):

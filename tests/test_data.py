@@ -103,6 +103,17 @@ def test_preprocess_hu_anchors():
     assert rec.voxels[0, 1, 0] == 1.0  # clipped from above
 
 
+def test_preprocess_windows_a_raw_volume_inside_the_unit_range():
+    # raw HU values that happen to lie in [0, 1] are still windowed
+    vox = np.full((2, 2, 2), 0.5, dtype=np.float32)
+    vox[1] = 1.0
+    rec = preprocess(VolumeRecord(voxels=vox, spacing=(1, 1, 1)))
+    assert rec.windowed
+    np.testing.assert_array_equal(rec.voxels[0], np.float32((0.5 + 200) / 450))
+    np.testing.assert_array_equal(rec.voxels[1], np.float32((1.0 + 200) / 450))
+    np.testing.assert_array_equal(preprocess(rec).voxels, rec.voxels)
+
+
 def test_preprocess_resamples_to_isotropic(rng):
     vox = rng.uniform(-200, 250, (10, 8, 8)).astype(np.float32)
     labels = rng.integers(0, 2, (10, 8, 8)).astype(np.uint8)

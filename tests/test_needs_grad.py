@@ -18,24 +18,15 @@ def _normal(*shape):
     return lambda rng: rng.standard_normal(shape)
 
 
-def _positive(*shape):
-    return lambda rng: rng.uniform(0.5, 2.0, shape)
-
-
 # name -> (primitive applied to the input tensors, input array makers)
 CASES = {
     "add": (T.add, [_normal(2, 3, 4), _normal(3, 1)]),
-    "sub": (T.sub, [_normal(2, 3, 4), _normal(4)]),
     "mul": (T.mul, [_normal(2, 3, 4), _normal(1, 3, 4)]),
-    "div": (T.div, [_normal(2, 3, 4), _positive(3, 1)]),
     "neg": (T.neg, [_normal(3, 4)]),
     "scale": (lambda a: T.scale(a, 0.7), [_normal(3, 4)]),
     "exp": (T.exp, [_normal(3, 4)]),
-    "log": (T.log, [_positive(3, 4)]),
-    "sqrt": (T.sqrt, [_positive(3, 4)]),
     "square": (T.square, [_normal(3, 4)]),
     "tsum": (lambda a: T.tsum(a, axis=1), [_normal(2, 3, 4)]),
-    "tmean": (lambda a: T.tmean(a, axis=(0, 2)), [_normal(2, 3, 4)]),
     "reshape": (lambda a: T.reshape(a, (4, 6)), [_normal(2, 3, 4)]),
     "permute": (lambda a: T.permute(a, (2, 0, 1)), [_normal(2, 3, 4)]),
     "narrow": (lambda a: T.narrow(a, 1, 1, 2), [_normal(2, 3, 4)]),
@@ -45,12 +36,10 @@ CASES = {
     "matmul_shared": (T.matmul, [_normal(2, 3, 4), _normal(4, 5)]),
     "linear": (T.linear, [_normal(2, 3, 4), _normal(5, 4)]),
     "linear_bias": (T.linear, [_normal(2, 3, 4), _normal(5, 4), _normal(5)]),
-    "sigmoid": (T.sigmoid, [_normal(3, 4)]),
     "silu": (T.silu, [_normal(3, 4)]),
     "softplus": (T.softplus, [_normal(3, 4)]),
     "gelu": (T.gelu, [_normal(3, 4)]),
     "softmax": (lambda a: T.softmax(a, axis=1), [_normal(2, 3, 4)]),
-    "log_softmax": (lambda a: T.log_softmax(a, axis=1), [_normal(2, 3, 4)]),
     "conv3d": (
         lambda x, w, b: ops.conv3d(x, w, b, dilation=(2, 1, 1), padding=(2, 1, 1)),
         [_normal(2, 3, 4, 5, 6), _normal(2, 3, 3, 3, 3), _normal(2)],

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_ops import div, log
 
 from tpmamba import tensor as T
-from tpmamba.errors import ConfigError, InputError, ShapeError
-from tpmamba.ops import grad_check, one_hot
+from tpmamba.encoder import PATCH
+from tpmamba.errors import InputError, ShapeError
+from tpmamba.ops import grad_check
 from tpmamba.seghead import (
+    DECODER_STAGES,
     DICE_EPS,
     Decoder,
     DecoderConfig,
@@ -64,9 +67,11 @@ def test_decoder_tap_mismatch(rng):
         decoder_forward(taps, (1, 4), dec)
 
 
-def test_decoder_stage_count_matches_patch():
-    with pytest.raises(ConfigError):
-        DecoderConfig(C=8, K=2, patch=8)
+def test_decoder_stage_count_matches_patch(rng):
+    # the 2x upsampling stages undo exactly the encoder's patch embedding
+    assert 2**DECODER_STAGES == PATCH
+    out = decoder_forward(make_taps(rng, BD=2, h=1, w=3), (1, 2), toy_decoder(rng))
+    assert out.shape[3:] == (PATCH, 3 * PATCH)
 
 
 # ---------------------------------------------------------------------------
@@ -77,14 +82,14 @@ def test_loss_saturated_correct_prediction(rng):
     labels = (rng.random((1, 4, 4, 4)) < 0.4).astype(np.int64)
     logits = np.where(labels[:, None] == np.arange(2)[None, :, None, None, None], 20.0, -20.0)
     loss = dice_ce_loss(Tensor(logits, dtype=np.float64), labels)
-    assert loss.item() < 1e-4
+    assert float(loss.data) < 1e-4
 
 
 def test_loss_uniform_logits_closed_form(rng):
     labels = np.zeros((1, 4, 4, 4), dtype=np.int64)
     labels[0, :2] = 1  # half the voxels are class 1
     logits = Tensor(np.zeros((1, 2, 4, 4, 4)), dtype=np.float64)
-    loss = dice_ce_loss(logits, labels).item()
+    loss = float(dice_ce_loss(logits, labels).data)
     V = 64
     ce = np.log(2.0)
     # soft dice with p = 0.5 everywhere: per class (2*0.5*|y_k| + eps)/(0.5V + |y_k| + eps)
@@ -112,17 +117,18 @@ def test_loss_grad_finite_differences(rng):
 
 
 def _composed_dice_ce(logits, labels):
-    """The loss built from generic tape primitives and a float one-hot: the
-    reference for the fused node."""
+    """The loss built from generic tape primitives, the test-local `log` and
+    `div` nodes and a float one-hot: the reference for the fused node."""
     B, K = logits.shape[0], logits.shape[1]
-    y = one_hot(labels, K, axis=1, dtype=logits.data.dtype)
-    ce = T.neg(T.tmean(T.tsum(T.mul(T.log_softmax(logits, axis=1), y), axis=1)))
+    y = Tensor(np.moveaxis(np.eye(K)[labels], -1, 1), dtype=logits.data.dtype)
     p = T.softmax(logits, axis=1)
+    log_lik = T.tsum(T.mul(log(p), y), axis=1)
+    ce = T.neg(T.scale(T.tsum(log_lik), 1.0 / log_lik.size))
     red_axes = (0,) + tuple(range(2, logits.ndim))
     eps = Tensor(np.full(K, DICE_EPS, dtype=logits.data.dtype))
     numer = T.add(T.scale(T.tsum(T.mul(p, y), axis=red_axes), 2.0), eps)
     denom = T.add(T.add(T.tsum(p, axis=red_axes), T.tsum(y, axis=red_axes)), eps)
-    dice = T.tmean(T.div(numer, denom))
+    dice = T.scale(T.tsum(div(numer, denom)), 1.0 / K)
     one = Tensor(np.ones((), dtype=logits.data.dtype))
     return T.add(ce, T.add(one, T.neg(dice)))
 
@@ -141,7 +147,7 @@ def test_fused_loss_matches_composed_reference(K, B, case):
         with T.recording() as tape:
             loss = loss_fn(logits, labels)
         tape.backward(loss)
-        results.append((loss.item(), logits.grad))
+        results.append((float(loss.data), logits.grad))
     (ref, ref_grad), (val, grad) = results
     assert abs(val - ref) <= 1e-12 * abs(ref)
     assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
@@ -166,7 +172,7 @@ def test_loss_bounds(seed):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 3, (1, 3, 3, 3))
     raw = 3.0 * rng.standard_normal((1, 3, 3, 3, 3))
-    loss = dice_ce_loss(Tensor(raw, dtype=np.float64), labels).item()
+    loss = float(dice_ce_loss(Tensor(raw, dtype=np.float64), labels).data)
     # independent cross-entropy
     m = raw.max(axis=1, keepdims=True)
     ls = raw - m - np.log(np.exp(raw - m).sum(axis=1, keepdims=True))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tpmamba import checkpoint
 from tpmamba.checkpoint import save_checkpoint
 from tpmamba.config import TrainConfig, to_flat_dict
 from tpmamba.data import gen_synth, load_record, preprocess
@@ -83,9 +84,24 @@ def test_checkpoint_with_removed_config_key_rejected(tmp_path):
     cfg = tiny_cfg()
     named = {name: p.data for name, p in build_model(cfg).named_parameters().items()}
     ckpt = tmp_path / "old.ckpt"
-    save_checkpoint(ckpt, named, {**to_flat_dict(cfg), "batch_size": 1}, cfg.seed)
-    with pytest.raises(ConfigError, match="unknown config key 'batch_size'"):
-        model_from_checkpoint(ckpt)
+    for key, value in (("batch_size", 1), ("patch", 16)):
+        save_checkpoint(ckpt, named, {**to_flat_dict(cfg), key: value}, cfg.seed)
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            model_from_checkpoint(ckpt)
+
+
+def test_model_from_checkpoint_reads_the_file_once(tmp_path, monkeypatch):
+    cfg = tiny_cfg()
+    named = {name: p.data for name, p in build_model(cfg).named_parameters().items()}
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, named, to_flat_dict(cfg), cfg.seed)
+    reads = []
+    load = checkpoint.load_checkpoint
+    monkeypatch.setattr(checkpoint, "load_checkpoint", lambda path: reads.append(path) or load(path))
+    model, _ = model_from_checkpoint(ckpt)
+    assert reads == [ckpt]
+    for name, p in model.named_parameters().items():
+        np.testing.assert_array_equal(p.data, named[name])
 
 
 # ---------------------------------------------------------------------------
