@@ -83,6 +83,10 @@ def load_checkpoint(path) -> tuple[dict, dict, int]:
         raise CheckpointError(f"{path}: header needs the keys {sorted(_HEADER_KEYS)}")
     if not isinstance(header["manifest"], list):
         raise CheckpointError(f"{path}: manifest is not a list")
+    if not isinstance(header["config"], dict):
+        raise CheckpointError(f"{path}: config is not a JSON object")
+    if type(header["seed"]) is not int:
+        raise CheckpointError(f"{path}: seed is not an integer")
     payload = blob[header_end:]
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     if crc != header["payload_crc32"]:

@@ -104,11 +104,28 @@ def to_flat_dict(cfg: TrainConfig) -> dict:
     return out
 
 
+def _type_ok(val, default) -> bool:
+    """Whether `val`, as JSON gives it, fits a field with this default: an
+    int fits a float field, a tuple field takes a list of ints, and the one
+    None default (`adapter.dt_rank`) takes an int or null."""
+    if isinstance(val, bool) or isinstance(default, bool):
+        return type(val) is type(default)
+    if isinstance(default, tuple):
+        return isinstance(val, list) and all(_type_ok(v, 0) for v in val)
+    if isinstance(default, float):
+        return isinstance(val, (int, float))
+    if default is None:
+        return val is None or isinstance(val, int)
+    return isinstance(val, type(default))
+
+
 def from_flat_dict(flat: dict) -> TrainConfig:
     kwargs = {}
     for key, val in flat.items():
         if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
+        if not _type_ok(val, _FIELDS[key].default):
+            raise ConfigError(f"config key {key!r}: {val!r} does not fit the field's type")
         if isinstance(val, list):
             val = tuple(val)
         kwargs[_FIELDS[key].name] = val
@@ -139,15 +156,3 @@ def load_config(path) -> TrainConfig:
     with open(path, "r", encoding="utf-8") as f:
         return parse_config_text(f.read())
 
-
-def write_config(path, cfg: TrainConfig) -> None:
-    flat = to_flat_dict(cfg)
-    lines = []
-    for key, val in flat.items():
-        if isinstance(val, list):
-            val = ",".join(str(v) for v in val)
-        elif val is None:
-            val = "none"
-        lines.append(f"{key}={val}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")

@@ -226,7 +226,7 @@ def encoder_forward(X: Tensor, enc: Encoder, adapters_enabled: bool = True) -> l
             f"feature grid {F.shape[2:]} does not match positional embedding "
             f"{enc.pos.shape[2:]} (configured img_hw={cfg.img_hw})"
         )
-    F = add(F, enc.pos.value)
+    F = add(F, enc.pos)
     taps = []
     for i, blk in enumerate(enc.blocks):
         F = vit_block_forward(F, blk, (B, D), adapters_enabled=adapters_enabled)

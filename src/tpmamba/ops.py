@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .tensor import Parameter, Tensor, _record, as_value, recording
+from .tensor import Parameter, Tensor, _record, recording
 
 Array = np.ndarray
 
@@ -43,14 +43,13 @@ def _padded_columns(a: Array, widths: tuple) -> Array:
 
 def conv3d(
     x: Tensor,
-    weight,
-    bias=None,
+    weight: Tensor,
+    bias: Tensor,
     dilation: tuple = (1, 1, 1),
     padding: tuple = (0, 0, 0),
 ) -> Tensor:
-    """3-D cross-correlation, x (B,Cin,D,H,W) with weight (Cout,Cin,kd,kh,kw)."""
-    x, weight = as_value(x), as_value(weight)
-    bias = as_value(bias) if bias is not None else None
+    """3-D cross-correlation plus a per-channel bias, x (B,Cin,D,H,W) with
+    weight (Cout,Cin,kd,kh,kw) and bias (Cout,)."""
     if x.ndim != 5 or weight.ndim != 5:
         raise ShapeError(f"conv3d expects 5-D operands, got {x.shape} and {weight.shape}")
     B, cin, D, H, W = x.shape
@@ -85,8 +84,7 @@ def conv3d(
         for t in range(1, len(offsets)):
             a += np.matmul(wt[t], xf[:, offsets[t] + c0 : offsets[t] + c1], out=tmp[:, : c1 - c0])
     out = np.ascontiguousarray(acc.reshape(cout, B, Dp, Hp, Wp)[:, :, :od, :oh, :ow].transpose(1, 0, 2, 3, 4))
-    if bias is not None:
-        out += bias.data.reshape(1, cout, 1, 1, 1)
+    out += bias.data.reshape(1, cout, 1, 1, 1)
 
     def backward(g):
         # Walk the input columns in tiles: input column c receives tap t from
@@ -121,20 +119,16 @@ def conv3d(
             gw = np.moveaxis(gwt, 0, 2).reshape(weight.shape)
         if x.requires_grad:
             gx = gxf.reshape(cin, B, Dp, Hp, Wp)[:, :, pd : pd + D, ph : ph + H, pw : pw + W].transpose(1, 0, 2, 3, 4)
-        if bias is None:
-            return gx, gw
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3, 4))
         return gx, gw, gb
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _record(inputs, out, backward)
+    return _record((x, weight, bias), out, backward)
 
 
-def conv1d_depthwise(x: Tensor, weight, bias=None) -> Tensor:
-    """Causal per-channel 1-D convolution: x (B,E,L), weight (E,k), left pad k-1."""
-    x, weight = as_value(x), as_value(weight)
-    bias = as_value(bias) if bias is not None else None
+def conv1d_depthwise(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Causal per-channel 1-D convolution plus bias: x (B,E,L), weight (E,k),
+    bias (E,), left pad k-1."""
     if x.ndim != 3:
         raise ShapeError(f"conv1d_depthwise expects (B,E,L), got {x.shape}")
     w = weight.data
@@ -146,8 +140,7 @@ def conv1d_depthwise(x: Tensor, weight, bias=None) -> Tensor:
     out = np.zeros_like(x.data)
     for i in range(k):
         out += w[None, :, i : i + 1] * xp[:, :, i : i + L]
-    if bias is not None:
-        out += bias.data.reshape(1, E, 1)
+    out += bias.data.reshape(1, E, 1)
 
     def backward(g):
         gx = gw = gb = None
@@ -160,19 +153,15 @@ def conv1d_depthwise(x: Tensor, weight, bias=None) -> Tensor:
             for i in range(k):
                 gxp[:, :, i : i + L] += w[None, :, i : i + 1] * g
             gx = gxp[:, :, k - 1 :]
-        if bias is None:
-            return gx, gw
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2))
         return gx, gw, gb
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _record(inputs, out, backward)
+    return _record((x, weight, bias), out, backward)
 
 
-def normalize(x: Tensor, kind: str, gamma, beta) -> Tensor:
+def normalize(x: Tensor, kind: str, gamma: Tensor, beta: Tensor) -> Tensor:
     """layer_norm over the last axis, or instance_norm over spatial axes per (B,C)."""
-    x, gamma, beta = as_value(x), as_value(gamma), as_value(beta)
     if kind == "layer_norm":
         axes: tuple = (x.ndim - 1,)
         affine_shape = (x.shape[-1],)
@@ -261,7 +250,7 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter], max_coords:
     rng = np.random.default_rng(0)
     trainables = [p for p in params if p.trainable]
     for p in trainables:
-        p.zero_grad()
+        p.grad = None
     with recording() as tape:
         loss = f()
     if loss.size != 1:

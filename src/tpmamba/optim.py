@@ -56,7 +56,7 @@ def adamw_step(
             new = new - lr * weight_decay * new
         new = new - lr * update
         p.data = new.astype(p.data.dtype)
-        p.zero_grad()
+        p.grad = None
 
 
 def lr_schedule(epoch: int, epochs: int, lr_start: float, lr_end: float = 0.0) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 from . import tensor
 from .errors import ConfigError, InputError, ShapeError
 from .ops import conv3d, normalize, upsample_hw
-from .tensor import Module, Parameter, Tensor, concat, gelu, permute, reshape, softmax, uniform_init
+from .tensor import Module, Parameter, Tensor, concat, gelu, permute, reshape, uniform_init
 
 DICE_EPS = 1e-5
 DECODER_STAGES = 4  # 2x upsampling stages: 2**4 recovers the encoder's PATCH
@@ -197,11 +197,6 @@ def dice_score(pred: np.ndarray, gt: np.ndarray, K: int) -> tuple[np.ndarray, fl
 class SegmentationOutput:
     logits: np.ndarray  # (1, K, D, H, W)
     labels: np.ndarray  # argmax over K, (1, D, H, W)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Softmax of the logits over K, computed on each access."""
-        return softmax(Tensor(self.logits), axis=1).data
 
 
 def _window_starts(extent: int, win: int, stride: int) -> list[int]:

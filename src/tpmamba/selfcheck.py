@@ -79,13 +79,13 @@ def gradient_errors(seed: int) -> dict[str, float]:
 
     a = Parameter("a", rng.standard_normal((3, 4)), dtype=f64)
     b = Parameter("b", rng.standard_normal((4, 2)), dtype=f64)
-    results["matmul"] = grad_check(lambda: T.tsum(T.matmul(a.value, b.value)), [a, b])
+    results["matmul"] = grad_check(lambda: T.tsum(T.matmul(a, b)), [a, b])
 
     x = Parameter("x", rng.standard_normal((1, 2, 3, 2, 2)), dtype=f64)
     w = Parameter("w", rng.standard_normal((2, 2, 3, 1, 1)), dtype=f64)
     wb = Parameter("wb", rng.standard_normal(2), dtype=f64)
     results["conv3d"] = grad_check(
-        lambda: T.tsum(T.square(conv3d(x.value, w.value, wb.value, dilation=(2, 1, 1), padding=(2, 0, 0)))),
+        lambda: T.tsum(T.square(conv3d(x, w, wb, dilation=(2, 1, 1), padding=(2, 0, 0)))),
         [x, w, wb],
         max_coords=8,
     )
@@ -94,7 +94,7 @@ def gradient_errors(seed: int) -> dict[str, float]:
     wc = Parameter("wc", rng.standard_normal((3, 4)), dtype=f64)
     bc = Parameter("bc", rng.standard_normal(3), dtype=f64)
     results["conv1d_depthwise"] = grad_check(
-        lambda: T.tsum(T.square(conv1d_depthwise(xc.value, wc.value, bc.value))), [xc, wc, bc]
+        lambda: T.tsum(T.square(conv1d_depthwise(xc, wc, bc))), [xc, wc, bc]
     )
 
     for kind, shape, cdim in (("layer_norm", (3, 5), 5), ("instance_norm", (1, 2, 2, 3, 3), 2)):
@@ -104,7 +104,7 @@ def gradient_errors(seed: int) -> dict[str, float]:
         wgt = Tensor(rng.standard_normal(shape), dtype=f64)
         results[kind] = grad_check(
             lambda xn=xn, gg=gg, bb=bb, kind=kind, wgt=wgt: T.tsum(
-                T.mul(normalize(xn.value, kind, gg.value, bb.value), wgt)
+                T.mul(normalize(xn, kind, gg, bb), wgt)
             ),
             [xn, gg, bb],
             max_coords=8,
@@ -112,7 +112,7 @@ def gradient_errors(seed: int) -> dict[str, float]:
 
     xu = Parameter("xu", rng.standard_normal((1, 1, 2, 3, 3)), dtype=f64)
     wu = Tensor(rng.standard_normal((1, 1, 2, 6, 6)), dtype=f64)
-    results["upsample_hw"] = grad_check(lambda: T.tsum(T.mul(upsample_hw(xu.value, 2), wu)), [xu], max_coords=8)
+    results["upsample_hw"] = grad_check(lambda: T.tsum(T.mul(upsample_hw(xu, 2), wu)), [xu], max_coords=8)
 
     # full tri-plane adapter with every zero-init path given signal
     adapter = TPMambaAdapter.init(TPMambaConfig(C=8, r=4, d_state=2), rng, "tp", dtype=f64)
@@ -148,7 +148,7 @@ def gradient_errors(seed: int) -> dict[str, float]:
 
     labels = rng.integers(0, 2, (1, 4, 4, 4))
     P = Parameter("logits", 0.5 * rng.standard_normal((1, 2, 4, 4, 4)), dtype=f64)
-    results["dice_ce_loss"] = grad_check(lambda: dice_ce_loss(P.value, labels), [P], max_coords=10)
+    results["dice_ce_loss"] = grad_check(lambda: dice_ce_loss(P, labels), [P], max_coords=10)
 
     params = SSMParams.init(MambaBlockConfig(d_model=4, d_state=2), rng, "blk", dtype=f64)
     params.w_out.data = 0.1 * rng.standard_normal(params.w_out.shape)

@@ -283,9 +283,9 @@ def mamba_block_forward(seq: Tensor, params: SSMParams, sequential: bool = False
     B = narrow(dbc, 2, dtr, N)
     C = narrow(dbc, 2, dtr + N, N)
     delta = softplus(linear(dt, params.w_dt, params.b_dt))
-    A = neg(exp(params.a_log.value))
+    A = neg(exp(params.a_log))
 
     scan = selective_scan_sequential if sequential else selective_scan
-    y = scan(xs, delta, A, B, C, params.d_skip.value)
+    y = scan(xs, delta, A, B, C, params.d_skip)
     y = mul(y, silu(z))
     return add(seq, linear(y, params.w_out))

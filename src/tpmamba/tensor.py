@@ -57,42 +57,18 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
 
-class Parameter:
+class Parameter(Tensor):
     """A named tensor in a model; frozen parameters never allocate a grad."""
 
-    __slots__ = ("name", "value", "trainable")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, data, trainable: bool = True, dtype=None):
+        super().__init__(data, dtype=dtype, requires_grad=trainable)
         self.name = name
-        self.value = Tensor(data, dtype=dtype, requires_grad=trainable)
-        self.trainable = trainable
 
     @property
-    def data(self) -> Array:
-        return self.value.data
-
-    @data.setter
-    def data(self, arr: Array) -> None:
-        if arr.shape != self.value.data.shape:
-            raise ShapeError(
-                f"parameter {self.name}: cannot assign shape {arr.shape} over {self.value.data.shape}"
-            )
-        self.value.data = np.ascontiguousarray(arr, dtype=self.value.data.dtype)
-
-    @property
-    def grad(self) -> Optional[Array]:
-        return self.value.grad
-
-    @property
-    def shape(self) -> tuple:
-        return self.value.shape
-
-    @property
-    def size(self) -> int:
-        return self.value.size
-
-    def zero_grad(self) -> None:
-        self.value.grad = None
+    def trainable(self) -> bool:
+        return self.requires_grad
 
     def __repr__(self) -> str:
         kind = "trainable" if self.trainable else "frozen"
@@ -189,11 +165,6 @@ def recording():
         yield tape
     finally:
         _ACTIVE_TAPE = None
-
-
-def as_value(x) -> Tensor:
-    """Unwrap a Parameter to its Tensor; Tensors pass through."""
-    return x.value if isinstance(x, Parameter) else x
 
 
 def _needs_grad(inputs: Sequence[Tensor]) -> bool:
@@ -379,11 +350,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record((a, b), out, backward)
 
 
-def linear(x: Tensor, weight, bias=None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """y = x @ weight.T (+ bias) with weight of shape (out, in), as one 2-D
     GEMM over the flattened leading axes, forward and backward."""
-    weight = as_value(weight)
-    bias = as_value(bias) if bias is not None else None
     if x.shape[-1] != weight.shape[1]:
         raise ShapeError(f"linear: input width {x.shape} vs weight {weight.shape}")
     flat_x = np.ascontiguousarray(x.data).reshape(-1, x.shape[-1])

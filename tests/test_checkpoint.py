@@ -13,6 +13,7 @@ from tpmamba.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, load_into
 from tpmamba.config import TrainConfig, to_flat_dict
 from tpmamba.errors import CheckpointError, ConfigError
 from tpmamba.model import SegModel
+from tpmamba.train import model_from_checkpoint
 
 
 def small_cfg():
@@ -165,6 +166,24 @@ def test_manifest_entry_missing_key_is_checkpoint_error(tmp_path, rng, key):
     _write_raw(path, header, payload)
     with pytest.raises(CheckpointError, match="malformed manifest entry 0"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value", [("config", []), ("config", None), ("seed", "0")])
+def test_header_config_or_seed_of_wrong_type_is_checkpoint_error(tmp_path, rng, key, value):
+    header, payload = _valid_header(rng)
+    header[key] = value
+    path = tmp_path / "t.ckpt"
+    _write_raw(path, header, payload)
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value", [("C", "abc"), ("crop", 5)])
+def test_checkpoint_config_value_of_wrong_type_is_config_error(tmp_path, key, value):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, {}, {**to_flat_dict(small_cfg()), key: value}, 0)
+    with pytest.raises(ConfigError, match=f"config key '{key}'"):
+        model_from_checkpoint(path)
 
 
 @pytest.fixture(scope="module")

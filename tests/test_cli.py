@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tpmamba.cli import main
-from tpmamba.config import TrainConfig, write_config
+from tpmamba.config import TrainConfig, load_config
 from tpmamba.data import read_rvol
 
 
@@ -28,7 +28,12 @@ def config_path(workdir):
         seed=5, lr_start=3e-3, flip=False, contrast=False, scale_jitter=False,
     )
     path = workdir / "train.cfg"
-    write_config(path, cfg)
+    path.write_text(
+        "C=8\nn_heads=2\nn_blocks=4\nadapter.r=4\nadapter.d_state=2\nlora_rank=2\nlora_alpha=2.0\n"
+        "crop=16,32,32\nn_classes=2\nseed=5\nlr_start=3e-3\nflip=false\ncontrast=false\nscale_jitter=false\n",
+        encoding="utf-8",
+    )
+    assert load_config(path) == cfg
     return path
 
 

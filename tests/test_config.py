@@ -8,7 +8,6 @@ from tpmamba.config import (
     load_config,
     parse_config_text,
     to_flat_dict,
-    write_config,
 )
 from tpmamba.encoder import ViTConfig
 from tpmamba.errors import ConfigError
@@ -63,10 +62,31 @@ def test_flat_round_trip():
     assert back == cfg
 
 
+def test_flat_dict_value_types_checked_by_key():
+    flat = to_flat_dict(TrainConfig())
+    cfg = from_flat_dict({**flat, "lora_alpha": 4, "adapter.dt_rank": 3, "crop": [8, 32, 32], "flip": False})
+    assert (cfg.lora_alpha, cfg.adapter_dt_rank, cfg.crop, cfg.flip) == (4, 3, (8, 32, 32), False)
+    assert from_flat_dict({**flat, "adapter.dt_rank": None}).adapter_dt_rank is None
+    bad = {
+        "C": "abc", "epochs": 2.0, "seed": True, "lr_start": "0.1", "flip": 1, "crop": 5,
+        "adapter.dilations": [1, 2.0], "adapter.scan_mode": 3, "adapter.dt_rank": "auto",
+    }
+    for key, val in bad.items():
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+            from_flat_dict({**flat, key: val})
+
+
 def test_file_round_trip(tmp_path):
     cfg = TrainConfig(epochs=3, adapter_r=8, C=16, n_heads=2, crop=(16, 16, 16))
+    lines = []
+    for key, val in to_flat_dict(cfg).items():
+        if isinstance(val, list):
+            val = ",".join(str(v) for v in val)
+        elif val is None:
+            val = "none"
+        lines.append(f"{key}={val}")
     path = tmp_path / "train.cfg"
-    write_config(path, cfg)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert load_config(path) == cfg
 
 

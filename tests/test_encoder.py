@@ -135,7 +135,7 @@ def test_encoder_taps_are_last_four(rng):
     from tpmamba.encoder import vit_block_forward as fwd
 
     F = patch_embed_slices(X, enc)
-    F = T.add(F, enc.pos.value)
+    F = T.add(F, enc.pos)
     for i, blk in enumerate(enc.blocks):
         F = fwd(F, blk, (1, 2))
         if i >= 2:
@@ -154,7 +154,7 @@ def test_encoder_twelve_blocks_taps_last_four(rng):
     X = Tensor(rng.standard_normal((1, 1, 2, 32, 32)).astype(np.float32))
     taps = encoder_forward(X, enc)
     F = patch_embed_slices(X, enc)
-    F = T.add(F, enc.pos.value)
+    F = T.add(F, enc.pos)
     all_outputs = []
     for blk in enc.blocks:
         F = vit_block_forward(F, blk, (1, 2))

@@ -26,14 +26,14 @@ def test_conv3d_identity_channel_map(rng):
     w = np.zeros((3, 3, 1, 1, 1), dtype=np.float32)
     for c in range(3):
         w[c, c, 0, 0, 0] = 1.0
-    out = conv3d(x, Tensor(w))
+    out = conv3d(x, Tensor(w), Tensor(np.zeros(3)))
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_conv3d_ones_depth_profile():
     x = Tensor(np.ones((1, 1, 5, 1, 1), dtype=np.float32))
     w = Tensor(np.ones((1, 1, 3, 1, 1), dtype=np.float32))
-    out = conv3d(x, w, dilation=(1, 1, 1), padding=(1, 0, 0))
+    out = conv3d(x, w, Tensor(np.zeros(1, dtype=np.float32)), dilation=(1, 1, 1), padding=(1, 0, 0))
     np.testing.assert_array_equal(out.data[0, 0, :, 0, 0], [2, 3, 3, 3, 2])
 
 
@@ -43,7 +43,7 @@ def test_conv3d_dilated_receptive_field():
     x = np.zeros((1, 1, D, 1, 1), dtype=np.float32)
     x[0, 0, D // 2] = 1.0
     w = Tensor(np.ones((1, 1, 3, 1, 1), dtype=np.float32))
-    out = conv3d(Tensor(x), w, dilation=(8, 1, 1), padding=(8, 0, 0))
+    out = conv3d(Tensor(x), w, Tensor(np.zeros(1, dtype=np.float32)), dilation=(8, 1, 1), padding=(8, 0, 0))
     nz = np.nonzero(out.data[0, 0, :, 0, 0])[0]
     assert nz.max() - nz.min() + 1 == 17
 
@@ -52,7 +52,7 @@ def test_conv3d_same_padding_preserves_depth(rng):
     x = Tensor(rng.standard_normal((1, 2, 9, 3, 3)))
     for d in (1, 2, 4, 8):
         w = Tensor(rng.standard_normal((2, 2, 3, 1, 1)))
-        out = conv3d(x, w, dilation=(d, 1, 1), padding=(same_padding(3, d), 0, 0))
+        out = conv3d(x, w, Tensor(np.zeros(2)), dilation=(d, 1, 1), padding=(same_padding(3, d), 0, 0))
         assert out.shape == x.shape
 
 
@@ -65,16 +65,17 @@ def test_conv3d_channel_mismatch():
     x = Tensor(np.zeros((1, 3, 2, 2, 2)))
     w = Tensor(np.zeros((4, 2, 1, 1, 1)))
     with pytest.raises(ShapeError):
-        conv3d(x, w)
+        conv3d(x, w, Tensor(np.zeros(4)))
 
 
 def test_conv3d_linearity(rng):
     x = rng.standard_normal((1, 2, 4, 3, 3))
     y = rng.standard_normal((1, 2, 4, 3, 3))
     w = Tensor(rng.standard_normal((3, 2, 3, 1, 1)), dtype=np.float64)
+    zero = Tensor(np.zeros(3), dtype=np.float64)
 
     def run(arr):
-        return conv3d(Tensor(arr, dtype=np.float64), w, padding=(1, 0, 0)).data
+        return conv3d(Tensor(arr, dtype=np.float64), w, zero, padding=(1, 0, 0)).data
 
     np.testing.assert_allclose(run(x + y), run(x) + run(y), rtol=1e-10)
     np.testing.assert_allclose(run(2.5 * x), 2.5 * run(x), rtol=1e-10)
@@ -86,7 +87,7 @@ def test_conv3d_grad(rng):
     b = Parameter("b", rng.standard_normal(3), dtype=np.float64)
 
     def f():
-        out = conv3d(x.value, w.value, b.value, dilation=(2, 1, 1), padding=(2, 0, 0))
+        out = conv3d(x, w, b, dilation=(2, 1, 1), padding=(2, 0, 0))
         return T.tsum(T.square(out))
 
     assert grad_check(f, [x, w, b], max_coords=12) < 1e-6
@@ -121,14 +122,14 @@ def test_conv3d_matches_loop_reference_and_grads(rng, x_shape, w_shape, dilation
     x = Parameter("x", rng.standard_normal(x_shape), dtype=np.float64)
     w = Parameter("w", rng.standard_normal(w_shape) * 0.5, dtype=np.float64)
     b = Parameter("b", rng.standard_normal(w_shape[0]), dtype=np.float64)
-    out = conv3d(x.value, w.value, b.value, dilation=dilation, padding=padding)
+    out = conv3d(x, w, b, dilation=dilation, padding=padding)
     ref = _conv3d_loops(x.data, w.data, b.data, dilation, padding)
     np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
 
     r = Tensor(rng.standard_normal(ref.shape), dtype=np.float64)
 
     def f():
-        return T.tsum(T.mul(conv3d(x.value, w.value, b.value, dilation=dilation, padding=padding), r))
+        return T.tsum(T.mul(conv3d(x, w, b, dilation=dilation, padding=padding), r))
 
     assert grad_check(f, [x, w, b], max_coords=24) < 1e-7
 
@@ -147,14 +148,14 @@ def test_conv3d_column_tiles_match_loop_reference_and_grads(rng, monkeypatch, co
     dilation, padding = (2, 1, 1), (2, 1, 1)
     monkeypatch.setattr(ops, "CONV_TILE_VALUES", cols * (2 + 3))
 
-    out = conv3d(x.value, w.value, b.value, dilation=dilation, padding=padding)
+    out = conv3d(x, w, b, dilation=dilation, padding=padding)
     ref = _conv3d_loops(x.data, w.data, b.data, dilation, padding)
     np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
 
     r = Tensor(rng.standard_normal(ref.shape), dtype=np.float64)
 
     def f():
-        return T.tsum(T.mul(conv3d(x.value, w.value, b.value, dilation=dilation, padding=padding), r))
+        return T.tsum(T.mul(conv3d(x, w, b, dilation=dilation, padding=padding), r))
 
     assert grad_check(f, [x, w, b], max_coords=24) < 1e-7
 
@@ -166,31 +167,32 @@ def test_conv3d_column_tiles_match_loop_reference_and_grads(rng, monkeypatch, co
 def test_depthwise_k1_identity(rng):
     x = Tensor(rng.standard_normal((2, 3, 5)))
     w = Tensor(np.ones((3, 1), dtype=np.float32))
-    out = conv1d_depthwise(x, w)
+    out = conv1d_depthwise(x, w, Tensor(np.zeros(3)))
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_depthwise_hand_convolution():
     x = Tensor(np.array([[[1.0, 2.0, 3.0]]]))
     w = Tensor(np.array([[1.0, 1.0]]))
-    out = conv1d_depthwise(x, w)
+    out = conv1d_depthwise(x, w, Tensor(np.zeros(1)))
     np.testing.assert_array_equal(out.data[0, 0], [1.0, 3.0, 5.0])
 
 
 def test_depthwise_causality(rng):
     x = rng.standard_normal((1, 2, 8)).astype(np.float32)
     w = Tensor(rng.standard_normal((2, 4)).astype(np.float32))
-    base = conv1d_depthwise(Tensor(x), w).data
+    zero = Tensor(np.zeros(2, dtype=np.float32))
+    base = conv1d_depthwise(Tensor(x), w, zero).data
     x2 = x.copy()
     x2[:, :, -1] += 5.0
-    bumped = conv1d_depthwise(Tensor(x2), w).data
+    bumped = conv1d_depthwise(Tensor(x2), w, zero).data
     assert np.array_equal(base[:, :, :-1], bumped[:, :, :-1])
     assert not np.array_equal(base[:, :, -1], bumped[:, :, -1])
 
 
 def test_depthwise_channel_mismatch():
     with pytest.raises(ShapeError):
-        conv1d_depthwise(Tensor(np.zeros((1, 3, 4))), Tensor(np.zeros((2, 2))))
+        conv1d_depthwise(Tensor(np.zeros((1, 3, 4))), Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
 
 
 def test_depthwise_grad(rng):
@@ -199,7 +201,7 @@ def test_depthwise_grad(rng):
     b = Parameter("b", rng.standard_normal(3), dtype=np.float64)
 
     def f():
-        return T.tsum(T.square(conv1d_depthwise(x.value, w.value, b.value)))
+        return T.tsum(T.square(conv1d_depthwise(x, w, b)))
 
     assert grad_check(f, [x, w, b], max_coords=12) < 1e-6
 
@@ -242,7 +244,7 @@ def test_normalize_grads(rng):
         wgt = Tensor(rng.standard_normal(shape), dtype=np.float64)
 
         def f():
-            return T.tsum(T.mul(normalize(x.value, kind, g.value, b.value), wgt))
+            return T.tsum(T.mul(normalize(x, kind, g, b), wgt))
 
         assert grad_check(f, [x, g, b], max_coords=10) < 1e-6, kind
 
@@ -282,7 +284,7 @@ def test_upsample_grad(rng):
     wgt = Tensor(rng.standard_normal((1, 2, 2, 6, 6)), dtype=np.float64)
 
     def f():
-        return T.tsum(T.mul(upsample_hw(x.value, 2), wgt))
+        return T.tsum(T.mul(upsample_hw(x, 2), wgt))
 
     assert grad_check(f, [x], max_coords=16) < 1e-7
 
@@ -302,7 +304,7 @@ def test_upsample_matches_dense_formula_and_grads(rng, factor, permuted):
     x = Parameter("x", rng.standard_normal(shape), dtype=np.float64)
 
     def up():
-        v = T.permute(x.value, (0, 1, 3, 4, 2)) if permuted else x.value
+        v = T.permute(x, (0, 1, 3, 4, 2)) if permuted else x
         return upsample_hw(v, factor)
 
     xv = x.data.transpose(0, 1, 3, 4, 2) if permuted else x.data
@@ -324,7 +326,7 @@ def test_grad_check_nonfinite_names_parameter(rng):
     bad = Parameter("layer.bad", np.array([1.0, -1.0]), dtype=np.float64)
 
     def f():
-        return T.tsum(log(bad.value))  # log(-1) -> nan
+        return T.tsum(log(bad))  # log(-1) -> nan
 
     with np.errstate(invalid="ignore"), pytest.raises(NumericError):
         grad_check(f, [bad])
@@ -335,7 +337,7 @@ def test_grad_check_excludes_frozen(rng):
     frozen = Parameter("fz", rng.standard_normal((3, 3)), trainable=False, dtype=np.float64)
 
     def f():
-        return T.tsum(T.matmul(frozen.value, a.value))
+        return T.tsum(T.matmul(frozen, a))
 
     assert grad_check(f, [a, frozen]) < 1e-7
     assert frozen.grad is None

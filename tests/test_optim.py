@@ -8,7 +8,7 @@ from tpmamba.tensor import Parameter
 
 def test_first_step_moves_by_lr():
     p = Parameter("p", np.zeros(4, dtype=np.float64), dtype=np.float64)
-    p.value.grad = np.ones(4)
+    p.grad = np.ones(4)
     state = AdamWState([p])
     adamw_step([p], state, lr=1e-2, weight_decay=0.0)
     np.testing.assert_allclose(p.data, -1e-2, rtol=1e-6)
@@ -16,7 +16,7 @@ def test_first_step_moves_by_lr():
 
 def test_decoupled_decay_with_zero_grad():
     p = Parameter("p", np.full(3, 2.0, dtype=np.float64), dtype=np.float64)
-    p.value.grad = np.zeros(3)
+    p.grad = np.zeros(3)
     state = AdamWState([p])
     adamw_step([p], state, lr=0.1, weight_decay=0.5)
     np.testing.assert_allclose(p.data, 2.0 * (1 - 0.1 * 0.5), rtol=1e-12)
@@ -25,7 +25,7 @@ def test_decoupled_decay_with_zero_grad():
 def test_frozen_untouched():
     frozen = Parameter("fz", np.ones(3, dtype=np.float64), trainable=False, dtype=np.float64)
     free = Parameter("p", np.ones(3, dtype=np.float64), dtype=np.float64)
-    free.value.grad = np.ones(3)
+    free.grad = np.ones(3)
     state = AdamWState([frozen, free])
     before = frozen.data.copy()
     adamw_step([frozen, free], state, lr=0.1, weight_decay=0.1)
@@ -35,7 +35,7 @@ def test_frozen_untouched():
 
 def test_nonfinite_grad_aborts_with_name():
     p = Parameter("layer.weight", np.ones(2, dtype=np.float64), dtype=np.float64)
-    p.value.grad = np.array([np.inf, 0.0])
+    p.grad = np.array([np.inf, 0.0])
     state = AdamWState([p])
     with pytest.raises(NumericError, match="layer.weight"):
         adamw_step([p], state, lr=0.1)
@@ -54,9 +54,9 @@ def test_moments_accumulate_deterministically():
     rng = np.random.default_rng(0)
     grads = [rng.standard_normal(2) for _ in range(5)]
     for g in grads:
-        p1.value.grad = g.copy()
+        p1.grad = g.copy()
         adamw_step([p1], s1, lr=1e-3, weight_decay=1e-2)
     for g in grads:
-        p2.value.grad = g.copy()
+        p2.grad = g.copy()
         adamw_step([p2], s2, lr=1e-3, weight_decay=1e-2)
     np.testing.assert_array_equal(p1.data, p2.data)

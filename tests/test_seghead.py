@@ -111,7 +111,7 @@ def test_loss_grad_finite_differences(rng):
     P = Parameter("logits", 0.5 * rng.standard_normal((1, 2, 4, 4, 4)), dtype=np.float64)
 
     def f():
-        return dice_ce_loss(P.value, labels)
+        return dice_ce_loss(P, labels)
 
     assert grad_check(f, [P], max_coords=12) < 1e-3
 
@@ -292,7 +292,7 @@ def test_sliding_window_probabilities_sum_to_one(rng):
 
     vol = rng.standard_normal((1, 1, 20, 16, 16))
     result = sliding_window_infer(vol, model, window=(16, 16, 16))
-    sums = result.probabilities.sum(axis=1)
+    sums = T.softmax(Tensor(result.logits), axis=1).data.sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-5)
 
 

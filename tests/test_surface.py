@@ -1,61 +1,131 @@
-"""The engine's public surface holds only what the package runs.
+"""The public surface holds only what runs.
 
 Every public top-level function of `tensor.py` and `ops.py` must be called
-from somewhere in `src/tpmamba` outside its own definition.  A primitive that
-only tests use belongs in the tests.
+from somewhere in `src/tpmamba` outside its own definition: a primitive that
+only tests use belongs in the tests.  Every other public top-level function,
+and every public method or property of a class in `src/tpmamba`, needs a
+caller in `src/tpmamba`, `scripts/` or `perfbench/`.  Methods are matched by
+attribute name, since the receiver's class is not known statically.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import tpmamba
 
 PACKAGE = Path(tpmamba.__file__).parent
+REPO = PACKAGE.parents[1]
 ENGINE = ("tensor", "ops")
+
+# Names kept without a caller outside the tests, each with its reason.
+ALLOWED = {
+    # closed-form parameter count that the tests compare the built adapter against
+    "triplane.param_count_adapter",
+}
+
+
+def _parse(paths):
+    return {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+
+
+PACKAGE_TREES = _parse(sorted(PACKAGE.glob("*.py")))
+CALLER_TREES = {
+    **PACKAGE_TREES,
+    **_parse(sorted((REPO / "scripts").glob("*.py")) + sorted((REPO / "perfbench").rglob("*.py"))),
+}
 
 
 def _public_functions(tree):
     return [n for n in tree.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")]
 
 
-def _references(module, tree, skip):
-    """(module, name) pairs this module's code refers to, by bare name or as
-    an attribute of an imported module; nodes in `skip` are not searched."""
+def _public_methods(tree):
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for n in cls.body:
+                if isinstance(n, ast.FunctionDef) and not n.name.startswith("_"):
+                    yield cls.name, n
+
+
+def _module_of(path):
+    """The package module a file defines, or None outside the package."""
+    return path.stem if path.parent == PACKAGE else None
+
+
+def _references(path, tree, within=None):
+    """Count of the (module, name) pairs that the code of `within` (default:
+    the whole file) refers to, by bare name or as an attribute of an imported
+    package module.  Package imports anywhere in the file are resolved,
+    relative (`from .ops import conv3d`) or absolute (`from tpmamba import ops`)."""
     names = {}  # local name -> (module, name)
     modules = {}  # local name -> module
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            for alias in node.names:
-                if node.module is None:
-                    modules[alias.asname or alias.name] = alias.name
-                else:
-                    names[alias.asname or alias.name] = (node.module, alias.name)
-        elif isinstance(node, ast.FunctionDef) and module in ENGINE:
-            names[node.name] = (module, node.name)
-    refs = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node in skip:
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
             continue
+        if node.level == 1:
+            package_module = node.module
+        elif node.level == 0 and (node.module or "").split(".")[0] == "tpmamba":
+            package_module = node.module.partition(".")[2] or None
+        else:
+            continue
+        for alias in node.names:
+            if package_module is None:
+                modules[alias.asname or alias.name] = alias.name
+            else:
+                names[alias.asname or alias.name] = (package_module, alias.name)
+    own = _module_of(path)
+    if own is not None:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                names[node.name] = (own, node.name)
+    refs = Counter()
+    for node in ast.walk(within or tree):
         if isinstance(node, ast.Name) and node.id in names:
-            refs.add(names[node.id])
+            refs[names[node.id]] += 1
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
-            refs.add((modules[node.value.id], node.attr))
-        stack.extend(ast.iter_child_nodes(node))
+            refs[(modules[node.value.id], node.attr)] += 1
     return refs
 
 
-def test_every_public_engine_function_has_a_caller_in_the_package():
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+def _attributes(node):
+    """Count of the attribute names that this code reads or calls."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def _uncalled_functions(modules, callers):
+    """Public functions of these modules referred to nowhere in `callers`
+    but inside their own definition."""
+    total = sum((_references(p, t) for p, t in callers.items()), Counter())
     uncalled = []
-    for module in ENGINE:
-        for fn in _public_functions(trees[module]):
-            called = any(
-                (module, fn.name) in _references(name, tree, {fn} if name == module else set())
-                for name, tree in trees.items()
-            )
-            if not called:
+    for path, tree in PACKAGE_TREES.items():
+        module = _module_of(path)
+        if module not in modules:
+            continue
+        for fn in _public_functions(tree):
+            key = (module, fn.name)
+            if total[key] <= _references(path, tree, fn)[key] and f"{module}.{fn.name}" not in ALLOWED:
                 uncalled.append(f"{module}.{fn.name}")
+    return uncalled
+
+
+def test_every_public_engine_function_has_a_caller_in_the_package():
+    uncalled = _uncalled_functions(ENGINE, PACKAGE_TREES)
     assert not uncalled, f"no caller in src/tpmamba: {uncalled}"
 
+
+def test_every_public_function_has_a_caller():
+    others = {_module_of(p) for p in PACKAGE_TREES} - set(ENGINE)
+    uncalled = _uncalled_functions(others, CALLER_TREES)
+    assert not uncalled, f"no caller in src/tpmamba, scripts/ or perfbench/: {uncalled}"
+
+
+def test_every_public_method_has_a_caller():
+    total = sum((_attributes(t) for t in CALLER_TREES.values()), Counter())
+    uncalled = []
+    for path, tree in PACKAGE_TREES.items():
+        for cls, fn in _public_methods(tree):
+            name = f"{_module_of(path)}.{cls}.{fn.name}"
+            if total[fn.name] <= _attributes(fn)[fn.name] and name not in ALLOWED:
+                uncalled.append(name)
+    assert not uncalled, f"no caller in src/tpmamba, scripts/ or perfbench/: {uncalled}"

@@ -7,7 +7,7 @@ from reference_ops import log
 
 from tpmamba import tensor as T
 from tpmamba.errors import ShapeError
-from tpmamba.ops import grad_check
+from tpmamba.ops import conv3d, grad_check, normalize
 from tpmamba.tensor import Parameter, Tensor, matmul, permute, recording, reshape
 
 
@@ -35,14 +35,14 @@ def test_matmul_shape_error_names_both_shapes():
 def test_matmul_grad_matches_central_differences(rng):
     a = Parameter("a", rng.standard_normal((3, 4)), dtype=np.float64)
     b = Parameter("b", rng.standard_normal((4, 2)), dtype=np.float64)
-    err = grad_check(lambda: T.tsum(matmul(a.value, b.value)), [a, b], max_coords=64)
+    err = grad_check(lambda: T.tsum(matmul(a, b)), [a, b], max_coords=64)
     assert err < 1e-6
 
 
 def test_matmul_batched_grad(rng):
     a = Parameter("a", rng.standard_normal((2, 3, 4)), dtype=np.float64)
     w = Parameter("w", rng.standard_normal((4, 5)), dtype=np.float64)
-    err = grad_check(lambda: T.tsum(T.square(matmul(a.value, w.value))), [a, w], max_coords=40)
+    err = grad_check(lambda: T.tsum(T.square(matmul(a, w))), [a, w], max_coords=40)
     assert err < 1e-6
 
 
@@ -58,7 +58,7 @@ def test_linear_grad(rng):
     x = Parameter("x", rng.standard_normal((2, 6, 3)), dtype=np.float64)
     w = Parameter("w", rng.standard_normal((4, 3)), dtype=np.float64)
     b = Parameter("b", rng.standard_normal(4), dtype=np.float64)
-    err = grad_check(lambda: T.tsum(T.square(T.linear(x.value, w.value, b.value))), [x, w, b])
+    err = grad_check(lambda: T.tsum(T.square(T.linear(x, w, b))), [x, w, b])
     assert err < 1e-6
 
 
@@ -72,7 +72,7 @@ def test_linear_leading_axes_match_reference_and_grads(rng, x_shape, with_bias):
     params = [x, w, b] if with_bias else [x, w]
 
     def lin():
-        return T.linear(x.value, w.value, b.value if with_bias else None)
+        return T.linear(x, w, b if with_bias else None)
 
     ref = np.einsum("...i,oi->...o", x.data, w.data) + (b.data if with_bias else 0.0)
     out = lin()
@@ -136,7 +136,7 @@ def test_tape_accumulates_for_reused_input(rng):
     x = Parameter("x", rng.standard_normal(5), dtype=np.float64)
     # f = sum(x*x) + sum(x) -> grad = 2x + 1
     with recording() as tape:
-        loss = T.add(T.tsum(T.mul(x.value, x.value)), T.tsum(x.value))
+        loss = T.add(T.tsum(T.mul(x, x)), T.tsum(x))
     tape.backward(loss)
     np.testing.assert_allclose(x.grad, 2 * x.data + 1, rtol=1e-12)
 
@@ -145,16 +145,50 @@ def test_frozen_parameter_gets_no_grad(rng):
     frozen = Parameter("frozen", rng.standard_normal((3, 3)), trainable=False, dtype=np.float64)
     free = Parameter("free", rng.standard_normal((3, 3)), dtype=np.float64)
     with recording() as tape:
-        loss = T.tsum(matmul(frozen.value, free.value))
+        loss = T.tsum(matmul(frozen, free))
     tape.backward(loss)
     assert frozen.grad is None
     assert free.grad is not None
 
 
+def test_a_parameter_is_a_tensor(rng):
+    def param(name, shape, trainable):
+        return Parameter(name, rng.standard_normal(shape), trainable=trainable, dtype=np.float64)
+
+    lin_w, lin_b = param("lin_w", (4, 3), True), param("lin_b", (4,), False)
+    conv_w, conv_b = param("conv_w", (2, 2, 1, 1, 1), False), param("conv_b", (2,), True)
+    gamma, beta = param("gamma", (5,), True), param("beta", (5,), False)
+    exp_t, exp_f = param("exp_t", (3,), True), param("exp_f", (3,), False)
+    trainable, frozen = [lin_w, conv_b, gamma, exp_t], [lin_b, conv_w, beta, exp_f]
+    x = Tensor(rng.standard_normal((2, 3)), dtype=np.float64)
+    xc = Tensor(rng.standard_normal((1, 2, 3, 2, 2)), dtype=np.float64)
+    xn = Tensor(rng.standard_normal((2, 5)), dtype=np.float64)
+    with recording() as tape:
+        outs = [
+            T.linear(x, lin_w, lin_b),
+            conv3d(xc, conv_w, conv_b),
+            normalize(xn, "layer_norm", gamma, beta),
+            T.exp(exp_t),
+            T.exp(exp_f),
+        ]
+        loss = T.tsum(T.stack([T.tsum(o) for o in outs], axis=0))
+    tape.backward(loss)
+    for p in trainable + frozen:
+        assert isinstance(p, Tensor)
+        assert p.trainable == p.requires_grad
+    for p in trainable:
+        assert p.trainable and p.grad is not None and p.grad.shape == p.shape, p.name
+    for p in frozen:
+        assert not p.trainable and p.grad is None, p.name
+    np.testing.assert_allclose(lin_w.grad, np.tile(x.data.sum(axis=0), (4, 1)), rtol=1e-12)
+    np.testing.assert_array_equal(conv_b.grad, [12.0, 12.0])
+    np.testing.assert_array_equal(exp_t.grad, np.exp(exp_t.data))
+
+
 def test_backward_leaves_the_recorded_nodes_on_the_tape(rng):
     x = Parameter("x", rng.standard_normal(4), dtype=np.float64)
     with recording() as tape:
-        h = T.exp(x.value)
+        h = T.exp(x)
         loss = T.tsum(T.mul(h, h))
     recorded = len(tape)
     tape.backward(loss)
@@ -214,7 +248,7 @@ def _forward_backward(fn, x, g):
     """fn(x) and its input gradient for the upstream gradient g."""
     p = Parameter("x", x)
     with recording() as tape:
-        y = fn(p.value)
+        y = fn(p)
         loss = T.tsum(T.mul(y, Tensor(g)))
     tape.backward(loss)
     return y.data, p.grad
@@ -278,7 +312,7 @@ def test_gelu_float32_matches_float64_formula():
 def test_elementwise_grads(rng, shape):
     x = Parameter("x", rng.standard_normal(shape) * 0.5, dtype=np.float64)
     for fn in (T.exp, T.silu, T.softplus, T.gelu, T.square):
-        err = grad_check(lambda fn=fn: T.tsum(fn(x.value)), [x], max_coords=8)
+        err = grad_check(lambda fn=fn: T.tsum(fn(x)), [x], max_coords=8)
         assert err < 1e-7, fn.__name__
 
 
@@ -286,9 +320,9 @@ def test_elementwise_grads(rng, shape):
 def test_softmax_log_softmax_grads(rng, shape, axis):
     x = Parameter("x", rng.standard_normal(shape), dtype=np.float64)
     w = Tensor(rng.standard_normal(shape), dtype=np.float64)
-    err = grad_check(lambda: T.tsum(T.mul(T.softmax(x.value, axis=axis), w)), [x])
+    err = grad_check(lambda: T.tsum(T.mul(T.softmax(x, axis=axis), w)), [x])
     assert err < 1e-7
-    err = grad_check(lambda: T.tsum(T.mul(log(T.softmax(x.value, axis=axis)), w)), [x])
+    err = grad_check(lambda: T.tsum(T.mul(log(T.softmax(x, axis=axis)), w)), [x])
     assert err < 1e-7
 
 
@@ -297,7 +331,7 @@ def test_concat_narrow_stack_grads(rng):
     b = Parameter("b", rng.standard_normal((2, 4)), dtype=np.float64)
 
     def f():
-        cat = T.concat([a.value, b.value], axis=1)
+        cat = T.concat([a, b], axis=1)
         piece = T.narrow(cat, 1, 2, 3)
         stk = T.stack([piece, piece], axis=0)
         return T.tsum(T.square(stk))
