@@ -9,6 +9,7 @@ the original file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -48,6 +49,11 @@ class TrainConfig:
     adapter_dt_rank: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("lr_start", "lr_end", "weight_decay", "lora_alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.lr_start <= self.lr_end or self.lr_end < 0:
             raise ConfigError(
                 f"need lr_start > lr_end >= 0, got {self.lr_start} and {self.lr_end}"
@@ -84,7 +90,7 @@ def _parse_value(key: str, raw: str, default):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+        raise ValueError("expected a boolean")
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
@@ -147,7 +153,10 @@ def parse_config_text(text: str) -> TrainConfig:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         current = flat[key]
         ref = tuple(current) if isinstance(current, list) else current
-        parsed = _parse_value(key, raw, ref)
+        try:
+            parsed = _parse_value(key, raw, ref)
+        except ValueError as e:
+            raise ConfigError(f"line {lineno}: {key}={raw.strip()!r} does not parse: {e}") from None
         flat[key] = list(parsed) if isinstance(parsed, tuple) else parsed
     return from_flat_dict(flat)
 

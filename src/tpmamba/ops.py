@@ -85,6 +85,8 @@ def conv3d(
             a += np.matmul(wt[t], xf[:, offsets[t] + c0 : offsets[t] + c1], out=tmp[:, : c1 - c0])
     out = np.ascontiguousarray(acc.reshape(cout, B, Dp, Hp, Wp)[:, :, :od, :oh, :ow].transpose(1, 0, 2, 3, 4))
     out += bias.data.reshape(1, cout, 1, 1, 1)
+    need_x, need_w, need_b, w_shape, dtype = x.requires_grad, weight.requires_grad, bias.requires_grad, weight.shape, x.dtype
+    xd = x.data if need_w else None  # the input only for the weight's gradient
 
     def backward(g):
         # Walk the input columns in tiles: input column c receives tap t from
@@ -92,34 +94,34 @@ def conv3d(
         gf = _padded_columns(g, ((0, Dp - od), (0, Hp - oh), (0, Wp - ow)))[:, :n]
         m = B * Dp * Hp * Wp
         gx = gw = gb = None
-        if weight.requires_grad:
-            xf = _padded_columns(x.data, pads)  # rebuilt, so the tape keeps no padded copy
+        if need_w:
+            xf = _padded_columns(xd, pads)  # rebuilt, so the tape keeps no padded copy
             gwt = np.zeros_like(wt)
-        if x.requires_grad:
-            gxf = np.empty((cin, m), dtype=x.data.dtype)
-            tmp = np.empty((cin, min(cols, m)), dtype=gxf.dtype)
+        if need_x:
+            gxf = np.empty((cin, m), dtype=dtype)
+            tmp = np.empty((cin, min(cols, m)), dtype=dtype)
         for c0 in range(0, m, cols):
             c1 = min(c0 + cols, m)
-            if x.requires_grad:
+            if need_x:
                 gxf[:, max(c0, n) : c1] = 0  # the columns tap 0 (offset 0) does not write
             for t, off in enumerate(offsets):
                 s0, s1 = max(c0 - off, 0), min(c1 - off, n)
                 if s0 >= s1:
                     continue
                 gs = gf[:, s0:s1]
-                if x.requires_grad:
+                if need_x:
                     gx_s = gxf[:, s0 + off : s1 + off]
                     if t:
                         gx_s += np.matmul(wt[t].T, gs, out=tmp[:, : s1 - s0])
                     else:
                         np.matmul(wt[0].T, gs, out=gx_s)
-                if weight.requires_grad:
+                if need_w:
                     gwt[t] += gs @ xf[:, s0 + off : s1 + off].T
-        if weight.requires_grad:
-            gw = np.moveaxis(gwt, 0, 2).reshape(weight.shape)
-        if x.requires_grad:
+        if need_w:
+            gw = np.moveaxis(gwt, 0, 2).reshape(w_shape)
+        if need_x:
             gx = gxf.reshape(cin, B, Dp, Hp, Wp)[:, :, pd : pd + D, ph : ph + H, pw : pw + W].transpose(1, 0, 2, 3, 4)
-        if bias.requires_grad:
+        if need_b:
             gb = g.sum(axis=(0, 2, 3, 4))
         return gx, gw, gb
 
@@ -141,19 +143,21 @@ def conv1d_depthwise(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     for i in range(k):
         out += w[None, :, i : i + 1] * xp[:, :, i : i + L]
     out += bias.data.reshape(1, E, 1)
+    need_x, need_w, need_b, dtype = x.requires_grad, weight.requires_grad, bias.requires_grad, x.dtype
+    xp = xp if need_w else None  # the padded input only for the weight's gradient
 
     def backward(g):
         gx = gw = gb = None
-        if weight.requires_grad:
+        if need_w:
             gw = np.empty_like(w)
             for i in range(k):
                 gw[:, i] = (g * xp[:, :, i : i + L]).sum(axis=(0, 2))
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
+        if need_x:
+            gxp = np.zeros((B, E, L + k - 1), dtype=dtype)
             for i in range(k):
                 gxp[:, :, i : i + L] += w[None, :, i : i + 1] * g
             gx = gxp[:, :, k - 1 :]
-        if bias.requires_grad:
+        if need_b:
             gb = g.sum(axis=(0, 2))
         return gx, gw, gb
 
@@ -181,20 +185,23 @@ def normalize(x: Tensor, kind: str, gamma: Tensor, beta: Tensor) -> Tensor:
     gam = gamma.data.reshape(affine_shape)
     out = xhat * gam + beta.data.reshape(affine_shape)
     n = int(np.prod([x.shape[a] for a in axes]))
+    need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
+    dtype, gamma_shape, beta_shape = x.dtype, gamma.shape, beta.shape
+    reduce_axes = tuple(i for i in range(x.ndim) if i not in (1,)) if kind == "instance_norm" else tuple(range(x.ndim - 1))
+    xhat = xhat if need_x or need_gamma else None
 
     def backward(g):
         gx = ggamma = gbeta = None
-        if x.requires_grad:
+        if need_x:
             gg = g * gam
             # standard layer-norm vjp over the normalized axes
             t1 = gg.sum(axis=axes, keepdims=True)
             t2 = (gg * xhat).sum(axis=axes, keepdims=True)
-            gx = ((inv / n) * (n * gg - t1 - xhat * t2)).astype(x.data.dtype)
-        reduce_axes = tuple(i for i in range(x.ndim) if i not in (1,)) if kind == "instance_norm" else tuple(range(x.ndim - 1))
-        if gamma.requires_grad:
-            ggamma = (g * xhat).sum(axis=reduce_axes).reshape(gamma.shape)
-        if beta.requires_grad:
-            gbeta = g.sum(axis=reduce_axes).reshape(beta.shape)
+            gx = ((inv / n) * (n * gg - t1 - xhat * t2)).astype(dtype)
+        if need_gamma:
+            ggamma = (g * xhat).sum(axis=reduce_axes).reshape(gamma_shape)
+        if need_beta:
+            gbeta = g.sum(axis=reduce_axes).reshape(beta_shape)
         return gx, ggamma, gbeta
 
     return _record((x, gamma, beta), out, backward)
@@ -232,10 +239,11 @@ def upsample_hw(x: Tensor, factor: int) -> Tensor:
     # W pass as one flat GEMM, then H pass as a matmul broadcast over (B,C,D).
     t = (x.data.reshape(-1, W) @ Mw.T).reshape(B, C, D, H, factor * W)
     out = np.matmul(Mh, t)
+    shape = x.shape
 
     def backward(g):
         gt = np.matmul(Mh.T, g)
-        return ((gt.reshape(-1, factor * W) @ Mw).reshape(x.shape),)
+        return ((gt.reshape(-1, factor * W) @ Mw).reshape(shape),)
 
     return _record((x,), out, backward)
 

@@ -159,11 +159,31 @@ def scan_tile_steps(b: int, L: int, E: int, N: int) -> int:
     return max(1, min(L, SCAN_TILE_STATES // (b * E * N)))
 
 
+def _scan_segments(L: int, T: int) -> list[list[tuple]]:
+    """The (t0, t1) tiles of T steps over L, grouped into segments of
+    isqrt(tiles) tiles.  A recorded scan keeps only the state entering each
+    segment; its backward recomputes one segment's states at a time."""
+    tiles = [(t0, min(t0 + T, L)) for t0 in range(0, L, T)]
+    k = math.isqrt(len(tiles))
+    return [tiles[i : i + k] for i in range(0, len(tiles), k)]
+
+
 def _decay(delta: np.ndarray, A: np.ndarray, out: np.ndarray) -> np.ndarray:
     """exp(delta * A) into `out` for a time-major (T, b, E) tile of delta."""
     # einsum forms each product once, with longer inner loops than a broadcast
     # multiply; a zero product may lose its sign, which exp ignores
     return np.exp(np.einsum("tbe,en->tben", delta, A, out=out), out=out)
+
+
+def _tile_states(a, dtu, B, h, x, prod) -> None:
+    """The states of one time-major tile into x: x_j = a_j * x_{j-1} + dtu_j B_j,
+    with x_{-1} = h.  The products a_j * x_{j-1} go to prod, which may be the
+    decays a themselves when they are not needed afterwards."""
+    np.multiply(a[0], h, out=prod[0])  # h may alias x: read it before x is overwritten
+    np.multiply(dtu[:, :, :, None], B[:, :, None, :], out=x)
+    x[0] += prod[0]
+    for j in range(1, len(x)):
+        x[j] += np.multiply(a[j], x[j - 1], out=prod[j])
 
 
 def _time_major(*arrays: np.ndarray) -> list[np.ndarray]:
@@ -176,8 +196,10 @@ def selective_scan(
     """Cache-tiled sequential scan, bit-identical to the oracle's forward.
 
     Time is walked in time-major tiles of `scan_tile_steps` steps, so the
-    (T, b, E, N) states and decays stay in cache.  The state history is kept
-    only when a tape records the call; the backward recomputes decays per tile.
+    (T, b, E, N) states and decays stay in cache.  A recorded call keeps only
+    the state entering each segment of tiles (`_scan_segments`); the backward
+    recomputes a segment's decays and states with the forward's per-tile ops,
+    so they are the forward's bits.
     """
     ud, dd, Ad, Bd, Cd, Dd = u.data, delta.data, A.data, B.data, C.data, D.data
     b, L, E, N = _check_scan_shapes(ud, dd, Ad, Bd, Cd, Dd)
@@ -189,67 +211,78 @@ def selective_scan(
     if L == 0:
         return Tensor(np.zeros((b, 0, E), dtype=ud.dtype))
 
-    T = scan_tile_steps(b, L, E, N)
-    tiles = [(t0, min(t0 + T, L)) for t0 in range(0, L, T)]
     inputs = (u, delta, A, B, C, D)
-    # the backward reads the states only for the gradients of delta, A and C
-    hs = np.empty((L, b, E, N), dtype=ud.dtype) if _needs_grad((delta, A, C)) else None
+    T = scan_tile_steps(b, L, E, N)
+    segments = _scan_segments(L, T)
+    # a recorded call keeps the state entering each segment
+    starts = np.empty((len(segments), b, E, N), dtype=ud.dtype) if _needs_grad(inputs) else None
     xbuf, abuf = np.empty((2, T, b, E, N), dtype=ud.dtype)
     dT, dtuT, BT, CT = _time_major(dd, dd * ud, Bd, Cd)
     out = np.empty((b, L, E), dtype=ud.dtype)
     h = np.zeros((b, E, N), dtype=ud.dtype)
-    for t0, t1 in tiles:
-        x = xbuf[: t1 - t0] if hs is None else hs[t0:t1]
-        a = _decay(dT[t0:t1], Ad, abuf[: t1 - t0])
-        a[0] *= h  # h may alias xbuf: read it before x is overwritten
-        np.multiply(dtuT[t0:t1, :, :, None], BT[t0:t1, :, None, :], out=x)
-        x[0] += a[0]
-        for j in range(1, t1 - t0):
-            a[j] *= x[j - 1]
-            x[j] += a[j]
-        h = x[-1]
-        np.multiply(x, CT[t0:t1, :, None, :], out=a).sum(axis=-1, out=out.swapaxes(0, 1)[t0:t1])
+    for k, segment in enumerate(segments):
+        if starts is not None:
+            starts[k] = h
+        for t0, t1 in segment:
+            x = xbuf[: t1 - t0]
+            a = _decay(dT[t0:t1], Ad, abuf[: t1 - t0])
+            _tile_states(a, dtuT[t0:t1], BT[t0:t1], h, x, a)
+            h = x[-1]
+            np.multiply(x, CT[t0:t1, :, None, :], out=a).sum(axis=-1, out=out.swapaxes(0, 1)[t0:t1])
     out += ud * Dd
+    need_u, need_delta, need_A, need_B, need_C, need_D = (t.requires_grad for t in inputs)
 
     def backward(g):
-        need_u, need_delta, need_A, need_B, need_C, need_D = (t.requires_grad for t in inputs)
         recur = need_u or need_delta or need_A or need_B  # the inputs that need dh
         du = g * Dd if need_u else None
         ddelta, dB, dC = (np.empty_like(x) if need else None for x, need in ((dd, need_delta), (Bd, need_B), (Cd, need_C)))
         dA_acc = np.zeros_like(Ad) if need_A else None
         duT, ddT, dBT, dCT = (None if x is None else x.swapaxes(0, 1) for x in (du, ddelta, dB, dC))
         dT, uT, gT, BT, CT = _time_major(dd, ud, g, Bd, Cd)
-        dhbuf, abuf = np.empty((2, T, b, E, N), dtype=ud.dtype)
+        dtuT = dT * uT
+        # one segment's recomputed decays, and its states after the state
+        # entering it: hs[i] is h_{s0+i-1}
+        S = segments[0][-1][1]
+        decays = np.empty((S, b, E, N), dtype=ud.dtype)
+        hs = np.empty((S + 1, b, E, N), dtype=ud.dtype)
+        dhbuf = np.empty((T, b, E, N), dtype=ud.dtype)
         carry = np.zeros((b, E, N), dtype=ud.dtype)  # dA_{t+1} * dh_{t+1}
-        for t0, t1 in reversed(tiles):
-            if need_C:
-                dCT[t0:t1] = np.matmul(gT[t0:t1, :, None, :], hs[t0:t1])[:, :, 0]
-            if not recur:
-                continue
-            dh = np.einsum("tbe,tbn->tben", gT[t0:t1], CT[t0:t1], out=dhbuf[: t1 - t0])
-            dh[-1] += carry  # carry may alias abuf: read it before a is overwritten
-            a = _decay(dT[t0:t1], Ad, abuf[: t1 - t0])
-            for j in range(t1 - t0 - 1, 0, -1):
-                a[j] *= dh[j]
-                dh[j - 1] += a[j]
-            a[0] *= dh[0]
-            carry = a[0]
-            if need_u or need_delta:
-                s = np.matmul(dh, BT[t0:t1, :, :, None])[..., 0]
-            if need_u:
-                duT[t0:t1] += s * dT[t0:t1]
-            if need_B:
-                dBT[t0:t1] = np.matmul((dT[t0:t1] * uT[t0:t1])[:, :, None, :], dh)[:, :, 0]
-            if not (need_delta or need_A):
-                continue
-            # dh becomes d(loss)/d(delta*A) = dA * dh * h_{t-1}, with h_{-1} = 0
-            np.multiply(a[1:], hs[t0 : t1 - 1], out=dh[1:])
-            np.multiply(a[0], hs[t0 - 1] if t0 else 0, out=dh[0])
-            q = dh.reshape(-1, E, N).swapaxes(0, 1)  # (E, T*b, N)
-            if need_delta:
-                ddT[t0:t1] = s * uT[t0:t1] + np.matmul(q, Ad[:, :, None])[..., 0].T.reshape(t1 - t0, b, E)
-            if need_A:
-                dA_acc += np.matmul(dT[t0:t1].reshape(-1, E).T[:, None, :], q)[:, 0]
+        for k in reversed(range(len(segments) if recur or need_C else 0)):
+            segment, s0 = segments[k], segments[k][0][0]
+            carry = carry.copy()  # carry points into decays, which the recompute overwrites
+            hs[0] = starts[k]
+            for t0, t1 in segment:
+                a = _decay(dT[t0:t1], Ad, decays[t0 - s0 : t1 - s0])
+                _tile_states(a, dtuT[t0:t1], BT[t0:t1], hs[t0 - s0], hs[t0 - s0 + 1 : t1 - s0 + 1], dhbuf)
+            for t0, t1 in reversed(segment):
+                i0, i1 = t0 - s0, t1 - s0
+                if need_C:
+                    dCT[t0:t1] = np.matmul(gT[t0:t1, :, None, :], hs[i0 + 1 : i1 + 1])[:, :, 0]
+                if not recur:
+                    continue
+                dh = np.einsum("tbe,tbn->tben", gT[t0:t1], CT[t0:t1], out=dhbuf[: i1 - i0])
+                dh[-1] += carry
+                a = decays[i0:i1]
+                for j in range(i1 - i0 - 1, 0, -1):
+                    a[j] *= dh[j]
+                    dh[j - 1] += a[j]
+                a[0] *= dh[0]
+                carry = a[0]
+                if need_u or need_delta:
+                    s = np.matmul(dh, BT[t0:t1, :, :, None])[..., 0]
+                if need_u:
+                    duT[t0:t1] += s * dT[t0:t1]
+                if need_B:
+                    dBT[t0:t1] = np.matmul(dtuT[t0:t1, :, None, :], dh)[:, :, 0]
+                if not (need_delta or need_A):
+                    continue
+                # dh becomes d(loss)/d(delta*A) = dA * dh * h_{t-1}, with h_{-1} = 0
+                np.multiply(a, hs[i0:i1], out=dh)
+                q = dh.reshape(-1, E, N).swapaxes(0, 1)  # (E, T*b, N)
+                if need_delta:
+                    ddT[t0:t1] = s * uT[t0:t1] + np.matmul(q, Ad[:, :, None])[..., 0].T.reshape(t1 - t0, b, E)
+                if need_A:
+                    dA_acc += np.matmul(dT[t0:t1].reshape(-1, E).T[:, None, :], q)[:, 0]
         dD = np.einsum("ble,ble->e", g, ud, optimize=True) if need_D else None
         return du, ddelta, dA_acc, dB, dC, dD
 

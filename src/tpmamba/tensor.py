@@ -5,14 +5,18 @@ check suites).  Every differentiable primitive records a node on the active
 tape when one of its inputs requires a gradient; replaying the tape in reverse
 order accumulates gradients into the trainable leaves.  A node's backward
 returns a gradient for exactly the inputs that require one and None for the
-rest, whose work it skips.  With no tape active the same numpy code runs, so
-recorded and unrecorded forward passes are bit-identical.
+rest, whose work it skips.  Its closure keeps shapes, flags and only the
+arrays its formula reads; the node names the tensors this tape produced by a
+key, so the tape pins no intermediate's data, and a replay releases each node
+as it goes.  With no tape active the same numpy code runs, so recorded and
+unrecorded forward passes are bit-identical.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,7 +31,7 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 class Tensor:
     """A dense n-dimensional value, optionally participating in gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "key")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data, dtype=dtype)
@@ -36,6 +40,7 @@ class Tensor:
         self.data: Array = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[Array] = None
+        self.key: Optional[int] = None  # set when a tape node produces this tensor
 
     @property
     def shape(self) -> tuple:
@@ -110,7 +115,17 @@ class Module:
         return [p for p in params if p.trainable], [p for p in params if not p.trainable]
 
 
+# Keys of the tensors that nodes produce.  Never reused, unlike an id(), which
+# a tensor that dies mid-forward frees for a leaf made later to take; and
+# negative, so never equal to the id() that keys a leaf's gradient.
+_KEYS = itertools.count(-1, -1)
+
+
 class _Node:
+    """One recorded primitive: the key of its output, one reference per input
+    (a produced tensor's key, a leaf that needs a gradient, or None) and the
+    backward closure.  A replay drops the references and the closure."""
+
     __slots__ = ("inputs", "output", "backward")
 
     def __init__(self, inputs, output, backward):
@@ -124,29 +139,43 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.first_key = next(_KEYS)  # every key below it was produced on this tape
+        self.replayed = False
 
     def __len__(self) -> int:
         return len(self.nodes)
 
+    def _ref(self, t: Tensor):
+        if t.key is not None and t.key < self.first_key:
+            return t.key
+        return t if t.requires_grad else None
+
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into .grad of every trainable leaf."""
-        grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-        produced = {id(n.output) for n in self.nodes}
+        """Accumulate d(loss)/d(leaf) into .grad of every trainable leaf.
+
+        A tape replays once: each node's closure and input references are
+        dropped as soon as its turn comes, so its arrays can be freed."""
+        if self.replayed:
+            raise RuntimeError("this tape was already replayed; record a new one")
+        self.replayed = True
+        grads: dict[int, Array] = {loss.key: np.ones_like(loss.data)}
         leaves: dict[int, Tensor] = {}
         for node in reversed(self.nodes):
-            g = grads.pop(id(node.output), None)
+            refs, backward = node.inputs, node.backward
+            node.inputs = node.backward = None
+            g = grads.pop(node.output, None)
             if g is None:
                 continue
-            for t, ig in zip(node.inputs, node.backward(g)):
-                if ig is None:
+            for ref, ig in zip(refs, backward(g)):
+                if ig is None or ref is None:
                     continue
-                key = id(t)
+                key = ref if isinstance(ref, int) else id(ref)
                 if key in grads:
                     grads[key] = grads[key] + ig
                 else:
                     grads[key] = ig
-                    if key not in produced:
-                        leaves[key] = t
+                    if key is not ref:
+                        leaves[key] = ref
         for key, t in leaves.items():
             t.grad = grads[key].copy() if t.grad is None else t.grad + grads[key]
 
@@ -179,8 +208,10 @@ def _record(inputs: Sequence[Tensor], out_data: Array, backward: Callable) -> Te
     out.data = out_data
     out.grad = None
     out.requires_grad = needs
+    out.key = next(_KEYS) if needs else None
     if needs:
-        _ACTIVE_TAPE.nodes.append(_Node(tuple(inputs), out, backward))
+        tape = _ACTIVE_TAPE
+        tape.nodes.append(_Node(tuple(tape._ref(t) for t in inputs), out.key, backward))
     return out
 
 
@@ -203,23 +234,25 @@ def _unbroadcast(g: Array, shape: tuple) -> Array:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    need_a, need_b, sa, sb = a.requires_grad, b.requires_grad, a.shape, b.shape
 
     def backward(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
-        )
+        return _unbroadcast(g, sa) if need_a else None, _unbroadcast(g, sb) if need_b else None
 
     return _record((a, b), out, backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
+    need_a, need_b, sa, sb = a.requires_grad, b.requires_grad, a.shape, b.shape
+    # each operand is kept only for the other's gradient
+    ad = a.data if need_b else None
+    bd = b.data if need_a else None
 
     def backward(g):
         return (
-            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+            _unbroadcast(g * bd, sa) if need_a else None,
+            _unbroadcast(g * ad, sb) if need_b else None,
         )
 
     return _record((a, b), out, backward)
@@ -231,8 +264,8 @@ def neg(a: Tensor) -> Tensor:
 
 def scale(a: Tensor, s: float) -> Tensor:
     """Multiply by a python scalar constant (no dtype promotion)."""
-    out = a.data * a.data.dtype.type(s)
-    return _record((a,), out, lambda g: (g * a.data.dtype.type(s),))
+    c = a.data.dtype.type(s)
+    return _record((a,), a.data * c, lambda g: (g * c,))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -241,7 +274,8 @@ def exp(a: Tensor) -> Tensor:
 
 
 def square(a: Tensor) -> Tensor:
-    return _record((a,), a.data * a.data, lambda g: (2.0 * g * a.data,))
+    x = a.data
+    return _record((a,), x * x, lambda g: (2.0 * g * x,))
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +284,13 @@ def square(a: Tensor) -> Tensor:
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
     def backward(g):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _record((a,), out, backward)
 
@@ -270,7 +305,8 @@ def reshape(a: Tensor, shape) -> Tensor:
         raise ShapeError(f"cannot reshape {a.shape} into {shape}: element count differs")
     # materialize: downstream kernels must see values only, never strides
     out = np.ascontiguousarray(a.data.reshape(shape))
-    return _record((a,), out, lambda g: (np.ascontiguousarray(g).reshape(a.shape),))
+    in_shape = a.shape
+    return _record((a,), out, lambda g: (np.ascontiguousarray(g).reshape(in_shape),))
 
 
 def permute(a: Tensor, axes) -> Tensor:
@@ -288,9 +324,10 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
     out = a.data[idx]
+    shape, dtype = a.shape, a.dtype
 
     def backward(g):
-        full = np.zeros(a.shape, dtype=a.data.dtype)
+        full = np.zeros(shape, dtype=dtype)
         full[idx] = g
         return (full,)
 
@@ -299,15 +336,15 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    needs = [t.requires_grad for t in tensors]
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def backward(g):
         grads = []
-        for i, t in enumerate(tensors):
+        for i, need in enumerate(needs):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(idx)] if t.requires_grad else None)
+            grads.append(g[tuple(idx)] if need else None)
         return tuple(grads)
 
     return _record(tuple(tensors), out, backward)
@@ -315,9 +352,10 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 def stack(tensors: Sequence[Tensor], axis: int) -> Tensor:
     out = np.stack([t.data for t in tensors], axis=axis)
+    needs = [t.requires_grad for t in tensors]
 
     def backward(g):
-        return tuple(np.take(g, i, axis=axis) if t.requires_grad else None for i, t in enumerate(tensors))
+        return tuple(np.take(g, i, axis=axis) if need else None for i, need in enumerate(needs))
 
     return _record(tuple(tensors), out, backward)
 
@@ -338,13 +376,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad = np.ascontiguousarray(a.data)
     bd = np.ascontiguousarray(b.data)
     out = np.matmul(ad, bd)
+    need_a, need_b, sa, sb = a.requires_grad, b.requires_grad, a.shape, b.shape
+    # each operand is kept only for the other's gradient
+    ad = ad if need_b else None
+    bd = bd if need_a else None
 
     def backward(g):
         ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.ascontiguousarray(np.swapaxes(bd, -1, -2))), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.ascontiguousarray(np.swapaxes(ad, -1, -2)), g), b.shape)
+        if need_a:
+            ga = _unbroadcast(np.matmul(g, np.ascontiguousarray(np.swapaxes(bd, -1, -2))), sa)
+        if need_b:
+            gb = _unbroadcast(np.matmul(np.ascontiguousarray(np.swapaxes(ad, -1, -2)), g), sb)
         return ga, gb
 
     return _record((a, b), out, backward)
@@ -359,13 +401,19 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     out = flat_x @ weight.data.T
     if bias is not None:
         out += bias.data
+    need_x, need_w, x_shape = x.requires_grad, weight.requires_grad, x.shape
+    has_bias = bias is not None
+    need_b = has_bias and bias.requires_grad
+    # the input only for the weight's gradient, the weight only for the input's
+    flat_x = flat_x if need_w else None
+    w = weight.data if need_x else None
 
     def backward(g):
         flat_g = np.ascontiguousarray(g).reshape(-1, g.shape[-1])
-        gx = (flat_g @ weight.data).reshape(x.shape) if x.requires_grad else None
-        gw = flat_g.T @ flat_x if weight.requires_grad else None
-        if bias is not None:
-            return gx, gw, flat_g.sum(axis=0) if bias.requires_grad else None
+        gx = (flat_g @ w).reshape(x_shape) if need_x else None
+        gw = flat_g.T @ flat_x if need_w else None
+        if has_bias:
+            return gx, gw, flat_g.sum(axis=0) if need_b else None
         return gx, gw
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
@@ -383,15 +431,16 @@ _UNDERFLOW_OK = np.errstate(under="ignore")
 
 @_UNDERFLOW_OK
 def silu(a: Tensor) -> Tensor:
-    s = _sigmoid_np(a.data)
-    out = a.data * s
-    return _record((a,), out, _UNDERFLOW_OK(lambda g: (g * (s * (1.0 + a.data * (1.0 - s))),)))
+    x = a.data
+    s = _sigmoid_np(x)
+    return _record((a,), x * s, _UNDERFLOW_OK(lambda g: (g * (s * (1.0 + x * (1.0 - s))),)))
 
 
 @_UNDERFLOW_OK
 def softplus(a: Tensor) -> Tensor:
-    out = np.logaddexp(a.data.dtype.type(0), a.data)
-    return _record((a,), out, _UNDERFLOW_OK(lambda g: (g * _sigmoid_np(a.data),)))
+    x = a.data
+    out = np.logaddexp(x.dtype.type(0), x)
+    return _record((a,), out, _UNDERFLOW_OK(lambda g: (g * _sigmoid_np(x),)))
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)

@@ -135,3 +135,30 @@ def test_dt_rank_none_round_trip(tmp_path):
     assert cfg.adapter_dt_rank is None
     cfg2 = parse_config_text("adapter.dt_rank=3")
     assert cfg2.adapter_dt_rank == 3
+
+
+@pytest.mark.parametrize(
+    "line", ["epochs=abc", "crop=8,x,32", "lr_start=fast", "adapter.dt_rank=big", "flip=maybe"]
+)
+def test_unparsable_value_names_key_and_line(line):
+    key = line.split("=")[0]
+    with pytest.raises(ConfigError, match=f"line 2: {key}="):
+        parse_config_text(f"# header\n{line}\n")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "lr_start=nan", "lr_start=inf", "lr_end=nan", "lr_end=inf",
+        "weight_decay=nan", "weight_decay=inf", "lora_alpha=nan", "lora_alpha=-inf",
+    ],
+)
+def test_non_finite_rates_rejected(line):
+    with pytest.raises(ConfigError, match=f"{line.split('=')[0]} must be finite"):
+        parse_config_text(line)
+
+
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_epochs_below_one_rejected(epochs):
+    with pytest.raises(ConfigError, match="epochs must be at least 1"):
+        parse_config_text(f"epochs={epochs}")

@@ -84,10 +84,21 @@ def _node_grads(fn, arrays, trainable):
     return tape.nodes[0], tape.nodes[0].backward(g)
 
 
+SCAN_TILE_STATES = 2 * 3 * 2 * 2  # b*E*N of the scan case times 2 steps
+
+
+def test_scan_case_spans_segments_of_several_tiles(monkeypatch):
+    # the state entering a tile comes from inside its segment and, at a
+    # segment's first tile, from the kept segment start: both must run
+    monkeypatch.setattr(ssm, "SCAN_TILE_STATES", SCAN_TILE_STATES)
+    segments = ssm._scan_segments(9, ssm.scan_tile_steps(2, 9, 3, 2))
+    assert len(segments) >= 2 and all(len(s) >= 2 for s in segments[:2])
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_masked_inputs_get_none_and_the_rest_are_unchanged(name, monkeypatch):
-    # several scan tiles, so every tile branch of the scan's backward runs
-    monkeypatch.setattr(ssm, "SCAN_TILE_STATES", 2 * 2 * 3 * 2)
+    # several scan segments of several tiles, so every branch of the scan's backward runs
+    monkeypatch.setattr(ssm, "SCAN_TILE_STATES", SCAN_TILE_STATES)
     fn, makers = CASES[name]
     rng = np.random.default_rng(0)
     arrays = [make(rng) for make in makers]

@@ -4,12 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tpmamba import ssm
 from tpmamba import tensor as T
 from tpmamba.errors import NumericError, ShapeError
 from tpmamba.ops import grad_check
 from tpmamba.ssm import (
     MambaBlockConfig,
     SSMParams,
+    _scan_segments,
     mamba_block_forward,
     param_count_ssm,
     scan_tile_steps,
@@ -202,14 +204,59 @@ def traced_bytes(fn):
     return held - base, peak - base
 
 
-def test_recorded_scan_holds_one_state_array(rng):
-    b, L, E, N = 6, 100, 48, 16
+@pytest.mark.parametrize("b, L", [(96, 36), (6, 576)], ids=["one_step_tiles", "long_sequence"])
+def test_recorded_scan_keeps_only_segment_start_states(rng, b, L):
+    # (96, 36): the hw plane's shape at the default config, one step per tile;
+    # (6, 576): the dw/dh planes' shape, a long sequence of multi-step tiles
+    E, N = 48, 16
     arrays = random_scan_inputs(rng, b, L, E, N, dtype=np.float32)
     params = [Parameter(n, a.data, dtype=np.float32) for n, a in zip("udABCD", arrays)]
-    state = b * L * E * N * 4
+    segments = _scan_segments(L, scan_tile_steps(b, L, E, N))
+    assert len(segments) >= 4
+    starts = len(segments) * b * E * N * 4
     with recording():
-        held, _ = traced_bytes(lambda: selective_scan(*[p for p in params]))
-    assert state <= held <= state + 2 * b * L * E * 4
+        held, _ = traced_bytes(lambda: selective_scan(*params))
+    assert held <= starts + 2 * b * L * E * 4 < b * L * E * N * 4 // 3
+
+
+def _scan_grads(arrays, seed):
+    params = [Parameter(n, a.data, dtype=a.data.dtype) for n, a in zip("udABCD", arrays)]
+    with recording() as tape:
+        y = selective_scan(*params)
+        loss = T.tsum(T.mul(y, Tensor(seed, dtype=seed.dtype)))
+    tape.backward(loss)
+    return y.data.tobytes(), [p.grad.tobytes() for p in params]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scan_gradients_same_bits_for_every_segment_layout(rng, dtype, monkeypatch):
+    b, L, E, N = 2, 16, 3, 2
+    arrays = random_scan_inputs(rng, b, L, E, N, dtype=dtype)
+    seed = np.random.default_rng(7).standard_normal((b, L, E)).astype(dtype)
+    # 8 tiles of 2 steps regrouped: one tile per segment, 3 segments,
+    # 2 segments and a single segment
+    monkeypatch.setattr(ssm, "SCAN_TILE_STATES", b * E * N * 2)
+    tiles = [tile for segment in _scan_segments(L, 2) for tile in segment]
+    reference = _scan_grads(arrays, seed)
+    for k in (1, 3, 4, 8):
+        grouped = [tiles[i : i + k] for i in range(0, len(tiles), k)]
+        with monkeypatch.context() as m:
+            m.setattr(ssm, "_scan_segments", lambda L, T: grouped)
+            assert _scan_grads(arrays, seed) == reference, k
+
+    # Tile sizes whose default layouts are 1 segment, 2 segments of 2 tiles
+    # and one segment per tile.  Only dA sums its per-tile partials, so its
+    # rounding follows the tile size; every other gradient keeps its bits.
+    for steps, layout in ((16, [1]), (4, [2, 2]), (8, [1, 1])):
+        monkeypatch.setattr(ssm, "SCAN_TILE_STATES", b * E * N * steps)
+        assert [len(s) for s in _scan_segments(L, scan_tile_steps(b, L, E, N))] == layout
+        out, grads = _scan_grads(arrays, seed)
+        assert out == reference[0]
+        for i, (g, ref) in enumerate(zip(grads, reference[1])):
+            if i != 2:
+                assert g == ref, (steps, "udABCD"[i])
+        dA, ref_dA = (np.frombuffer(x, dtype=dtype) for x in (grads[2], reference[1][2]))
+        np.testing.assert_allclose(dA, ref_dA, rtol=1e-5 if dtype == np.float32 else 1e-12)
 
 
 def test_plain_scan_keeps_no_state_history(rng):

@@ -193,7 +193,42 @@ def test_backward_leaves_the_recorded_nodes_on_the_tape(rng):
     recorded = len(tape)
     tape.backward(loss)
     assert len(tape) == recorded == 3
+    # each node is released once replayed: no closure, no input references
+    assert all(node.backward is None and node.inputs is None for node in tape.nodes)
     np.testing.assert_allclose(x.grad, 2 * np.exp(2 * x.data), rtol=1e-12)
+
+
+def test_a_tape_replays_once(rng):
+    x = Parameter("x", rng.standard_normal(4), dtype=np.float64)
+    with recording() as tape:
+        loss = T.tsum(T.exp(x))
+    tape.backward(loss)
+    with pytest.raises(RuntimeError, match="already replayed"):
+        tape.backward(loss)
+    np.testing.assert_allclose(x.grad, np.exp(x.data), rtol=1e-12)
+
+
+def test_a_leaf_made_after_an_intermediate_died_gets_its_own_gradient(rng):
+    # The tape holds no produced tensor, so a dropped intermediate frees its
+    # id() mid-forward and a leaf made next can take it.  Produced tensors are
+    # keyed by a counter, so the two gradients never meet.
+    a = Tensor(rng.standard_normal(3), requires_grad=True)
+    with recording() as tape:
+        t = T.scale(a, 3.0)
+        u = T.neg(t)
+        dead = id(t)
+        del t
+        fresh = []
+        while len(fresh) < 64 and dead not in map(id, fresh):
+            fresh.append(Tensor(rng.standard_normal(3), requires_grad=True))
+        loss = T.tsum(u)
+        for w in fresh:
+            loss = T.add(loss, T.tsum(T.square(w)))
+    tape.backward(loss)
+    assert dead in map(id, fresh), "no fresh leaf took the dropped intermediate's id"
+    np.testing.assert_array_equal(a.grad, np.full(3, -3.0, dtype=np.float32))
+    for w in fresh:
+        np.testing.assert_array_equal(w.grad, 2.0 * w.data)
 
 
 @settings(max_examples=25, deadline=None)
