@@ -204,6 +204,18 @@ def traced_bytes(fn):
     return held - base, peak - base
 
 
+def test_recorded_scan_holds_one_state_array(rng):
+    # The tape holds less than one (b, L, E, N) state history: no full
+    # history array is kept, only segment-start states and per-step inputs.
+    b, L, E, N = 6, 100, 48, 16
+    arrays = random_scan_inputs(rng, b, L, E, N, dtype=np.float32)
+    params = [Parameter(n, a.data, dtype=np.float32) for n, a in zip("udABCD", arrays)]
+    state = b * L * E * N * 4
+    with recording():
+        held, _ = traced_bytes(lambda: selective_scan(*params))
+    assert held < state
+
+
 @pytest.mark.parametrize("b, L", [(96, 36), (6, 576)], ids=["one_step_tiles", "long_sequence"])
 def test_recorded_scan_keeps_only_segment_start_states(rng, b, L):
     # (96, 36): the hw plane's shape at the default config, one step per tile;
