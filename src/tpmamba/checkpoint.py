@@ -15,6 +15,7 @@ import zlib
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import CheckpointError
 
 MAGIC = b"TPMB"
@@ -54,7 +55,7 @@ def save_checkpoint(path, named_arrays: dict, config: dict, seed: int) -> None:
         "payload_crc32": zlib.crc32(payload) & 0xFFFFFFFF,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", FORMAT_VERSION, len(header_bytes)))
         f.write(header_bytes)

@@ -7,9 +7,10 @@ import csv
 import dataclasses
 import sys
 
+from .atomic import atomic_write
 from .config import TrainConfig, load_config
 from .data import gen_synth
-from .errors import ConfigError
+from .errors import CheckpointError, ConfigError, InputError, NumericError, ShapeError
 from .flops import ADAPTER_KINDS, flops_sweep, gflops_estimate
 
 
@@ -63,9 +64,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code of a command that a package error ends; 1 is a failed check and
+# 2 an argparse usage error.  Any other exception keeps its traceback.
+_EXIT_CODES = {ConfigError: 3, InputError: 4, CheckpointError: 5, NumericError: 6, ShapeError: 7}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except tuple(_EXIT_CODES) as e:
+        print(f"tpmamba: error: {e}", file=sys.stderr)
+        return _EXIT_CODES[type(e)]
 
+
+def _run(args) -> int:
     if args.command == "gen-synth":
         names = gen_synth(args.n, args.size, args.classes, args.seed, args.out)
         print(f"wrote {len(names)} volume/label pairs to {args.out}")
@@ -118,7 +131,7 @@ def main(argv=None) -> int:
             print(f"{kind:>15}: {val:10.4f} GFlops per block")
         if args.out:
             rows = flops_sweep(args.input, args.dim, args.rank)
-            with open(args.out, "w", newline="") as f:
+            with atomic_write(args.out, "w", newline="") as f:
                 writer = csv.writer(f)
                 writer.writerow(["D", "H", "W", "tokens"] + list(ADAPTER_KINDS))
                 for row in rows:

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import InputError
 
 RVOL_MAGIC = b"RVOL"
@@ -59,7 +60,7 @@ def write_rvol(path, array: np.ndarray, spacing: tuple) -> None:
         code = 1
     else:
         raise InputError(f"RVOL stores f32 or u8 arrays, got {arr.dtype}")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(RVOL_MAGIC)
         f.write(struct.pack("<3I", *arr.shape))
         f.write(struct.pack("<3f", *spacing))

@@ -6,10 +6,11 @@ tape when one of its inputs requires a gradient; replaying the tape in reverse
 order accumulates gradients into the trainable leaves.  A node's backward
 returns a gradient for exactly the inputs that require one and None for the
 rest, whose work it skips.  Its closure keeps shapes, flags and only the
-arrays its formula reads; the node names the tensors this tape produced by a
-key, so the tape pins no intermediate's data, and a replay releases each node
-as it goes.  With no tape active the same numpy code runs, so recorded and
-unrecorded forward passes are bit-identical.
+arrays its formula reads: a one-input activation keeps one (gelu and silu
+their derivative, which the forward forms only under a tape).  The node names
+the tensors this tape produced by a key, so the tape pins no intermediate's
+data, and a replay releases each node as it goes.  With no tape active the same
+numpy code runs, so recorded and unrecorded forward passes are bit-identical.
 """
 
 from __future__ import annotations
@@ -433,7 +434,8 @@ _UNDERFLOW_OK = np.errstate(under="ignore")
 def silu(a: Tensor) -> Tensor:
     x = a.data
     s = _sigmoid_np(x)
-    return _record((a,), x * s, _UNDERFLOW_OK(lambda g: (g * (s * (1.0 + x * (1.0 - s))),)))
+    d = s * (1.0 + x * (1.0 - s)) if _needs_grad((a,)) else None
+    return _record((a,), x * s, _UNDERFLOW_OK(lambda g: (d * g,)))
 
 
 @_UNDERFLOW_OK
@@ -452,19 +454,17 @@ def gelu(a: Tensor) -> Tensor:
     # integer powers as products: on float32, `x**3` takes numpy's slow `pow` loop
     t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
     out = 0.5 * x * (1.0 + t)
-
-    def backward(g):
-        # 0.5*(1+t) + 0.5*x*(1-t*t) * c*(1+3*0.044715*x*x), built in place
+    d = None
+    if _needs_grad((a,)):
+        # the derivative 0.5*(1+t) + 0.5*x*(1-t*t) * c*(1+3*0.044715*x*x),
+        # built in place; backward keeps it instead of x and t
         d = x * x
         d *= 3 * 0.044715
         d += 1.0
         d *= _GELU_C
         d *= 0.5 * x * (1.0 - t * t)
         d += 0.5 * (1.0 + t)
-        d *= g
-        return (d,)
-
-    return _record((a,), out.astype(x.dtype, copy=False), backward)
+    return _record((a,), out.astype(x.dtype, copy=False), lambda g: (d * g,))
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:

@@ -9,6 +9,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import checkpoint
+from .atomic import atomic_write
 from .checkpoint import load_into_model, save_checkpoint
 from .config import TrainConfig, from_flat_dict, to_flat_dict
 from .data import (
@@ -120,7 +121,7 @@ def train(
 
 
 def write_metrics_csv(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "lr", "loss", "mean_dice"])
         for row in rows:
@@ -159,7 +160,7 @@ def evaluate_model(
 
 
 def write_eval_csv(path, rows: list[dict], K: int) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["volume"] + [f"class{k}" for k in range(1, K)] + ["mean"])
         for row in rows:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from tpmamba import cli
 from tpmamba.cli import main
 from tpmamba.config import TrainConfig, load_config
 from tpmamba.data import read_rvol
+from tpmamba.errors import CheckpointError, ConfigError, InputError, NumericError, ShapeError
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +111,55 @@ def test_config_override_seed(workdir, dataset, config_path):
     main(["train", "--config", str(config_path), "--data", str(dataset),
           "--out", str(c2), "--epochs", "1", "--seed", "2", "--quiet"])
     assert c1.read_bytes() != c2.read_bytes()
+
+
+# The exit code of each package error class, as README "Command line" lists them.
+EXIT_CODES = {ConfigError: 3, InputError: 4, CheckpointError: 5, NumericError: 6, ShapeError: 7}
+
+
+def _one_line_error(capsys, rc, cls):
+    err = capsys.readouterr().err
+    assert rc == EXIT_CODES[cls]
+    assert err.startswith("tpmamba: error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+def test_config_error_prints_one_line(workdir, dataset, capsys):
+    cfg = workdir / "bad.cfg"
+    cfg.write_text("epochs=abc\n", encoding="utf-8")
+    rc = main(["train", "--config", str(cfg), "--data", str(dataset), "--out", str(workdir / "bad.ckpt")])
+    assert "epochs" in _one_line_error(capsys, rc, ConfigError)
+
+
+def test_input_error_prints_one_line(workdir, capsys):
+    rc = main(["gen-synth", "--n", "1", "--size", "8", "--out", str(workdir / "tiny")])
+    assert "extents >= 32" in _one_line_error(capsys, rc, InputError)
+
+
+def test_checkpoint_error_prints_one_line(workdir, dataset, capsys):
+    ckpt = workdir / "random.ckpt"
+    ckpt.write_bytes(np.random.default_rng(0).bytes(100))
+    rc = main(["infer", "--ckpt", str(ckpt), "--volume", str(dataset / "case000.img.rvol"),
+               "--out", str(workdir / "never.lbl.rvol")])
+    assert str(ckpt) in _one_line_error(capsys, rc, CheckpointError)
+    assert not (workdir / "never.lbl.rvol").exists()
+
+
+@pytest.mark.parametrize("cls", [NumericError, ShapeError], ids=["NumericError", "ShapeError"])
+def test_numeric_and_shape_errors_print_one_line(workdir, monkeypatch, capsys, cls):
+    def fail(*args):
+        raise cls("raised inside the command")
+
+    monkeypatch.setattr(cli, "gen_synth", fail)
+    rc = main(["gen-synth", "--out", str(workdir / "unused")])
+    assert _one_line_error(capsys, rc, cls) == "tpmamba: error: raised inside the command\n"
+
+
+def test_other_exceptions_keep_their_traceback(workdir, monkeypatch):
+    def fail(*args):
+        raise KeyError("not a package error")
+
+    monkeypatch.setattr(cli, "gen_synth", fail)
+    with pytest.raises(KeyError):
+        main(["gen-synth", "--out", str(workdir / "unused")])

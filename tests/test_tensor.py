@@ -310,6 +310,33 @@ def test_sigmoid_family_bit_identical_to_two_branch_formula(dtype):
             np.testing.assert_array_equal(_bits(grad), _bits(ref_grad), err_msg=fn.__name__)
 
 
+def _gelu_formed_in_backward(x, g):
+    """GELU and its input gradient as the engine formed them when the
+    derivative was built from x and t inside the backward."""
+    c = 0.7978845608028654
+    t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    out = 0.5 * x * (1.0 + t)
+    d = x * x
+    d *= 3 * 0.044715
+    d += 1.0
+    d *= c
+    d *= 0.5 * x * (1.0 - t * t)
+    d += 0.5 * (1.0 + t)
+    d *= g
+    return out, d
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_bit_identical_to_derivative_formed_in_backward(dtype):
+    x = _activation_inputs(dtype)
+    x = x[np.isfinite(x)]
+    g = np.random.default_rng(9).standard_normal(x.shape).astype(dtype)
+    ref_out, ref_grad = _gelu_formed_in_backward(x, g)
+    out, grad = _forward_backward(T.gelu, x, g)
+    np.testing.assert_array_equal(_bits(out), _bits(ref_out))
+    np.testing.assert_array_equal(_bits(grad), _bits(ref_grad))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("fn", [T._sigmoid_np, T.silu, T.softplus], ids=["sigmoid", "silu", "softplus"])
 def test_sigmoid_family_raises_no_floating_point_error(dtype, fn):
