@@ -37,11 +37,10 @@ def main():
     cfg = TrainConfig(
         C=96, n_heads=4, n_blocks=4, adapter_r=24, adapter_scan_mode="tri_plane",
         crop=(32, 96, 96), n_classes=2, seed=0, lr_start=3e-3, weight_decay=1e-2,
-        flip=False, contrast=False, scale_jitter=False,
+        flip=False, contrast=False, scale_jitter=False, epochs=args.steps,
     )
     ckpt = work / "overfit.ckpt"
-    rows = train(cfg, data, ckpt, metrics_csv=work / "metrics.csv",
-                 epochs=args.steps, log=print)
+    rows = train(cfg, data, ckpt, metrics_csv=work / "metrics.csv", log=print)
     print(f"final train dice: {rows[-1]['mean_dice']:.4f}")
 
     eval_rows = evaluate(ckpt, data, work / "eval.csv")

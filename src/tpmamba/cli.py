@@ -88,11 +88,14 @@ def _run(args) -> int:
         from .train import train
 
         cfg = load_config(args.config) if args.config else TrainConfig()
+        # the overrides go through TrainConfig's checks, as the file's values do
+        if args.epochs is not None:
+            cfg = dataclasses.replace(cfg, epochs=args.epochs)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         metrics = args.metrics if args.metrics else args.out + ".metrics.csv"
         log = None if args.quiet else print
-        rows = train(cfg, args.data, args.out, metrics_csv=metrics, epochs=args.epochs, log=log)
+        rows = train(cfg, args.data, args.out, metrics_csv=metrics, log=log)
         print(f"final loss {rows[-1]['loss']:.4f}  train dice {rows[-1]['mean_dice']:.4f}")
         print(f"checkpoint: {args.out}\nmetrics: {metrics}")
         return 0

@@ -1,10 +1,12 @@
-"""Training configuration and the flat key=value config-file format.
+"""The one model and training configuration, and its flat key=value file format.
 
-The file namespace merges the training fields and the encoder fields at the
-top level; adapter fields live under the `adapter.` prefix (for example
-`adapter.scan_mode=tri_plane`).  Unknown keys are errors.  The same flat
-dict is snapshotted into checkpoints so a saved model can be rebuilt without
-the original file.
+`TrainConfig` is the only place a hyper-parameter is declared, defaulted and
+checked: the model's `init` methods read it, and forward code reads sizes
+from parameter shapes.  The file namespace merges the training fields and
+the encoder fields at the top level; adapter fields live under the
+`adapter.` prefix (for example `adapter.scan_mode=tri_plane`).  Unknown keys
+are errors.  The same flat dict is snapshotted into checkpoints so a saved
+model can be rebuilt without the original file.
 """
 
 from __future__ import annotations
@@ -13,9 +15,16 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .encoder import PATCH, ViTConfig
 from .errors import ConfigError
-from .triplane import TPMambaConfig
+
+PATCH = 16  # patch-embedding side; the decoder's four 2x stages undo it
+SCAN_MODES = ("tri_plane", "hw_only", "dw_only", "dh_only", "volume_flatten")
+CONV_MODES = ("multiscale", "single")
+
+
+def auto_dt_rank(r: int) -> int:
+    """Rank of a width-r scanner's delta projection when `adapter.dt_rank` is unset."""
+    return math.ceil(r / 16)
 
 
 @dataclass
@@ -63,13 +72,31 @@ class TrainConfig:
         for ext in self.crop[1:]:
             if ext % PATCH != 0:
                 raise ConfigError(f"crop H/W {self.crop} must be divisible by patch {PATCH}")
+        for name in ("C", "n_heads", "mlp_ratio", "lora_rank", "adapter_r", "adapter_d_state",
+                     "adapter_expand", "adapter_d_conv", "adapter_dt_rank"):
+            val = getattr(self, name)
+            if val is not None and val <= 0:
+                raise ConfigError(f"{_key_of(name)} must be positive, got {val}")
+        if self.C % self.n_heads != 0:
+            raise ConfigError(f"C={self.C} not divisible by n_heads={self.n_heads}")
+        if self.n_blocks < 4:
+            raise ConfigError(f"need at least 4 blocks for the output taps, got n_blocks={self.n_blocks}")
+        if self.n_classes < 2:
+            raise ConfigError(f"need at least 2 classes, got n_classes={self.n_classes}")
+        if self.adapter_scan_mode not in SCAN_MODES:
+            raise ConfigError(f"unknown adapter.scan_mode {self.adapter_scan_mode!r}; choose from {SCAN_MODES}")
+        if self.adapter_conv_mode not in CONV_MODES:
+            raise ConfigError(f"unknown adapter.conv_mode {self.adapter_conv_mode!r}; choose from {CONV_MODES}")
+        if self.adapter_depth_kernel % 2 == 0:
+            raise ConfigError(f"adapter.depth_kernel must be odd, got {self.adapter_depth_kernel}")
+        n = len(self.adapter_dilations)
+        if self.adapter_conv_mode == "multiscale" and (n == 0 or self.adapter_r % n != 0):
+            raise ConfigError(f"adapter.r={self.adapter_r} not divisible by the {n} dilated branches")
 
-    def vit_config(self) -> ViTConfig:
-        """`adapter_<f>` fields go to TPMambaConfig.<f>, same-named ones to ViTConfig."""
-        own = {f.name: getattr(self, f.name) for f in fields(self)}
-        adapter = {k.removeprefix("adapter_"): v for k, v in own.items() if k.startswith("adapter_")}
-        shared = {f.name: own[f.name] for f in fields(ViTConfig) if f.name in own}
-        return ViTConfig(**shared, adapter=TPMambaConfig(C=self.C, **adapter), img_hw=tuple(self.crop[1:]))
+    @property
+    def dt_rank(self) -> int:
+        """The scanners' delta-projection rank: `adapter.dt_rank`, or the automatic rank when unset."""
+        return auto_dt_rank(self.adapter_r) if self.adapter_dt_rank is None else self.adapter_dt_rank
 
 
 def _key_of(field_name: str) -> str:

@@ -187,10 +187,10 @@ def preprocess(rec: VolumeRecord) -> VolumeRecord:
 
 @dataclass
 class AugmentConfig:
-    crop: tuple = (96, 96, 96)
-    flip: bool = True
-    contrast: bool = True
-    scale_jitter: bool = True
+    crop: tuple
+    flip: bool
+    contrast: bool
+    scale_jitter: bool
 
 
 def _crop_or_pad(arr: np.ndarray, target: tuple, starts: Optional[tuple], pad_value) -> np.ndarray:

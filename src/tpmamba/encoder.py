@@ -12,11 +12,11 @@ one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .config import PATCH, TrainConfig
+from .errors import ShapeError
 from .ops import normalize
 from .tensor import (
     Module,
@@ -32,38 +32,7 @@ from .tensor import (
     softmax,
     uniform_init,
 )
-from .triplane import TPMambaAdapter, TPMambaConfig, tp_mamba_forward
-
-PATCH = 16  # patch-embedding side; the decoder's four 2x stages undo it
-
-
-@dataclass
-class ViTConfig:
-    """Encoder hyper-parameters; toy defaults keep f64 grad checks fast."""
-
-    C: int = 96
-    n_blocks: int = 4
-    n_heads: int = 4
-    mlp_ratio: int = 4
-    lora_rank: int = 4
-    lora_alpha: float = 4.0
-    adapter: Optional[TPMambaConfig] = None
-    img_hw: tuple = (96, 96)
-
-    def __post_init__(self):
-        if self.C % self.n_heads != 0:
-            raise ConfigError(f"C={self.C} not divisible by n_heads={self.n_heads}")
-        if self.n_blocks < 4:
-            raise ConfigError(f"need at least 4 blocks for the output taps, got n_blocks={self.n_blocks}")
-        for ext in self.img_hw:
-            if ext % PATCH != 0:
-                raise ConfigError(f"image extent {ext} not divisible by patch {PATCH}")
-        if self.adapter is None:
-            self.adapter = TPMambaConfig(C=self.C, r=24)
-        if self.adapter.C != self.C:
-            raise ConfigError(
-                f"adapter width {self.adapter.C} must equal encoder width {self.C}"
-            )
+from .triplane import TPMambaAdapter, tp_mamba_forward
 
 
 @dataclass
@@ -110,7 +79,7 @@ class FrozenLinear(Module):
 
 @dataclass
 class ViTBlock(Module):
-    cfg: ViTConfig
+    cfg: TrainConfig  # read for the head count
     ln1_g: Parameter
     ln1_b: Parameter
     q: LoRALinear
@@ -124,7 +93,7 @@ class ViTBlock(Module):
     adapter: TPMambaAdapter
 
     @classmethod
-    def init(cls, cfg: ViTConfig, rng, prefix, dtype=np.float32):
+    def init(cls, cfg: TrainConfig, rng, prefix, dtype=np.float32):
         C = cfg.C
 
         def frozen(name, data):
@@ -142,24 +111,23 @@ class ViTBlock(Module):
             ln2_b=frozen("ln2.beta", np.zeros(C, dtype=dtype)),
             mlp1=FrozenLinear.init(rng, f"{prefix}.mlp.fc1", cfg.mlp_ratio * C, C, dtype),
             mlp2=FrozenLinear.init(rng, f"{prefix}.mlp.fc2", C, cfg.mlp_ratio * C, dtype),
-            adapter=TPMambaAdapter.init(cfg.adapter, rng, f"{prefix}.tpmamba", dtype),
+            adapter=TPMambaAdapter.init(cfg, rng, f"{prefix}.tpmamba", dtype),
         )
 
 
 @dataclass
 class Encoder(Module):
-    cfg: ViTConfig
     patch_w: Parameter
     patch_b: Parameter
     pos: Parameter
     blocks: list
 
     @classmethod
-    def init(cls, cfg: ViTConfig, rng: np.random.Generator, dtype=np.float32) -> "Encoder":
+    def init(cls, cfg: TrainConfig, rng: np.random.Generator, dtype=np.float32) -> "Encoder":
+        """Positional embedding on the patch grid of the crop's H and W."""
         p, C = PATCH, cfg.C
-        h0, w0 = cfg.img_hw[0] // p, cfg.img_hw[1] // p
+        h0, w0 = cfg.crop[1] // p, cfg.crop[2] // p
         return cls(
-            cfg=cfg,
             patch_w=Parameter("patch_embed.weight", uniform_init(rng, (C, p * p), p * p, dtype), trainable=False),
             patch_b=Parameter("patch_embed.bias", uniform_init(rng, (C,), p * p, dtype), trainable=False),
             pos=Parameter("pos_embed", (0.02 * rng.standard_normal((1, C, h0, w0))).astype(dtype), trainable=False),
@@ -185,9 +153,8 @@ def patch_embed_slices(X: Tensor, enc: Encoder) -> Tensor:
 
 def mhsa_lora(tokens: Tensor, blk: ViTBlock) -> Tensor:
     """Multi-head self-attention over (BD, T, C) tokens; LoRA on Q and V."""
-    cfg = blk.cfg
     BD, Tn, C = tokens.shape
-    nh = cfg.n_heads
+    nh = blk.cfg.n_heads
     hd = C // nh
 
     def heads(x):
@@ -218,18 +185,14 @@ def vit_block_forward(F: Tensor, blk: ViTBlock, dims: tuple, adapters_enabled: b
 
 def encoder_forward(X: Tensor, enc: Encoder, adapters_enabled: bool = True) -> list[Tensor]:
     """Chain all blocks; return the feature taps of the last four blocks."""
-    cfg = enc.cfg
     B, _, D, H, W = X.shape
     F = patch_embed_slices(X, enc)
     if F.shape[2:] != enc.pos.shape[2:]:
-        raise ShapeError(
-            f"feature grid {F.shape[2:]} does not match positional embedding "
-            f"{enc.pos.shape[2:]} (configured img_hw={cfg.img_hw})"
-        )
+        raise ShapeError(f"feature grid {F.shape[2:]} does not match positional embedding {enc.pos.shape[2:]}")
     F = add(F, enc.pos)
     taps = []
     for i, blk in enumerate(enc.blocks):
         F = vit_block_forward(F, blk, (B, D), adapters_enabled=adapters_enabled)
-        if i >= cfg.n_blocks - 4:
+        if i >= len(enc.blocks) - 4:
             taps.append(F)
     return taps

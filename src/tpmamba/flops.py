@@ -17,18 +17,19 @@ Closed forms (per ViT block):
   conv3d_adapter  1x1x1 down to r, a 3^3 convolution at width r, 1x1x1 up.
   tp_mamba      (k,1,1) reduce, four dilated (k,1,1) branches, three plane
                 scans at linear cost per token, (k,1,1) raise.  Linear in T.
+                k, the scanner's expansion, state width and conv kernel are
+                TrainConfig's defaults; the delta rank follows the rank r.
 """
 
 from __future__ import annotations
 
-import math
-
-from .encoder import PATCH
+from .config import PATCH, TrainConfig, auto_dt_rank
 from .errors import ConfigError
 
 LORA_BASELINE_RANK = 4
 LORA_BASELINE_PROJECTIONS = 3
 SCAN_FLOPS_PER_STATE = 10  # discretize, input injection, state update, readout
+SWEEP_DOUBLINGS = 3  # depth doublings after the input's own depth in `flops_sweep`
 
 ADAPTER_KINDS = ("lora", "sa_adapter", "conv3d_adapter", "tp_mamba")
 
@@ -48,13 +49,13 @@ def flops_estimate(adapter_kind: str, input_dhw: tuple, C: int, r: int) -> float
     if adapter_kind == "conv3d_adapter":
         return float(4 * T * C * r + 2 * T * r * r * 27)
     if adapter_kind == "tp_mamba":
-        k = 3
-        E = 2 * r
-        N = 16
-        dtr = math.ceil(r / 16)
+        cfg = TrainConfig()
+        k, N = cfg.adapter_depth_kernel, cfg.adapter_d_state
+        E = cfg.adapter_expand * r
+        dtr = auto_dt_rank(r)
         per_token_block = (
             2 * r * 2 * E  # in-projection to (main, gate)
-            + 2 * E * 4  # causal depthwise conv, k=4
+            + 2 * E * cfg.adapter_d_conv  # causal depthwise conv
             + 2 * E * (dtr + 2 * N)  # delta/B/C projection
             + 2 * dtr * E  # delta up-projection
             + SCAN_FLOPS_PER_STATE * E * N  # selective scan
@@ -74,11 +75,11 @@ def gflops_estimate(adapter_kind: str, input_dhw: tuple, C: int, r: int) -> floa
     return flops_estimate(adapter_kind, input_dhw, C, r) / 1e9
 
 
-def flops_sweep(input_dhw: tuple, C: int, r: int, doublings: int = 3) -> list[dict]:
+def flops_sweep(input_dhw: tuple, C: int, r: int) -> list[dict]:
     """Rows of per-kind GFlops while the depth extent doubles."""
     D, H, W = input_dhw
     rows = []
-    for i in range(doublings + 1):
+    for i in range(SWEEP_DOUBLINGS + 1):
         dhw = (D * 2**i, H, W)
         row = {"D": dhw[0], "H": H, "W": W, "tokens": _tokens(dhw)}
         for kind in ADAPTER_KINDS:

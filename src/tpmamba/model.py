@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import Encoder, ViTConfig, encoder_forward
-from .seghead import Decoder, DecoderConfig, decoder_forward
+from .config import TrainConfig
+from .encoder import Encoder, encoder_forward
+from .seghead import Decoder, decoder_forward
 from .tensor import Module, Tensor
 
 
@@ -17,11 +18,11 @@ class SegModel(Module):
     decoder: Decoder
 
     @classmethod
-    def init(cls, vit_cfg: ViTConfig, n_classes: int, seed: int) -> "SegModel":
-        rng = np.random.default_rng(seed)
-        encoder = Encoder.init(vit_cfg, rng)
-        decoder = Decoder.init(DecoderConfig(C=vit_cfg.C, K=n_classes), rng)
-        return cls(encoder=encoder, decoder=decoder)
+    def init(cls, cfg: TrainConfig) -> "SegModel":
+        """Encoder, then decoder, from one generator seeded with `cfg.seed`."""
+        rng = np.random.default_rng(cfg.seed)
+        encoder = Encoder.init(cfg, rng)
+        return cls(encoder=encoder, decoder=Decoder.init(cfg, rng))
 
     def forward(self, X: Tensor) -> Tensor:
         """(B,1,D,H,W) volume -> (B,K,D,H,W) logits."""

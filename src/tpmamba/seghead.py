@@ -8,32 +8,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import tensor
-from .errors import ConfigError, InputError, ShapeError
+from .config import TrainConfig
+from .errors import InputError, ShapeError
 from .ops import conv3d, normalize, upsample_hw
 from .tensor import Module, Parameter, Tensor, concat, gelu, permute, reshape, uniform_init
 
 DICE_EPS = 1e-5
-DECODER_STAGES = 4  # 2x upsampling stages: 2**4 recovers the encoder's PATCH
+DECODER_STAGES = 4  # 2x upsampling stages: 2**4 recovers the patch side, config.PATCH
 WINDOW_OVERLAP = 0.5  # fraction of a sliding window shared with its neighbour
 GAUSSIAN_SIGMA_SCALE = 0.125  # blending weight sigma per window extent
-
-
-@dataclass
-class DecoderConfig:
-    """Four conv+norm+GELU+upsample stages recover the patch-downsampled H,W.
-
-    Depth is never downsampled by the slice-wise encoder, so only H and W are
-    upsampled; the k=3 stage convolutions provide inter-slice mixing.  Stage
-    widths taper (C/2, C/4, C/8, C/16, at least 4) so the decoder stays small
-    next to the frozen backbone.
-    """
-
-    C: int
-    K: int
-
-    def __post_init__(self):
-        if self.K < 2:
-            raise ConfigError(f"need at least 2 classes, got K={self.K}")
 
 
 @dataclass
@@ -46,7 +29,14 @@ class DecoderStage(Module):
 
 @dataclass
 class Decoder(Module):
-    cfg: DecoderConfig
+    """Four conv+norm+GELU+upsample stages recover the patch-downsampled H,W.
+
+    Depth is never downsampled by the slice-wise encoder, so only H and W are
+    upsampled; the k=3 stage convolutions provide inter-slice mixing.  Stage
+    widths taper (C/2, C/4, C/8, C/16, at least 4) so the decoder stays small
+    next to the frozen backbone.
+    """
+
     reduce_w: Parameter
     reduce_b: Parameter
     stages: list
@@ -54,15 +44,16 @@ class Decoder(Module):
     head_b: Parameter
 
     @classmethod
-    def init(cls, cfg: DecoderConfig, rng, dtype=np.float32):
+    def init(cls, cfg: TrainConfig, rng, dtype=np.float32):
+        C, K = cfg.C, cfg.n_classes
         # floor of 4 keeps tiny toy widths from collapsing to 1 channel
-        widths = [max(cfg.C // 2 ** (i + 1), 4) for i in range(DECODER_STAGES)]
+        widths = [max(C // 2 ** (i + 1), 4) for i in range(DECODER_STAGES)]
 
         def par(name, data):
             return Parameter(f"decoder.{name}", data, dtype=dtype)
 
-        reduce_w = par("reduce.weight", uniform_init(rng, (widths[0], 4 * cfg.C, 1, 1, 1), 4 * cfg.C, dtype))
-        reduce_b = par("reduce.bias", uniform_init(rng, (widths[0],), 4 * cfg.C, dtype))
+        reduce_w = par("reduce.weight", uniform_init(rng, (widths[0], 4 * C, 1, 1, 1), 4 * C, dtype))
+        reduce_b = par("reduce.bias", uniform_init(rng, (widths[0],), 4 * C, dtype))
         stages = []
         for i, cin in enumerate(widths):
             cout = widths[min(i + 1, DECODER_STAGES - 1)]
@@ -75,12 +66,11 @@ class Decoder(Module):
             ))
         last = widths[-1]
         return cls(
-            cfg=cfg,
             reduce_w=reduce_w,
             reduce_b=reduce_b,
             stages=stages,
-            head_w=par("head.weight", uniform_init(rng, (cfg.K, last, 1, 1, 1), last, dtype)),
-            head_b=par("head.bias", uniform_init(rng, (cfg.K,), last, dtype)),
+            head_w=par("head.weight", uniform_init(rng, (K, last, 1, 1, 1), last, dtype)),
+            head_b=par("head.bias", uniform_init(rng, (K,), last, dtype)),
         )
 
 
@@ -224,7 +214,7 @@ def gaussian_importance(window: tuple) -> np.ndarray:
 def sliding_window_infer(
     volume: np.ndarray,
     model: Callable[[np.ndarray], np.ndarray],
-    window: tuple = (96, 96, 96),
+    window: tuple,
 ) -> SegmentationOutput:
     """Cover (1,1,D,H,W) with overlapping windows, Gaussian-blend the logits.
 

@@ -14,16 +14,20 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
-from .encoder import Encoder, ViTConfig, vit_block_forward
+from .config import TrainConfig
+from .encoder import Encoder, vit_block_forward
 from .ops import conv1d_depthwise, conv3d, grad_check, normalize, upsample_hw
-from .seghead import Decoder, DecoderConfig, decoder_forward, dice_ce_loss
-from .ssm import MambaBlockConfig, SSMParams, mamba_block_forward, selective_scan, selective_scan_sequential
+from .seghead import Decoder, decoder_forward, dice_ce_loss
+from .ssm import SSMParams, mamba_block_forward, selective_scan, selective_scan_sequential
 from .tensor import Parameter, Tensor
-from .triplane import TPMambaAdapter, TPMambaConfig, plane_flatten, plane_unflatten, tp_mamba_forward
+from .triplane import TPMambaAdapter, plane_flatten, plane_unflatten, tp_mamba_forward
 
 Check = tuple[str, bool, str]
 
 SCAN_TOLERANCE = {"f32": 1e-5, "f64": 1e-10}
+
+# the model cases' config: width 8 in 2 heads, scanners of width 4 with 2 states
+TOY = TrainConfig(C=8, n_heads=2, lora_rank=2, lora_alpha=2.0, adapter_r=4, adapter_d_state=2, crop=(4, 32, 32))
 
 
 def grad_tolerance(case: str) -> float:
@@ -115,7 +119,7 @@ def gradient_errors(seed: int) -> dict[str, float]:
     results["upsample_hw"] = grad_check(lambda: T.tsum(T.mul(upsample_hw(xu, 2), wu)), [xu], max_coords=8)
 
     # full tri-plane adapter with every zero-init path given signal
-    adapter = TPMambaAdapter.init(TPMambaConfig(C=8, r=4, d_state=2), rng, "tp", dtype=f64)
+    adapter = TPMambaAdapter.init(TOY, rng, "tp", dtype=f64)
     for p in (adapter.raise_w, adapter.phi_hw.w_out, adapter.phi_dw.w_out, adapter.phi_dh.w_out):
         p.data = 0.3 * rng.standard_normal(p.shape)
     F = Tensor(rng.standard_normal((3, 8, 2, 2)), dtype=f64)
@@ -125,11 +129,7 @@ def gradient_errors(seed: int) -> dict[str, float]:
     )
 
     # one full ViT block over its trainables
-    vcfg = ViTConfig(
-        C=8, n_heads=2, n_blocks=4, lora_rank=2, lora_alpha=2.0,
-        adapter=TPMambaConfig(C=8, r=4, d_state=2), img_hw=(32, 32),
-    )
-    blk = Encoder.init(vcfg, rng, dtype=f64).blocks[0]
+    blk = Encoder.init(TOY, rng, dtype=f64).blocks[0]
     ad = blk.adapter
     for p in (ad.raise_w, blk.q.b_lora, blk.v.b_lora, ad.phi_hw.w_out, ad.phi_dw.w_out, ad.phi_dh.w_out):
         p.data = 0.2 * rng.standard_normal(p.shape)
@@ -139,7 +139,7 @@ def gradient_errors(seed: int) -> dict[str, float]:
         lambda: T.tsum(T.mul(vit_block_forward(Fb, blk, (1, 3)), wb2)), blk.partition()[0], max_coords=3
     )
 
-    dec = Decoder.init(DecoderConfig(C=8, K=2), rng, dtype=f64)
+    dec = Decoder.init(TOY, rng, dtype=f64)
     taps = [Tensor(rng.standard_normal((2, 8, 1, 1)), dtype=f64) for _ in range(4)]
     wd = Tensor(rng.standard_normal((1, 2, 2, 16, 16)), dtype=f64)
     results["decoder"] = grad_check(
@@ -150,7 +150,7 @@ def gradient_errors(seed: int) -> dict[str, float]:
     P = Parameter("logits", 0.5 * rng.standard_normal((1, 2, 4, 4, 4)), dtype=f64)
     results["dice_ce_loss"] = grad_check(lambda: dice_ce_loss(P, labels), [P], max_coords=10)
 
-    params = SSMParams.init(MambaBlockConfig(d_model=4, d_state=2), rng, "blk", dtype=f64)
+    params = SSMParams.init(TOY, rng, "blk", dtype=f64)
     params.w_out.data = 0.1 * rng.standard_normal(params.w_out.shape)
     seq = Tensor(rng.standard_normal((1, 6, 4)), dtype=f64)
     results["mamba_block"] = grad_check(

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .config import TrainConfig
+from .errors import NumericError, ShapeError
 from .tensor import (
     Module,
     Parameter,
@@ -48,32 +48,9 @@ SCAN_TILE_STATES = 2**17  # state values per scan tile: 512 KiB at f32, cache-re
 
 
 @dataclass
-class MambaBlockConfig:
-    """Shape hyper-parameters of one sequence-scanner block."""
-
-    d_model: int
-    d_state: int = 16
-    expand: int = 2
-    d_conv: int = 4
-    dt_rank: Optional[int] = None
-
-    def __post_init__(self):
-        if self.dt_rank is None:
-            self.dt_rank = math.ceil(self.d_model / 16)
-        for name in ("d_model", "d_state", "expand", "d_conv", "dt_rank"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"MambaBlockConfig.{name} must be positive")
-
-    @property
-    def d_inner(self) -> int:
-        return self.expand * self.d_model
-
-
-@dataclass
 class SSMParams(Module):
     """Parameters of one scanner block (see `mamba_block_forward`)."""
 
-    cfg: MambaBlockConfig
     w_in: Parameter
     w_conv: Parameter
     b_conv: Parameter
@@ -85,8 +62,10 @@ class SSMParams(Module):
     w_out: Parameter
 
     @classmethod
-    def init(cls, cfg: MambaBlockConfig, rng: np.random.Generator, prefix: str, dtype=np.float32) -> "SSMParams":
-        r, E, N, k, dtr = cfg.d_model, cfg.d_inner, cfg.d_state, cfg.d_conv, cfg.dt_rank
+    def init(cls, cfg: TrainConfig, rng: np.random.Generator, prefix: str, dtype=np.float32) -> "SSMParams":
+        """A scanner of width `adapter.r` with `adapter.expand` times as many channels."""
+        r, N, k, dtr = cfg.adapter_r, cfg.adapter_d_state, cfg.adapter_d_conv, cfg.dt_rank
+        E = cfg.adapter_expand * r
 
         def par(name, data):
             return Parameter(f"{prefix}.{name}", data, dtype=dtype)
@@ -96,7 +75,6 @@ class SSMParams(Module):
         dt_bias = dt + np.log(-np.expm1(-dt))
         a_init = np.tile(np.log(np.arange(1, N + 1, dtype=np.float64)), (E, 1))
         return cls(
-            cfg=cfg,
             w_in=par("w_in", uniform_init(rng, (2 * E, r), r, dtype)),
             w_conv=par("w_conv", uniform_init(rng, (E, k), k, dtype)),
             b_conv=par("b_conv", uniform_init(rng, (E,), k, dtype)),
@@ -110,9 +88,10 @@ class SSMParams(Module):
         )
 
 
-def param_count_ssm(cfg: MambaBlockConfig) -> int:
+def param_count_ssm(cfg: TrainConfig) -> int:
     """Closed-form parameter count of one SSMParams set."""
-    r, E, N, k, dtr = cfg.d_model, cfg.d_inner, cfg.d_state, cfg.d_conv, cfg.dt_rank
+    r, N, k, dtr = cfg.adapter_r, cfg.adapter_d_state, cfg.adapter_d_conv, cfg.dt_rank
+    E = cfg.adapter_expand * r
     return 2 * E * r + E * k + E + (dtr + 2 * N) * E + E * dtr + E + E * N + E + r * E
 
 
@@ -295,13 +274,13 @@ def mamba_block_forward(seq: Tensor, params: SSMParams, sequential: bool = False
     Pipeline: in-projection to (main, gate), causal depthwise conv + SiLU on
     the main path, input-dependent (delta, B, C), selective scan, SiLU-gated
     multiply, out-projection.  With w_out at its zero init the block is the
-    identity map.
+    identity map.  The sizes come from the parameter shapes.
     """
-    cfg = params.cfg
     b, L, r = seq.shape
-    if r != cfg.d_model:
-        raise ShapeError(f"sequence width {r} != configured d_model {cfg.d_model}")
-    E, N, dtr = cfg.d_inner, cfg.d_state, cfg.dt_rank
+    if r != params.w_in.shape[1]:
+        raise ShapeError(f"sequence width {r} != scanner width {params.w_in.shape[1]}")
+    E, N = params.a_log.shape
+    dtr = params.w_dt.shape[1]
 
     xz = linear(seq, params.w_in)
     x = narrow(xz, 2, 0, E)

@@ -29,7 +29,7 @@ from .tensor import Tensor, recording
 
 
 def build_model(cfg: TrainConfig) -> SegModel:
-    return SegModel.init(cfg.vit_config(), cfg.n_classes, seed=cfg.seed)
+    return SegModel.init(cfg)
 
 
 def model_from_checkpoint(path) -> tuple[SegModel, TrainConfig]:
@@ -69,15 +69,14 @@ def train(
     data_dir,
     out_ckpt,
     metrics_csv=None,
-    epochs: Optional[int] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> list[dict]:
-    """Train on every labelled record per epoch; returns the metrics rows.
+    """Train for cfg.epochs on every labelled record per epoch; returns the
+    metrics rows.
 
     Fully reproducible: the model init derives from cfg.seed and each
     (epoch, record) pair gets its own pre-assigned RNG stream.
     """
-    n_epochs = epochs if epochs is not None else cfg.epochs
     pairs = list_dataset(data_dir)
     records = []
     for vol, lab in pairs:
@@ -90,8 +89,8 @@ def train(
     opt_state = AdamWState(trainable)
 
     rows = []
-    for epoch in range(n_epochs):
-        lr = lr_schedule(epoch, n_epochs, cfg.lr_start, cfg.lr_end)
+    for epoch in range(cfg.epochs):
+        lr = lr_schedule(epoch, cfg.epochs, cfg.lr_start, cfg.lr_end)
         losses, dices = [], []
         for idx, rec in enumerate(records):
             rng = np.random.default_rng((cfg.seed, epoch, idx))
@@ -109,7 +108,7 @@ def train(
         rows.append(row)
         if log is not None:
             log(
-                f"epoch {epoch + 1}/{n_epochs}  lr {lr:.3e}  loss {row['loss']:.4f}  "
+                f"epoch {epoch + 1}/{cfg.epochs}  lr {lr:.3e}  loss {row['loss']:.4f}  "
                 f"dice {row['mean_dice']:.4f}"
             )
 
@@ -134,7 +133,7 @@ def evaluate_model(
     model_fn: Callable[[np.ndarray], np.ndarray],
     records: list[tuple[str, VolumeRecord]],
     K: int,
-    window: tuple = (96, 96, 96),
+    window: tuple,
 ) -> list[dict]:
     """Sliding-window Dice per volume plus a trailing mean row."""
     rows = []

@@ -13,59 +13,21 @@ identity map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .config import TrainConfig
 from .errors import ConfigError, ShapeError
 from .ops import conv3d, same_padding
-from .ssm import MambaBlockConfig, SSMParams, mamba_block_forward, param_count_ssm
+from .ssm import SSMParams, mamba_block_forward, param_count_ssm
 from .tensor import Module, Parameter, Tensor, add, concat, permute, reshape, uniform_init
-
-SCAN_MODES = ("tri_plane", "hw_only", "dw_only", "dh_only", "volume_flatten")
-CONV_MODES = ("multiscale", "single")
-
-
-@dataclass
-class TPMambaConfig:
-    """Adapter hyper-parameters; defaults follow the production settings."""
-
-    C: int
-    r: int
-    dilations: tuple = (1, 2, 4, 8)
-    depth_kernel: int = 3
-    scan_mode: str = "tri_plane"
-    conv_mode: str = "multiscale"
-    d_state: int = 16
-    expand: int = 2
-    d_conv: int = 4
-    dt_rank: Optional[int] = None
-
-    def __post_init__(self):
-        if self.scan_mode not in SCAN_MODES:
-            raise ConfigError(f"unknown scan_mode {self.scan_mode!r}; choose from {SCAN_MODES}")
-        if self.conv_mode not in CONV_MODES:
-            raise ConfigError(f"unknown conv_mode {self.conv_mode!r}; choose from {CONV_MODES}")
-        if self.depth_kernel % 2 == 0:
-            raise ConfigError(f"depth_kernel must be odd, got {self.depth_kernel}")
-        if self.conv_mode == "multiscale" and self.r % len(self.dilations) != 0:
-            raise ConfigError(
-                f"rank {self.r} not divisible by the {len(self.dilations)} dilated branches"
-            )
-        if self.C <= 0 or self.r <= 0:
-            raise ConfigError("C and r must be positive")
-
-    def ssm_config(self) -> MambaBlockConfig:
-        """The scanner width is r; the other MambaBlockConfig fields share our names."""
-        own = {f.name for f in fields(self)}
-        shared = {f.name: getattr(self, f.name) for f in fields(MambaBlockConfig) if f.name in own}
-        return MambaBlockConfig(d_model=self.r, **shared)
 
 
 @dataclass
 class TPMambaAdapter(Module):
-    cfg: TPMambaConfig
+    cfg: TrainConfig  # read for the dilations, depth kernel, scan mode and conv mode
     reduce_w: Parameter
     reduce_b: Parameter
     branch_ws: list
@@ -78,17 +40,17 @@ class TPMambaAdapter(Module):
 
     @classmethod
     def init(
-        cls, cfg: TPMambaConfig, rng: np.random.Generator, prefix: str, dtype=np.float32
+        cls, cfg: TrainConfig, rng: np.random.Generator, prefix: str, dtype=np.float32
     ) -> "TPMambaAdapter":
-        C, r, k = cfg.C, cfg.r, cfg.depth_kernel
+        C, r, k = cfg.C, cfg.adapter_r, cfg.adapter_depth_kernel
 
         def par(name, data):
             return Parameter(f"{prefix}.{name}", data, dtype=dtype)
 
         branch_ws, branch_bs = [], []
-        if cfg.conv_mode == "multiscale":
-            rb = r // len(cfg.dilations)
-            for i, d in enumerate(cfg.dilations):
+        if cfg.adapter_conv_mode == "multiscale":
+            rb = r // len(cfg.adapter_dilations)
+            for i, d in enumerate(cfg.adapter_dilations):
                 branch_ws.append(
                     par(f"branch{i}_d{d}.weight", uniform_init(rng, (rb, r, k, 1, 1), r * k, dtype))
                 )
@@ -97,49 +59,48 @@ class TPMambaAdapter(Module):
             branch_ws.append(par("branch_single.weight", uniform_init(rng, (r, r, k, 1, 1), r * k, dtype)))
             branch_bs.append(par("branch_single.bias", uniform_init(rng, (r,), r * k, dtype)))
 
-        ssm_cfg = cfg.ssm_config()
         return cls(
             cfg=cfg,
             reduce_w=par("reduce.weight", uniform_init(rng, (r, C, k, 1, 1), C * k, dtype)),
             reduce_b=par("reduce.bias", uniform_init(rng, (r,), C * k, dtype)),
             branch_ws=branch_ws,
             branch_bs=branch_bs,
-            phi_hw=SSMParams.init(ssm_cfg, rng, f"{prefix}.phi_hw", dtype=dtype),
-            phi_dw=SSMParams.init(ssm_cfg, rng, f"{prefix}.phi_dw", dtype=dtype),
-            phi_dh=SSMParams.init(ssm_cfg, rng, f"{prefix}.phi_dh", dtype=dtype),
+            phi_hw=SSMParams.init(cfg, rng, f"{prefix}.phi_hw", dtype=dtype),
+            phi_dw=SSMParams.init(cfg, rng, f"{prefix}.phi_dw", dtype=dtype),
+            phi_dh=SSMParams.init(cfg, rng, f"{prefix}.phi_dh", dtype=dtype),
             # zero raise conv: a fresh adapter leaves the backbone untouched
             raise_w=par("raise.weight", np.zeros((C, r, k, 1, 1), dtype=dtype)),
             raise_b=par("raise.bias", np.zeros((C,), dtype=dtype)),
         )
 
 
-def param_count_adapter(cfg: TPMambaConfig) -> int:
+def param_count_adapter(cfg: TrainConfig) -> int:
     """Exact parameter count: reduce + dilated branches + 3 scanners + raise."""
-    C, r, k = cfg.C, cfg.r, cfg.depth_kernel
-    n = len(cfg.dilations) if cfg.conv_mode == "multiscale" else 1
+    C, r, k = cfg.C, cfg.adapter_r, cfg.adapter_depth_kernel
+    n = len(cfg.adapter_dilations) if cfg.adapter_conv_mode == "multiscale" else 1
     rb = r // n
     branches = n * (k * r * rb + rb)
-    return (k * C * r + r) + branches + 3 * param_count_ssm(cfg.ssm_config()) + (k * r * C + C)
+    return (k * C * r + r) + branches + 3 * param_count_ssm(cfg) + (k * r * C + C)
 
 
 def reduce_dim(F: Tensor, adapter: TPMambaAdapter) -> Tensor:
     """(B,C,D,h,w) -> (B,r,D,h,w) with a depth-only same-padded conv."""
-    cfg = adapter.cfg
-    if F.shape[1] != cfg.C:
-        raise ShapeError(f"input width {F.shape[1]} != configured C {cfg.C}")
-    pad = same_padding(cfg.depth_kernel, 1)
+    C = adapter.reduce_w.shape[1]
+    if F.shape[1] != C:
+        raise ShapeError(f"input width {F.shape[1]} != adapter width {C}")
+    pad = same_padding(adapter.cfg.adapter_depth_kernel, 1)
     return conv3d(F, adapter.reduce_w, adapter.reduce_b, padding=(pad, 0, 0))
 
 
 def multiscale_depth_conv(G: Tensor, adapter: TPMambaAdapter) -> Tensor:
     """Four parallel dilated depth convs, concatenated in dilation order."""
     cfg = adapter.cfg
-    if cfg.conv_mode == "single":
-        pad = same_padding(cfg.depth_kernel, 1)
+    if cfg.adapter_conv_mode == "single":
+        pad = same_padding(cfg.adapter_depth_kernel, 1)
         return conv3d(G, adapter.branch_ws[0], adapter.branch_bs[0], padding=(pad, 0, 0))
     outs = []
-    for w, b, d in zip(adapter.branch_ws, adapter.branch_bs, cfg.dilations):
-        pad = same_padding(cfg.depth_kernel, d)
+    for w, b, d in zip(adapter.branch_ws, adapter.branch_bs, cfg.adapter_dilations):
+        pad = same_padding(cfg.adapter_depth_kernel, d)
         outs.append(conv3d(G, w, b, dilation=(d, 1, 1), padding=(pad, 0, 0)))
     return concat(outs, axis=1)
 
@@ -195,8 +156,7 @@ def scan_stage(G: Tensor, adapter: TPMambaAdapter, mode: Optional[str] = None) -
     The volume_flatten variant reuses the hw scanner on the fully flattened
     sequence (it is a single-scan ablation, not a fourth parameter set).
     """
-    cfg = adapter.cfg
-    mode = mode if mode is not None else cfg.scan_mode
+    mode = mode if mode is not None else adapter.cfg.adapter_scan_mode
     dims = tuple(G.shape)
     scanners = {"hw": adapter.phi_hw, "dw": adapter.phi_dw, "dh": adapter.phi_dh,
                 "volume": adapter.phi_hw}
@@ -210,7 +170,7 @@ def scan_stage(G: Tensor, adapter: TPMambaAdapter, mode: Optional[str] = None) -
 
 
 def raise_dim(G: Tensor, adapter: TPMambaAdapter) -> Tensor:
-    pad = same_padding(adapter.cfg.depth_kernel, 1)
+    pad = same_padding(adapter.cfg.adapter_depth_kernel, 1)
     return conv3d(G, adapter.raise_w, adapter.raise_b, padding=(pad, 0, 0))
 
 

@@ -12,7 +12,7 @@ import pytest
 from tpmamba import tensor as T
 from tpmamba.config import TrainConfig
 from tpmamba.data import VolumeRecord, gen_synth, preprocess
-from tpmamba.encoder import Encoder, ViTConfig, encoder_forward
+from tpmamba.encoder import Encoder, encoder_forward
 from tpmamba.flops import gflops_estimate
 from tpmamba.ops import grad_check
 from tpmamba.selfcheck import (
@@ -22,12 +22,11 @@ from tpmamba.selfcheck import (
     plane_roundtrip_exact,
     scan_oracle_errors,
 )
-from tpmamba.ssm import MambaBlockConfig, SSMParams, mamba_block_forward
+from tpmamba.ssm import SSMParams, mamba_block_forward
 from tpmamba.tensor import Tensor
 from tpmamba.train import train
 from tpmamba.triplane import (
     TPMambaAdapter,
-    TPMambaConfig,
     param_count_adapter,
     plane_flatten,
     plane_unflatten,
@@ -68,11 +67,11 @@ def test_criterion_2_gradient_suite():
 
 def test_criterion_3_init_transparency():
     rng = np.random.default_rng(11)
-    vcfg = ViTConfig(
+    cfg = TrainConfig(
         C=8, n_heads=2, n_blocks=4, lora_rank=2, lora_alpha=2.0,
-        adapter=TPMambaConfig(C=8, r=4, d_state=2), img_hw=(32, 32),
+        adapter_r=4, adapter_d_state=2, crop=(3, 32, 32),
     )
-    enc = Encoder.init(vcfg, rng)
+    enc = Encoder.init(cfg, rng)
     for i in range(5):
         X = Tensor(rng.standard_normal((1, 1, 3, 32, 32)).astype(np.float32))
         on = encoder_forward(X, enc, adapters_enabled=True)
@@ -86,7 +85,7 @@ def test_criterion_4_triplane_bijectivity_and_sum():
     assert plane_roundtrip_exact(5)
 
     rng = np.random.default_rng(5)
-    acfg = TPMambaConfig(C=8, r=4, d_state=2)
+    acfg = TrainConfig(C=8, n_heads=2, adapter_r=4, adapter_d_state=2)
     adapter = TPMambaAdapter.init(acfg, rng, "tp", dtype=np.float64)
     for phi in (adapter.phi_hw, adapter.phi_dw, adapter.phi_dh):
         phi.w_out.data = 0.5 * rng.standard_normal(phi.w_out.shape)
@@ -106,9 +105,9 @@ def test_criterion_5_overfit_oracle(tmp_path):
     cfg = TrainConfig(
         C=96, n_heads=4, n_blocks=4, adapter_r=24, adapter_scan_mode="tri_plane",
         crop=(32, 96, 96), n_classes=2, seed=0, lr_start=3e-3, weight_decay=1e-2,
-        flip=False, contrast=False, scale_jitter=False,
+        flip=False, contrast=False, scale_jitter=False, epochs=200,
     )
-    rows = train(cfg, data_dir, tmp_path / "overfit.ckpt", epochs=200)
+    rows = train(cfg, data_dir, tmp_path / "overfit.ckpt")
     elapsed = time.perf_counter() - start
     final_dice = rows[-1]["mean_dice"]
     assert final_dice >= 0.95, f"final train dice {final_dice}"
@@ -168,7 +167,7 @@ def test_criterion_7_flops_anchors():
 @pytest.mark.parametrize("r", [24, 48, 96, 192])
 def test_criterion_8_rank_sweep(r):
     rng = np.random.default_rng(100 + r)
-    cfg = TPMambaConfig(C=16, r=r, d_state=4)
+    cfg = TrainConfig(C=16, n_heads=2, adapter_r=r, adapter_d_state=4)
     adapter = TPMambaAdapter.init(cfg, rng, "tp", dtype=np.float64)
 
     # exact closed-form parameter count
@@ -176,7 +175,7 @@ def test_criterion_8_rank_sweep(r):
     assert counted == param_count_adapter(cfg)
 
     # criterion 1 at this width: block-level fast/sequential agreement
-    params = SSMParams.init(MambaBlockConfig(d_model=r, d_state=4), rng, "blk", dtype=np.float64)
+    params = SSMParams.init(cfg, rng, "blk", dtype=np.float64)
     params.w_out.data = 0.2 * rng.standard_normal(params.w_out.shape)
     seq = Tensor(rng.standard_normal((1, 7, r)), dtype=np.float64)
     fast = mamba_block_forward(seq, params).data

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import struct
@@ -75,12 +76,12 @@ def test_bad_magic_rejected(tmp_path):
 
 def test_model_round_trip_and_mismatch(tmp_path):
     cfg = small_cfg()
-    model = SegModel.init(cfg.vit_config(), cfg.n_classes, seed=3)
+    model = SegModel.init(dataclasses.replace(cfg, seed=3))
     named = {n: p.data for n, p in model.named_parameters().items()}
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, named, to_flat_dict(cfg), cfg.seed)
 
-    clone = SegModel.init(cfg.vit_config(), cfg.n_classes, seed=99)
+    clone = SegModel.init(dataclasses.replace(cfg, seed=99))
     arrays = load_checkpoint(path)[0]
     load_into_model(clone, arrays, path)
     for name, p in clone.named_parameters().items():
@@ -89,9 +90,9 @@ def test_model_round_trip_and_mismatch(tmp_path):
     # a different rank changes tensor shapes: the load must name the tensor
     bad = TrainConfig(
         C=8, n_heads=2, n_blocks=4, adapter_r=8, adapter_d_state=2,
-        crop=(8, 32, 32), n_classes=2, lora_rank=2, lora_alpha=2.0,
+        crop=(8, 32, 32), n_classes=2, lora_rank=2, lora_alpha=2.0, seed=1,
     )
-    other = SegModel.init(bad.vit_config(), bad.n_classes, seed=1)
+    other = SegModel.init(bad)
     with pytest.raises(CheckpointError, match=r"tpmamba"):
         load_into_model(other, arrays, path)
 
@@ -103,8 +104,7 @@ DEFAULT_NAMES_SHA256 = "85dd7f050b88106789411271bc99ddfb1cc9e646c6d2325ec2a4f3d5
 
 
 def test_parameter_walk_is_the_checkpoint_order():
-    cfg = TrainConfig(n_classes=3)
-    model = SegModel.init(cfg.vit_config(), cfg.n_classes, seed=cfg.seed)
+    model = SegModel.init(TrainConfig(n_classes=3))
     names = "\n".join(p.name for p in model.parameters())
     assert hashlib.sha256(names.encode()).hexdigest() == DEFAULT_NAMES_SHA256
     parts = ("conv.weight", "conv.bias", "norm.gamma", "norm.beta")
@@ -115,7 +115,7 @@ def test_parameter_walk_is_the_checkpoint_order():
 
 def test_duplicate_parameter_names_rejected():
     cfg = small_cfg()
-    model = SegModel.init(cfg.vit_config(), cfg.n_classes, seed=0)
+    model = SegModel.init(cfg)
     model.decoder.head_b.name = "decoder.head.weight"
     for walk in (model.named_parameters, model.partition):
         with pytest.raises(ConfigError, match="duplicate parameter name 'decoder.head.weight'"):

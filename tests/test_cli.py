@@ -3,6 +3,7 @@ import pytest
 
 from tpmamba import cli
 from tpmamba.cli import main
+from tpmamba.checkpoint import load_checkpoint
 from tpmamba.config import TrainConfig, load_config
 from tpmamba.data import read_rvol
 from tpmamba.errors import CheckpointError, ConfigError, InputError, NumericError, ShapeError
@@ -130,6 +131,19 @@ def test_config_error_prints_one_line(workdir, dataset, capsys):
     cfg.write_text("epochs=abc\n", encoding="utf-8")
     rc = main(["train", "--config", str(cfg), "--data", str(dataset), "--out", str(workdir / "bad.ckpt")])
     assert "epochs" in _one_line_error(capsys, rc, ConfigError)
+
+
+@pytest.mark.parametrize("epochs", ["0", "-3"])
+def test_epochs_override_checked_before_training(workdir, dataset, config_path, capsys, epochs):
+    out = workdir / f"epochs{epochs}.ckpt"
+    rc = main(["train", "--config", str(config_path), "--data", str(dataset), "--out", str(out),
+               "--epochs", epochs, "--quiet"])
+    assert "epochs must be at least 1" in _one_line_error(capsys, rc, ConfigError)
+    assert not out.exists() and not (workdir / f"epochs{epochs}.ckpt.metrics.csv").exists()
+
+
+def test_epochs_override_is_the_snapshot(trained):
+    assert load_checkpoint(trained)[1]["epochs"] == 2
 
 
 def test_input_error_prints_one_line(workdir, capsys):

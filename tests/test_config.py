@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from tpmamba.config import (
@@ -9,10 +10,8 @@ from tpmamba.config import (
     parse_config_text,
     to_flat_dict,
 )
-from tpmamba.encoder import ViTConfig
 from tpmamba.errors import ConfigError
-from tpmamba.ssm import MambaBlockConfig
-from tpmamba.triplane import TPMambaConfig
+from tpmamba.train import build_model
 
 
 def test_defaults_follow_training_protocol():
@@ -100,34 +99,61 @@ def test_crop_divisibility_enforced():
         TrainConfig(crop=(96, 50, 96))
 
 
-def test_vit_config_wiring():
-    cfg = TrainConfig(C=16, n_heads=2, adapter_r=8, crop=(24, 32, 48), adapter_d_state=4)
-    vit = cfg.vit_config()
-    assert vit.C == 16
-    assert vit.adapter.r == 8
-    assert vit.adapter.d_state == 4
-    assert vit.img_hw == (32, 48)
+# A toy config and, for each field the model reads, a value other than the toy's.
+TOY = dict(C=8, n_heads=2, lora_rank=2, lora_alpha=2.0, adapter_r=4, adapter_d_state=2, crop=(4, 32, 32))
+MODEL_VALUES = {
+    "crop": (4, 32, 48), "seed": 1, "n_classes": 3, "C": 12, "n_blocks": 5, "n_heads": 4,
+    "mlp_ratio": 2, "lora_rank": 3, "lora_alpha": 1.5, "adapter_r": 8, "adapter_dilations": (1, 3),
+    "adapter_depth_kernel": 5, "adapter_scan_mode": "dh_only", "adapter_conv_mode": "single",
+    "adapter_d_state": 3, "adapter_expand": 3, "adapter_d_conv": 2, "adapter_dt_rank": 3,
+}
+TRAINING_FIELDS = {"epochs", "lr_start", "lr_end", "weight_decay", "flip", "contrast", "scale_jitter"}
 
 
-def test_vit_config_carries_every_encoder_and_adapter_field():
-    cfg = TrainConfig(
-        crop=(8, 32, 48), C=24, n_blocks=5, n_heads=3, mlp_ratio=2, lora_rank=3, lora_alpha=1.5,
-        adapter_r=6, adapter_dilations=(1, 3), adapter_depth_kernel=5, adapter_scan_mode="dh_only",
-        adapter_conv_mode="single", adapter_d_state=5, adapter_expand=3, adapter_d_conv=2, adapter_dt_rank=7,
-    )
-    defaults = TrainConfig()
-    vit = cfg.vit_config()
-    shared = [f.name for f in dataclasses.fields(ViTConfig) if f.name not in ("adapter", "img_hw")]
-    adapter = [f.name for f in dataclasses.fields(TPMambaConfig) if f.name != "C"]
-    for name in shared:
-        assert getattr(cfg, name) != getattr(defaults, name), name
-        assert getattr(vit, name) == getattr(cfg, name), name
-    for name in adapter:
-        assert getattr(cfg, f"adapter_{name}") != getattr(defaults, f"adapter_{name}"), name
-        assert getattr(vit.adapter, name) == getattr(cfg, f"adapter_{name}"), name
-    assert vit.adapter.C == 24 and vit.img_hw == (32, 48)
-    ssm = vit.adapter.ssm_config()
-    assert ssm == MambaBlockConfig(d_model=6, d_state=5, expand=3, d_conv=2, dt_rank=7)
+def _model_fingerprint(cfg):
+    """Parameter names and shapes, and the logits of one fixed input once
+    every zero-initialised parameter has seeded values."""
+    model = build_model(cfg)
+    rng = np.random.default_rng(0)
+    for p in model.parameters():
+        if not p.data.any():
+            p.data = (0.1 * rng.standard_normal(p.shape)).astype(p.data.dtype)
+    x = np.random.default_rng(1).standard_normal((1, 1) + cfg.crop).astype(np.float32)
+    return [(p.name, p.shape) for p in model.parameters()], model.predict_logits(x)
+
+
+@pytest.mark.parametrize("field", MODEL_VALUES)
+def test_every_model_field_reaches_the_model(field):
+    assert set(MODEL_VALUES) | TRAINING_FIELDS == {f.name for f in dataclasses.fields(TrainConfig)}
+    base = TrainConfig(**TOY)
+    assert getattr(base, field) != MODEL_VALUES[field]
+    shapes, logits = _model_fingerprint(base)
+    other_shapes, other_logits = _model_fingerprint(dataclasses.replace(base, **{field: MODEL_VALUES[field]}))
+    assert other_shapes != shapes or not np.array_equal(other_logits, logits)
+
+
+# One case per check of a model field: the change to the defaults, the message.
+MODEL_CHECKS = {
+    "n_blocks_below_4": ({"n_blocks": 3}, "at least 4 blocks"),
+    "heads_not_dividing_C": ({"C": 10, "n_heads": 4}, "C=10 not divisible by n_heads=4"),
+    "n_classes_below_2": ({"n_classes": 1}, "at least 2 classes"),
+    "rank_not_dividing_into_branches": ({"adapter_r": 6}, "adapter.r=6 not divisible by the 4 dilated branches"),
+    "no_dilations": ({"adapter_dilations": ()}, "not divisible by the 0 dilated branches"),
+    "unknown_scan_mode": ({"adapter_scan_mode": "xy_only"}, "unknown adapter.scan_mode"),
+    "unknown_conv_mode": ({"adapter_conv_mode": "triple"}, "unknown adapter.conv_mode"),
+    "even_depth_kernel": ({"adapter_depth_kernel": 4}, "adapter.depth_kernel must be odd"),
+    **{
+        f"{name}_not_positive": ({name: 0}, f"{name.replace('adapter_', 'adapter.')} must be positive")
+        for name in ("C", "n_heads", "mlp_ratio", "lora_rank", "adapter_r", "adapter_d_state",
+                     "adapter_expand", "adapter_d_conv", "adapter_dt_rank")
+    },
+}
+
+
+@pytest.mark.parametrize("change, message", MODEL_CHECKS.values(), ids=list(MODEL_CHECKS))
+def test_model_checks_raise_config_error(change, message):
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig(**change)
 
 
 def test_dt_rank_none_round_trip(tmp_path):

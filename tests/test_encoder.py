@@ -2,24 +2,22 @@ import numpy as np
 import pytest
 
 from tpmamba import tensor as T
+from tpmamba.config import TrainConfig
 from tpmamba.encoder import (
     Encoder,
-    ViTConfig,
     encoder_forward,
     mhsa_lora,
     patch_embed_slices,
     vit_block_forward,
 )
-from tpmamba.errors import ConfigError, ShapeError
+from tpmamba.errors import ShapeError
 from tpmamba.tensor import Tensor, recording
-from tpmamba.triplane import TPMambaConfig
 
 
-def toy_config(C=8, heads=2, n_blocks=4, r=4, img=(32, 32), **kw):
-    adapter = TPMambaConfig(C=C, r=r, d_state=2)
-    return ViTConfig(
+def toy_config(C=8, heads=2, n_blocks=4, r=4, img=(32, 32)):
+    return TrainConfig(
         C=C, n_heads=heads, n_blocks=n_blocks, lora_rank=2, lora_alpha=2.0,
-        adapter=adapter, img_hw=img, **kw
+        adapter_r=r, adapter_d_state=2, crop=(4,) + img,
     )
 
 
@@ -144,11 +142,6 @@ def test_encoder_taps_are_last_four(rng):
         np.testing.assert_array_equal(got.data, want)
 
 
-def test_encoder_requires_four_blocks(rng):
-    with pytest.raises(ConfigError):
-        toy_config(n_blocks=3)
-
-
 def test_encoder_twelve_blocks_taps_last_four(rng):
     enc = toy_encoder(rng, n_blocks=12)
     X = Tensor(rng.standard_normal((1, 1, 2, 32, 32)).astype(np.float32))
@@ -171,19 +164,19 @@ def test_trainable_fraction_below_35_percent():
     from tpmamba.ssm import param_count_ssm
     from tpmamba.triplane import param_count_adapter
 
-    cfg = ViTConfig(C=96, n_heads=4, n_blocks=4, lora_rank=4, lora_alpha=4.0,
-                    adapter=TPMambaConfig(C=96, r=24), img_hw=(96, 96))
-    model = SegModel.init(cfg, n_classes=2, seed=0)
+    cfg = TrainConfig(C=96, n_heads=4, n_blocks=4, lora_rank=4, lora_alpha=4.0,
+                      adapter_r=24, crop=(96, 96, 96), n_classes=2, seed=0)
+    model = SegModel.init(cfg)
     trainable, frozen = model.partition()
     n_train = sum(p.size for p in trainable)
     n_total = n_train + sum(p.size for p in frozen)
 
     # closed forms: adapters, LoRA, frozen backbone
-    adapter_count = param_count_adapter(cfg.adapter)
+    adapter_count = param_count_adapter(cfg)
     expected_adapter = (
         3 * 96 * 24 + 24  # reduce conv + bias
         + 4 * (3 * 24 * 6 + 6)  # four dilated branches
-        + 3 * param_count_ssm(cfg.adapter.ssm_config())
+        + 3 * param_count_ssm(cfg)
         + 3 * 24 * 96 + 96  # raise conv + bias
     )
     assert adapter_count == expected_adapter

@@ -1,7 +1,7 @@
 import pytest
 
 from tpmamba.errors import ConfigError
-from tpmamba.flops import ADAPTER_KINDS, flops_sweep, gflops_estimate
+from tpmamba.flops import ADAPTER_KINDS, SWEEP_DOUBLINGS, flops_sweep, gflops_estimate
 
 ANCHOR = dict(input_dhw=(96, 96, 96), C=768, r=96)
 
@@ -46,8 +46,8 @@ def test_unknown_kind():
 
 
 def test_sweep_shows_quadratic_vs_linear():
-    rows = flops_sweep((96, 96, 96), 768, 96, doublings=2)
-    assert len(rows) == 3
+    rows = flops_sweep((96, 96, 96), 768, 96)
+    assert len(rows) == SWEEP_DOUBLINGS + 1
     # doubling D quadruples the dominant sa term but only doubles tp_mamba
     sa_growth = rows[1]["sa_adapter"] / rows[0]["sa_adapter"]
     tp_growth = rows[1]["tp_mamba"] / rows[0]["tp_mamba"]

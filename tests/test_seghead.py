@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from reference_ops import div, log
 
 from tpmamba import tensor as T
+from tpmamba.config import TrainConfig
 from tpmamba.encoder import PATCH
 from tpmamba.errors import InputError, ShapeError
 from tpmamba.ops import grad_check
@@ -12,7 +13,6 @@ from tpmamba.seghead import (
     DECODER_STAGES,
     DICE_EPS,
     Decoder,
-    DecoderConfig,
     _window_starts,
     decoder_forward,
     dice_ce_loss,
@@ -24,7 +24,7 @@ from tpmamba.tensor import Parameter, Tensor
 
 
 def toy_decoder(rng, C=8, K=2, dtype=np.float32):
-    return Decoder.init(DecoderConfig(C=C, K=K), rng, dtype=dtype)
+    return Decoder.init(TrainConfig(C=C, n_classes=K), rng, dtype=dtype)
 
 
 def make_taps(rng, BD=4, C=8, h=2, w=2, dtype=np.float32):
@@ -326,4 +326,4 @@ def test_sliding_window_pads_small_volume(rng):
 
 def test_sliding_window_rejects_bad_input():
     with pytest.raises(InputError):
-        sliding_window_infer(np.zeros((1, 2, 4, 4, 4)), constant_model())
+        sliding_window_infer(np.zeros((1, 2, 4, 4, 4)), constant_model(), window=(16, 16, 16))

@@ -6,10 +6,10 @@ import pytest
 
 from tpmamba import ssm
 from tpmamba import tensor as T
+from tpmamba.config import TrainConfig
 from tpmamba.errors import NumericError, ShapeError
 from tpmamba.ops import grad_check
 from tpmamba.ssm import (
-    MambaBlockConfig,
     SSMParams,
     _scan_segments,
     mamba_block_forward,
@@ -344,9 +344,14 @@ def test_scan_stability_long_sequence():
 # full block
 
 
+def scanner_config(r, N=16, **kw):
+    """A config whose scanners have width r and N states; the single depth
+    conv leaves r free of the dilated branches' divisibility."""
+    return TrainConfig(adapter_r=r, adapter_d_state=N, adapter_conv_mode="single", **kw)
+
+
 def make_block(rng, r=16, N=16, dtype=np.float32, prefix="blk"):
-    cfg = MambaBlockConfig(d_model=r, d_state=N)
-    return SSMParams.init(cfg, rng, prefix, dtype=dtype)
+    return SSMParams.init(scanner_config(r, N), rng, prefix, dtype=dtype)
 
 
 def test_block_shape_preservation(rng):
@@ -364,8 +369,7 @@ def test_block_identity_at_init(rng):
 
 
 def test_block_grad_check(rng):
-    cfg = MambaBlockConfig(d_model=4, d_state=2)
-    params = SSMParams.init(cfg, rng, "blk", dtype=np.float64)
+    params = make_block(rng, r=4, N=2, dtype=np.float64)
     params.w_out.data = 0.1 * rng.standard_normal(params.w_out.shape)
     seq = Tensor(rng.standard_normal((1, 8, 4)), dtype=np.float64)
 
@@ -376,8 +380,7 @@ def test_block_grad_check(rng):
 
 
 def test_block_sequential_matches_fast(rng):
-    cfg = MambaBlockConfig(d_model=6, d_state=4)
-    params = SSMParams.init(cfg, rng, "blk", dtype=np.float64)
+    params = make_block(rng, r=6, N=4, dtype=np.float64)
     params.w_out.data = rng.standard_normal(params.w_out.shape)
     seq = Tensor(rng.standard_normal((2, 20, 6)), dtype=np.float64)
     fast = mamba_block_forward(seq, params).data
@@ -386,13 +389,15 @@ def test_block_sequential_matches_fast(rng):
 
 
 def test_param_count_formula(rng):
-    cfg = MambaBlockConfig(d_model=24)
+    cfg = scanner_config(24)
     params = SSMParams.init(cfg, rng, "blk")
     counted = sum(p.size for p in params.parameters())
     assert counted == param_count_ssm(cfg)
 
 
-def test_dt_rank_default():
-    assert MambaBlockConfig(d_model=24).dt_rank == 2
-    assert MambaBlockConfig(d_model=96).dt_rank == 6
-    assert MambaBlockConfig(d_model=16).dt_rank == 1
+def test_dt_rank_default(rng):
+    """Unset, the delta rank is ceil(r / 16); set, it is the configured one."""
+    for r, dt_rank, rank in ((24, None, 2), (96, None, 6), (16, None, 1), (16, 5, 5)):
+        params = SSMParams.init(scanner_config(r, 2, adapter_dt_rank=dt_rank), rng, "blk")
+        assert params.w_dt.shape == (2 * r, rank)
+        assert params.w_x_to_dtbc.shape == (rank + 2 * 2, 2 * r)

@@ -28,10 +28,10 @@ def tiny_dataset(tmp_path_factory):
 
 
 def test_train_writes_checkpoint_and_metrics(tmp_path, tiny_dataset):
-    cfg = tiny_cfg()
+    cfg = tiny_cfg(epochs=2)
     ckpt = tmp_path / "model.ckpt"
     csv_path = tmp_path / "metrics.csv"
-    rows = train(cfg, tiny_dataset, ckpt, metrics_csv=csv_path, epochs=2)
+    rows = train(cfg, tiny_dataset, ckpt, metrics_csv=csv_path)
     assert len(rows) == 2
     assert ckpt.exists()
     header = csv_path.read_text().splitlines()[0]
@@ -40,16 +40,16 @@ def test_train_writes_checkpoint_and_metrics(tmp_path, tiny_dataset):
 
 
 def test_train_seed_reproducibility(tmp_path, tiny_dataset):
-    cfg = tiny_cfg()
-    r1 = train(cfg, tiny_dataset, tmp_path / "a.ckpt", epochs=3)
-    r2 = train(cfg, tiny_dataset, tmp_path / "b.ckpt", epochs=3)
+    cfg = tiny_cfg(epochs=3)
+    r1 = train(cfg, tiny_dataset, tmp_path / "a.ckpt")
+    r2 = train(cfg, tiny_dataset, tmp_path / "b.ckpt")
     assert r1 == r2
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
 def test_train_loss_decreases(tmp_path, tiny_dataset):
     cfg = tiny_cfg(epochs=60)
-    rows = train(cfg, tiny_dataset, tmp_path / "m.ckpt", epochs=60)
+    rows = train(cfg, tiny_dataset, tmp_path / "m.ckpt")
     losses = [r["loss"] for r in rows]
     early = float(np.median(losses[:10]))
     late = float(np.median(losses[-10:]))
@@ -63,13 +63,13 @@ def test_train_rejects_unlabelled(tmp_path, rng):
     d.mkdir()
     write_rvol(d / "x.img.rvol", rng.standard_normal((32, 32, 32)).astype(np.float32), (1, 1, 1))
     with pytest.raises(InputError):
-        train(tiny_cfg(), d, tmp_path / "m.ckpt", epochs=1)
+        train(tiny_cfg(epochs=1), d, tmp_path / "m.ckpt")
 
 
 def test_checkpoint_reload_reproduces_model(tmp_path, tiny_dataset):
-    cfg = tiny_cfg()
+    cfg = tiny_cfg(epochs=1)
     ckpt = tmp_path / "m.ckpt"
-    train(cfg, tiny_dataset, ckpt, epochs=1)
+    train(cfg, tiny_dataset, ckpt)
     model, loaded_cfg = model_from_checkpoint(ckpt)
     assert loaded_cfg == cfg
     vol = preprocess(load_record(*__import__("tpmamba.data", fromlist=["list_dataset"]).list_dataset(tiny_dataset)[0]))
@@ -192,9 +192,9 @@ def test_eval_csv_column_contract(tmp_path, tiny_dataset):
 
 
 def test_window_sized_volume_matches_direct_forward(tmp_path, tiny_dataset):
-    cfg = tiny_cfg()
+    cfg = tiny_cfg(epochs=1)
     ckpt = tmp_path / "m.ckpt"
-    train(cfg, tiny_dataset, ckpt, epochs=1)
+    train(cfg, tiny_dataset, ckpt)
     model, _ = model_from_checkpoint(ckpt)
     records = _records_from(tiny_dataset)
     name, rec = records[0]

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpmamba import tensor as T
+from tpmamba.config import TrainConfig
 from tpmamba.errors import ConfigError, ShapeError
 from tpmamba.ops import grad_check
 from tpmamba.ssm import param_count_ssm
 from tpmamba.tensor import Tensor
 from tpmamba.triplane import (
     TPMambaAdapter,
-    TPMambaConfig,
     multiscale_depth_conv,
     param_count_adapter,
     plane_flatten,
@@ -21,9 +21,14 @@ from tpmamba.triplane import (
 )
 
 
+def toy_config(C=8, r=4, d_state=2, **kw):
+    """Adapter fields by their names without the `adapter_` prefix."""
+    adapter = {f"adapter_{k}": v for k, v in kw.items()}
+    return TrainConfig(C=C, n_heads=2, adapter_r=r, adapter_d_state=d_state, **adapter)
+
+
 def make_adapter(rng, C=8, r=4, dtype=np.float32, **kw):
-    cfg = TPMambaConfig(C=C, r=r, d_state=kw.pop("d_state", 2), **kw)
-    return TPMambaAdapter.init(cfg, rng, "tp", dtype=dtype)
+    return TPMambaAdapter.init(toy_config(C, r, **kw), rng, "tp", dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +116,7 @@ def test_reduce_dim_production_shape(rng):
 
 
 def test_reduce_dim_k1_identity_slice(rng):
-    cfg = TPMambaConfig(C=6, r=4, depth_kernel=1, d_state=2)
-    adapter = TPMambaAdapter.init(cfg, rng, "tp")
+    adapter = make_adapter(rng, C=6, r=4, depth_kernel=1)
     w = np.zeros((4, 6, 1, 1, 1), dtype=np.float32)
     w[0, 1, 0, 0, 0] = 1.0  # select channel 1
     w[1, 4, 0, 0, 0] = 1.0  # select channel 4
@@ -180,11 +184,6 @@ def test_single_conv_mode(rng):
     assert adapter.branch_ws[0].shape == (4, 4, 3, 1, 1)
 
 
-def test_rank_not_divisible_rejected():
-    with pytest.raises(ConfigError):
-        TPMambaConfig(C=8, r=6)
-
-
 # ---------------------------------------------------------------------------
 # full adapter
 
@@ -239,14 +238,14 @@ def test_mode_consistency_eq3(rng):
 
 @pytest.mark.parametrize("r", [24, 48, 96, 192])
 def test_rank_sweep_param_count(rng, r):
-    cfg = TPMambaConfig(C=32, r=r)
+    cfg = TrainConfig(C=32, n_heads=2, adapter_r=r)
     adapter = TPMambaAdapter.init(cfg, rng, "tp")
     counted = sum(p.size for p in adapter.parameters())
-    k, C = cfg.depth_kernel, cfg.C
+    k, C = cfg.adapter_depth_kernel, cfg.C
     expected = (
         k * C * r + r
         + 4 * (k * r * (r // 4) + r // 4)
-        + 3 * param_count_ssm(cfg.ssm_config())
+        + 3 * param_count_ssm(cfg)
         + k * r * C + C
     )
     assert counted == expected == param_count_adapter(cfg)
