@@ -19,7 +19,6 @@ from .errors import ConfigError
 
 PATCH = 16  # patch-embedding side; the decoder's four 2x stages undo it
 SCAN_MODES = ("tri_plane", "hw_only", "dw_only", "dh_only", "volume_flatten")
-CONV_MODES = ("multiscale", "single")
 
 
 def auto_dt_rank(r: int) -> int:
@@ -51,7 +50,6 @@ class TrainConfig:
     adapter_dilations: tuple = (1, 2, 4, 8)
     adapter_depth_kernel: int = 3
     adapter_scan_mode: str = "tri_plane"
-    adapter_conv_mode: str = "multiscale"
     adapter_d_state: int = 16
     adapter_expand: int = 2
     adapter_d_conv: int = 4
@@ -85,12 +83,10 @@ class TrainConfig:
             raise ConfigError(f"need at least 2 classes, got n_classes={self.n_classes}")
         if self.adapter_scan_mode not in SCAN_MODES:
             raise ConfigError(f"unknown adapter.scan_mode {self.adapter_scan_mode!r}; choose from {SCAN_MODES}")
-        if self.adapter_conv_mode not in CONV_MODES:
-            raise ConfigError(f"unknown adapter.conv_mode {self.adapter_conv_mode!r}; choose from {CONV_MODES}")
         if self.adapter_depth_kernel % 2 == 0:
             raise ConfigError(f"adapter.depth_kernel must be odd, got {self.adapter_depth_kernel}")
         n = len(self.adapter_dilations)
-        if self.adapter_conv_mode == "multiscale" and (n == 0 or self.adapter_r % n != 0):
+        if n == 0 or self.adapter_r % n != 0:
             raise ConfigError(f"adapter.r={self.adapter_r} not divisible by the {n} dilated branches")
 
     @property

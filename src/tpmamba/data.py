@@ -25,6 +25,7 @@ RVOL_HEADER_BYTES = 29  # magic, 3 x u32 extents, 3 x f32 spacings, u8 dtype cod
 HU_LO, HU_HI = -200.0, 250.0
 CONTRAST_RANGE = (0.7, 1.3)  # augmentation gamma about the mean intensity
 SCALE_RANGE = (0.9, 1.1)  # augmentation isotropic resampling factor
+NOISE_SIGMA_VOX = 4  # half-width of the box filter that smooths synthetic noise
 
 VOLUME_SUFFIX = ".img.rvol"
 LABEL_SUFFIX = ".lbl.rvol"
@@ -193,7 +194,7 @@ class AugmentConfig:
     scale_jitter: bool
 
 
-def _crop_or_pad(arr: np.ndarray, target: tuple, starts: Optional[tuple], pad_value) -> np.ndarray:
+def _crop_or_pad(arr: np.ndarray, target: tuple, starts: tuple, pad_value) -> np.ndarray:
     out = arr
     pads = []
     for ax, t in enumerate(target):
@@ -203,9 +204,7 @@ def _crop_or_pad(arr: np.ndarray, target: tuple, starts: Optional[tuple], pad_va
         out = np.pad(out, pads, mode="constant", constant_values=pad_value)
     slices = []
     for ax, t in enumerate(target):
-        extra = out.shape[ax] - t
-        s = starts[ax] if starts is not None else extra // 2
-        slices.append(slice(s, s + t))
+        slices.append(slice(starts[ax], starts[ax] + t))
     return out[tuple(slices)]
 
 
@@ -245,10 +244,10 @@ def augment(rec: VolumeRecord, rng: np.random.Generator, cfg: AugmentConfig) -> 
 # synthetic data
 
 
-def _smooth_noise(rng: np.random.Generator, shape: tuple, sigma_vox: int = 4) -> np.ndarray:
+def _smooth_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """Cheap smooth field: box-filter white noise a few times per axis."""
     field = rng.standard_normal(shape).astype(np.float32)
-    k = 2 * sigma_vox + 1
+    k = 2 * NOISE_SIGMA_VOX + 1
     for _ in range(2):
         for ax in range(3):
             c = np.cumsum(np.pad(field, [(k, k) if a == ax else (0, 0) for a in range(3)], mode="edge"), axis=ax)

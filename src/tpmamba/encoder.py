@@ -169,7 +169,7 @@ def mhsa_lora(tokens: Tensor, blk: ViTBlock) -> Tensor:
     return blk.out(merged)
 
 
-def vit_block_forward(F: Tensor, blk: ViTBlock, dims: tuple, adapters_enabled: bool = True) -> Tensor:
+def vit_block_forward(F: Tensor, blk: ViTBlock, dims: tuple) -> Tensor:
     """Pre-norm block: attention and MLP residuals, then the volume adapter."""
     BD, C, h, w = F.shape
     x = permute(reshape(F, (BD, C, h * w)), (0, 2, 1))  # tokens (BD, hw, C)
@@ -178,12 +178,10 @@ def vit_block_forward(F: Tensor, blk: ViTBlock, dims: tuple, adapters_enabled: b
     y = blk.mlp2(gelu(blk.mlp1(y)))
     x = add(x, y)
     out = reshape(permute(x, (0, 2, 1)), (BD, C, h, w))
-    if adapters_enabled:
-        out = tp_mamba_forward(out, blk.adapter, dims)
-    return out
+    return tp_mamba_forward(out, blk.adapter, dims)
 
 
-def encoder_forward(X: Tensor, enc: Encoder, adapters_enabled: bool = True) -> list[Tensor]:
+def encoder_forward(X: Tensor, enc: Encoder) -> list[Tensor]:
     """Chain all blocks; return the feature taps of the last four blocks."""
     B, _, D, H, W = X.shape
     F = patch_embed_slices(X, enc)
@@ -192,7 +190,7 @@ def encoder_forward(X: Tensor, enc: Encoder, adapters_enabled: bool = True) -> l
     F = add(F, enc.pos)
     taps = []
     for i, blk in enumerate(enc.blocks):
-        F = vit_block_forward(F, blk, (B, D), adapters_enabled=adapters_enabled)
+        F = vit_block_forward(F, blk, (B, D))
         if i >= len(enc.blocks) - 4:
             taps.append(F)
     return taps

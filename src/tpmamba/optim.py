@@ -24,7 +24,7 @@ def adamw_step(
     params: list[Parameter],
     state: AdamWState,
     lr: float,
-    weight_decay: float = 0.0,
+    weight_decay: float,
 ) -> None:
     """One update over the trainable parameters using their .grad buffers.
 
@@ -59,7 +59,7 @@ def adamw_step(
         p.grad = None
 
 
-def lr_schedule(epoch: int, epochs: int, lr_start: float, lr_end: float = 0.0) -> float:
+def lr_schedule(epoch: int, epochs: int, lr_start: float, lr_end: float) -> float:
     """Linear decay from lr_start at epoch 0 to lr_end at the final epoch."""
     frac = min(max(epoch / max(epochs, 1), 0.0), 1.0)
     return lr_start + (lr_end - lr_start) * frac

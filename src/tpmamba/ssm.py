@@ -88,13 +88,6 @@ class SSMParams(Module):
         )
 
 
-def param_count_ssm(cfg: TrainConfig) -> int:
-    """Closed-form parameter count of one SSMParams set."""
-    r, N, k, dtr = cfg.adapter_r, cfg.adapter_d_state, cfg.adapter_d_conv, cfg.dt_rank
-    E = cfg.adapter_expand * r
-    return 2 * E * r + E * k + E + (dtr + 2 * N) * E + E * dtr + E + E * N + E + r * E
-
-
 def _check_scan_shapes(u, delta, A, B, C, D):
     if u.ndim != 3:
         raise ShapeError(f"scan input must be (B,L,E), got {u.shape}")
@@ -268,7 +261,7 @@ def selective_scan(
     return _record(inputs, out, backward)
 
 
-def mamba_block_forward(seq: Tensor, params: SSMParams, sequential: bool = False) -> Tensor:
+def mamba_block_forward(seq: Tensor, params: SSMParams) -> Tensor:
     """Full scanner block with residual connection: seq + block(seq).
 
     Pipeline: in-projection to (main, gate), causal depthwise conv + SiLU on
@@ -297,7 +290,6 @@ def mamba_block_forward(seq: Tensor, params: SSMParams, sequential: bool = False
     delta = softplus(linear(dt, params.w_dt, params.b_dt))
     A = neg(exp(params.a_log))
 
-    scan = selective_scan_sequential if sequential else selective_scan
-    y = scan(xs, delta, A, B, C, params.d_skip)
+    y = selective_scan(xs, delta, A, B, C, params.d_skip)
     y = mul(y, silu(z))
     return add(seq, linear(y, params.w_out))

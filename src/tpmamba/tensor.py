@@ -283,13 +283,13 @@ def square(a: Tensor) -> Tensor:
 # reductions
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    out = a.data.sum(axis=axis)
     shape = a.shape
 
     def backward(g):
         g = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape).copy(),)
 

@@ -14,20 +14,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .config import TrainConfig
 from .errors import ConfigError, ShapeError
 from .ops import conv3d, same_padding
-from .ssm import SSMParams, mamba_block_forward, param_count_ssm
+from .ssm import SSMParams, mamba_block_forward
 from .tensor import Module, Parameter, Tensor, add, concat, permute, reshape, uniform_init
 
 
 @dataclass
 class TPMambaAdapter(Module):
-    cfg: TrainConfig  # read for the dilations, depth kernel, scan mode and conv mode
+    cfg: TrainConfig  # read for the dilations, depth kernel and scan mode
     reduce_w: Parameter
     reduce_b: Parameter
     branch_ws: list
@@ -48,16 +47,10 @@ class TPMambaAdapter(Module):
             return Parameter(f"{prefix}.{name}", data, dtype=dtype)
 
         branch_ws, branch_bs = [], []
-        if cfg.adapter_conv_mode == "multiscale":
-            rb = r // len(cfg.adapter_dilations)
-            for i, d in enumerate(cfg.adapter_dilations):
-                branch_ws.append(
-                    par(f"branch{i}_d{d}.weight", uniform_init(rng, (rb, r, k, 1, 1), r * k, dtype))
-                )
-                branch_bs.append(par(f"branch{i}_d{d}.bias", uniform_init(rng, (rb,), r * k, dtype)))
-        else:
-            branch_ws.append(par("branch_single.weight", uniform_init(rng, (r, r, k, 1, 1), r * k, dtype)))
-            branch_bs.append(par("branch_single.bias", uniform_init(rng, (r,), r * k, dtype)))
+        rb = r // len(cfg.adapter_dilations)
+        for i, d in enumerate(cfg.adapter_dilations):
+            branch_ws.append(par(f"branch{i}_d{d}.weight", uniform_init(rng, (rb, r, k, 1, 1), r * k, dtype)))
+            branch_bs.append(par(f"branch{i}_d{d}.bias", uniform_init(rng, (rb,), r * k, dtype)))
 
         return cls(
             cfg=cfg,
@@ -74,15 +67,6 @@ class TPMambaAdapter(Module):
         )
 
 
-def param_count_adapter(cfg: TrainConfig) -> int:
-    """Exact parameter count: reduce + dilated branches + 3 scanners + raise."""
-    C, r, k = cfg.C, cfg.adapter_r, cfg.adapter_depth_kernel
-    n = len(cfg.adapter_dilations) if cfg.adapter_conv_mode == "multiscale" else 1
-    rb = r // n
-    branches = n * (k * r * rb + rb)
-    return (k * C * r + r) + branches + 3 * param_count_ssm(cfg) + (k * r * C + C)
-
-
 def reduce_dim(F: Tensor, adapter: TPMambaAdapter) -> Tensor:
     """(B,C,D,h,w) -> (B,r,D,h,w) with a depth-only same-padded conv."""
     C = adapter.reduce_w.shape[1]
@@ -93,11 +77,9 @@ def reduce_dim(F: Tensor, adapter: TPMambaAdapter) -> Tensor:
 
 
 def multiscale_depth_conv(G: Tensor, adapter: TPMambaAdapter) -> Tensor:
-    """Four parallel dilated depth convs, concatenated in dilation order."""
+    """Parallel dilated depth convs, one per dilation, concatenated in
+    dilation order; `adapter.dilations=1` is the single-scale ablation."""
     cfg = adapter.cfg
-    if cfg.adapter_conv_mode == "single":
-        pad = same_padding(cfg.adapter_depth_kernel, 1)
-        return conv3d(G, adapter.branch_ws[0], adapter.branch_bs[0], padding=(pad, 0, 0))
     outs = []
     for w, b, d in zip(adapter.branch_ws, adapter.branch_bs, cfg.adapter_dilations):
         pad = same_padding(cfg.adapter_depth_kernel, d)
@@ -150,18 +132,18 @@ _MODE_PLANES = {
 }
 
 
-def scan_stage(G: Tensor, adapter: TPMambaAdapter, mode: Optional[str] = None) -> Tensor:
-    """Plane scans of (B,r,D,h,w); tri_plane sums hw + dw + dh contributions.
+def scan_stage(G: Tensor, adapter: TPMambaAdapter) -> Tensor:
+    """Plane scans of (B,r,D,h,w) in the adapter's scan mode; tri_plane sums
+    hw + dw + dh contributions.
 
     The volume_flatten variant reuses the hw scanner on the fully flattened
     sequence (it is a single-scan ablation, not a fourth parameter set).
     """
-    mode = mode if mode is not None else adapter.cfg.adapter_scan_mode
     dims = tuple(G.shape)
     scanners = {"hw": adapter.phi_hw, "dw": adapter.phi_dw, "dh": adapter.phi_dh,
                 "volume": adapter.phi_hw}
     out = None
-    for plane in _MODE_PLANES[mode]:
+    for plane in _MODE_PLANES[adapter.cfg.adapter_scan_mode]:
         seq = plane_flatten(G, plane)
         scanned = mamba_block_forward(seq, scanners[plane])
         contrib = plane_unflatten(scanned, plane, dims)

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from model_helpers import param_count_adapter, scan_in_mode, with_sequential_scan, without_adapters
 from tpmamba import tensor as T
 from tpmamba.config import TrainConfig
 from tpmamba.data import VolumeRecord, gen_synth, preprocess
@@ -25,14 +26,7 @@ from tpmamba.selfcheck import (
 from tpmamba.ssm import SSMParams, mamba_block_forward
 from tpmamba.tensor import Tensor
 from tpmamba.train import train
-from tpmamba.triplane import (
-    TPMambaAdapter,
-    param_count_adapter,
-    plane_flatten,
-    plane_unflatten,
-    scan_stage,
-    tp_mamba_forward,
-)
+from tpmamba.triplane import TPMambaAdapter, plane_flatten, plane_unflatten, tp_mamba_forward
 
 
 def _report(n, text):
@@ -74,8 +68,8 @@ def test_criterion_3_init_transparency():
     enc = Encoder.init(cfg, rng)
     for i in range(5):
         X = Tensor(rng.standard_normal((1, 1, 3, 32, 32)).astype(np.float32))
-        on = encoder_forward(X, enc, adapters_enabled=True)
-        off = encoder_forward(X, enc, adapters_enabled=False)
+        on = encoder_forward(X, enc)
+        off = without_adapters(encoder_forward, X, enc)
         for a, b in zip(on, off):
             assert np.array_equal(a.data, b.data)
     _report(3, "fresh adapters + LoRA leave all 4 encoder taps bit-identical on 5 inputs")
@@ -90,8 +84,8 @@ def test_criterion_4_triplane_bijectivity_and_sum():
     for phi in (adapter.phi_hw, adapter.phi_dw, adapter.phi_dh):
         phi.w_out.data = 0.5 * rng.standard_normal(phi.w_out.shape)
     G = Tensor(rng.standard_normal((2, 4, 3, 2, 3)), dtype=np.float64)
-    tri = scan_stage(G, adapter, "tri_plane").data
-    parts = sum(scan_stage(G, adapter, m).data for m in ("hw_only", "dw_only", "dh_only"))
+    tri = scan_in_mode(G, adapter, "tri_plane").data
+    parts = sum(scan_in_mode(G, adapter, m).data for m in ("hw_only", "dw_only", "dh_only"))
     rel = np.abs(tri - parts).max() / max(1e-12, np.abs(parts).max())
     assert rel < 1e-6
     _report(4, f"flatten/unflatten bit-exact (4 modes x 5 shapes); tri-plane sum rel err {rel:.1e}")
@@ -136,7 +130,8 @@ def test_criterion_6_freeze_contract(tmp_path):
     state = AdamWState(trainable)
     for step in range(10):
         rng = np.random.default_rng((cfg.seed, step, 0))
-        _train_record_step(model, rec, cfg, rng, trainable, state, lr_schedule(step, 10, cfg.lr_start))
+        lr = lr_schedule(step, 10, cfg.lr_start, cfg.lr_end)
+        _train_record_step(model, rec, cfg, rng, trainable, state, lr)
     for p in frozen:
         assert np.array_equal(p.data, before[p.name]), f"frozen {p.name} changed"
         assert p.grad is None
@@ -179,7 +174,7 @@ def test_criterion_8_rank_sweep(r):
     params.w_out.data = 0.2 * rng.standard_normal(params.w_out.shape)
     seq = Tensor(rng.standard_normal((1, 7, r)), dtype=np.float64)
     fast = mamba_block_forward(seq, params).data
-    slow = mamba_block_forward(seq, params, sequential=True).data
+    slow = with_sequential_scan(mamba_block_forward, seq, params).data
     assert np.abs(fast - slow).max() / max(1.0, np.abs(slow).max()) < 1e-10
 
     # criterion 2 at this width: adapter gradients

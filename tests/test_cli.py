@@ -3,8 +3,8 @@ import pytest
 
 from tpmamba import cli
 from tpmamba.cli import main
-from tpmamba.checkpoint import load_checkpoint
-from tpmamba.config import TrainConfig, load_config
+from tpmamba.checkpoint import load_checkpoint, save_checkpoint
+from tpmamba.config import TrainConfig, load_config, parse_config_text
 from tpmamba.data import read_rvol
 from tpmamba.errors import CheckpointError, ConfigError, InputError, NumericError, ShapeError
 
@@ -140,6 +140,27 @@ def test_epochs_override_checked_before_training(workdir, dataset, config_path, 
                "--epochs", epochs, "--quiet"])
     assert "epochs must be at least 1" in _one_line_error(capsys, rc, ConfigError)
     assert not out.exists() and not (workdir / f"epochs{epochs}.ckpt.metrics.csv").exists()
+
+
+def test_conv_mode_is_a_removed_key(workdir, dataset, config_path, trained, capsys):
+    """The single-scale depth conv is `adapter.dilations=1`; a config file or
+    an older checkpoint's snapshot that still sets `adapter.conv_mode` is
+    rejected as an unknown key."""
+    removed = "unknown config key 'adapter.conv_mode'"
+    with pytest.raises(ConfigError, match=removed):
+        parse_config_text("adapter.conv_mode=single")
+    cfg = workdir / "conv_mode.cfg"
+    cfg.write_text(config_path.read_text(encoding="utf-8") + "adapter.conv_mode=multiscale\n", encoding="utf-8")
+    rc = main(["train", "--config", str(cfg), "--data", str(dataset), "--out", str(workdir / "never.ckpt")])
+    assert removed in _one_line_error(capsys, rc, ConfigError)
+
+    arrays, flat, seed = load_checkpoint(trained)
+    old = workdir / "conv_mode.ckpt"
+    save_checkpoint(old, arrays, {**flat, "adapter.conv_mode": "multiscale"}, seed)
+    rc = main(["infer", "--ckpt", str(old), "--volume", str(dataset / "case000.img.rvol"),
+               "--out", str(workdir / "never.lbl.rvol")])
+    assert removed in _one_line_error(capsys, rc, ConfigError)
+    assert not (workdir / "never.ckpt").exists() and not (workdir / "never.lbl.rvol").exists()
 
 
 def test_epochs_override_is_the_snapshot(trained):

@@ -104,8 +104,8 @@ TOY = dict(C=8, n_heads=2, lora_rank=2, lora_alpha=2.0, adapter_r=4, adapter_d_s
 MODEL_VALUES = {
     "crop": (4, 32, 48), "seed": 1, "n_classes": 3, "C": 12, "n_blocks": 5, "n_heads": 4,
     "mlp_ratio": 2, "lora_rank": 3, "lora_alpha": 1.5, "adapter_r": 8, "adapter_dilations": (1, 3),
-    "adapter_depth_kernel": 5, "adapter_scan_mode": "dh_only", "adapter_conv_mode": "single",
-    "adapter_d_state": 3, "adapter_expand": 3, "adapter_d_conv": 2, "adapter_dt_rank": 3,
+    "adapter_depth_kernel": 5, "adapter_scan_mode": "dh_only", "adapter_d_state": 3,
+    "adapter_expand": 3, "adapter_d_conv": 2, "adapter_dt_rank": 3,
 }
 TRAINING_FIELDS = {"epochs", "lr_start", "lr_end", "weight_decay", "flip", "contrast", "scale_jitter"}
 
@@ -140,7 +140,6 @@ MODEL_CHECKS = {
     "rank_not_dividing_into_branches": ({"adapter_r": 6}, "adapter.r=6 not divisible by the 4 dilated branches"),
     "no_dilations": ({"adapter_dilations": ()}, "not divisible by the 0 dilated branches"),
     "unknown_scan_mode": ({"adapter_scan_mode": "xy_only"}, "unknown adapter.scan_mode"),
-    "unknown_conv_mode": ({"adapter_conv_mode": "triple"}, "unknown adapter.conv_mode"),
     "even_depth_kernel": ({"adapter_depth_kernel": 4}, "adapter.depth_kernel must be odd"),
     **{
         f"{name}_not_positive": ({name: 0}, f"{name.replace('adapter_', 'adapter.')} must be positive")

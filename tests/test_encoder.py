@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from model_helpers import param_count_adapter, param_count_ssm, without_adapters
 from tpmamba import tensor as T
 from tpmamba.config import TrainConfig
 from tpmamba.encoder import (
@@ -108,8 +109,8 @@ def test_block_shape_preservation(rng):
 def test_block_init_transparency(rng):
     enc = toy_encoder(rng)
     F = Tensor(rng.standard_normal((6, 8, 2, 2)).astype(np.float32))
-    with_adapters = vit_block_forward(F, enc.blocks[0], dims=(2, 3), adapters_enabled=True)
-    plain = vit_block_forward(F, enc.blocks[0], dims=(2, 3), adapters_enabled=False)
+    with_adapters = vit_block_forward(F, enc.blocks[0], (2, 3))
+    plain = without_adapters(vit_block_forward, F, enc.blocks[0], (2, 3))
     assert np.array_equal(with_adapters.data, plain.data)
 
 
@@ -161,8 +162,6 @@ def test_trainable_fraction_below_35_percent():
     adapters + LoRA + decoder stay under 35% of all parameters, and the
     counted sizes match the closed forms."""
     from tpmamba.model import SegModel
-    from tpmamba.ssm import param_count_ssm
-    from tpmamba.triplane import param_count_adapter
 
     cfg = TrainConfig(C=96, n_heads=4, n_blocks=4, lora_rank=4, lora_alpha=4.0,
                       adapter_r=24, crop=(96, 96, 96), n_classes=2, seed=0)
@@ -193,8 +192,8 @@ def test_init_transparency_end_to_end(rng):
     enc = toy_encoder(rng)
     for _ in range(3):
         X = Tensor(rng.standard_normal((1, 1, 3, 32, 32)).astype(np.float32))
-        on = encoder_forward(X, enc, adapters_enabled=True)
-        off = encoder_forward(X, enc, adapters_enabled=False)
+        on = encoder_forward(X, enc)
+        off = without_adapters(encoder_forward, X, enc)
         for a, b in zip(on, off):
             assert np.array_equal(a.data, b.data)
 
@@ -203,15 +202,15 @@ def test_slice_permutation_consistency(rng):
     enc = toy_encoder(rng)
     X = rng.standard_normal((1, 1, 4, 32, 32)).astype(np.float32)
     perm = np.array([2, 0, 3, 1])
-    base = encoder_forward(Tensor(X), enc, adapters_enabled=False)[-1].data
-    permuted = encoder_forward(Tensor(X[:, :, perm]), enc, adapters_enabled=False)[-1].data
+    base = without_adapters(encoder_forward, Tensor(X), enc)[-1].data
+    permuted = without_adapters(encoder_forward, Tensor(X[:, :, perm]), enc)[-1].data
     np.testing.assert_allclose(permuted, base[perm], rtol=2e-5, atol=1e-6)
     # with a non-trivial adapter the depth mixing must break the equivariance
     enc.blocks[0].adapter.raise_w.data = 0.5 * rng.standard_normal(
         enc.blocks[0].adapter.raise_w.shape
     ).astype(np.float32)
-    base2 = encoder_forward(Tensor(X), enc, adapters_enabled=True)[-1].data
-    permuted2 = encoder_forward(Tensor(X[:, :, perm]), enc, adapters_enabled=True)[-1].data
+    base2 = encoder_forward(Tensor(X), enc)[-1].data
+    permuted2 = encoder_forward(Tensor(X[:, :, perm]), enc)[-1].data
     assert not np.allclose(permuted2, base2[perm], atol=1e-5)
 
 

@@ -38,13 +38,13 @@ def test_nonfinite_grad_aborts_with_name():
     p.grad = np.array([np.inf, 0.0])
     state = AdamWState([p])
     with pytest.raises(NumericError, match="layer.weight"):
-        adamw_step([p], state, lr=0.1)
+        adamw_step([p], state, lr=0.1, weight_decay=0.0)
 
 
 def test_lr_schedule_endpoints_and_midpoint():
-    assert lr_schedule(0, 1000, 2e-4) == 2e-4
-    assert lr_schedule(1000, 1000, 2e-4) == 0.0
-    assert abs(lr_schedule(500, 1000, 2e-4) - 1e-4) < 1e-12
+    assert lr_schedule(0, 1000, 2e-4, 0.0) == 2e-4
+    assert lr_schedule(1000, 1000, 2e-4, 0.0) == 0.0
+    assert abs(lr_schedule(500, 1000, 2e-4, 0.0) - 1e-4) < 1e-12
 
 
 def test_moments_accumulate_deterministically():

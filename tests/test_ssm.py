@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from model_helpers import param_count_ssm, with_sequential_scan
 from tpmamba import ssm
 from tpmamba import tensor as T
 from tpmamba.config import TrainConfig
@@ -13,7 +14,6 @@ from tpmamba.ssm import (
     SSMParams,
     _scan_segments,
     mamba_block_forward,
-    param_count_ssm,
     scan_tile_steps,
     selective_scan,
     selective_scan_sequential,
@@ -313,17 +313,21 @@ def test_scan_grad_finite_differences(rng):
 
 
 def test_scan_runtime_linear_in_length():
+    """Eight times the length costs at most ten times the time per call.  The
+    lengths are timed in interleaved rounds of 8 short calls and 1 long one,
+    and the median round is taken, so load from other processes that slows
+    a few rounds does not move the result."""
     rng = np.random.default_rng(0)
-    times = {}
-    for L in (512, 4096):
-        u, delta, A, B, C, D = random_scan_inputs(rng, 1, L, 4, 4, dtype=np.float32)
-        best = np.inf
-        for _ in range(3):
-            t0 = time.perf_counter()
-            selective_scan(u, delta, A, B, C, D)
-            best = min(best, time.perf_counter() - t0)
-        times[L] = best
-    assert times[4096] / times[512] <= 10.0
+    short, long = (random_scan_inputs(rng, 1, L, 4, 4, dtype=np.float32) for L in (512, 4096))
+    ratios = []
+    for _ in range(7):
+        t0 = time.perf_counter()
+        for _ in range(8):
+            selective_scan(*short)
+        t1 = time.perf_counter()
+        selective_scan(*long)
+        ratios.append((time.perf_counter() - t1) / ((t1 - t0) / 8))
+    assert np.median(ratios) <= 10.0
 
 
 def test_scan_stability_long_sequence():
@@ -345,9 +349,9 @@ def test_scan_stability_long_sequence():
 
 
 def scanner_config(r, N=16, **kw):
-    """A config whose scanners have width r and N states; the single depth
-    conv leaves r free of the dilated branches' divisibility."""
-    return TrainConfig(adapter_r=r, adapter_d_state=N, adapter_conv_mode="single", **kw)
+    """A config whose scanners have width r and N states; one depth-conv
+    branch leaves r free of the dilated branches' divisibility."""
+    return TrainConfig(adapter_r=r, adapter_d_state=N, adapter_dilations=(1,), **kw)
 
 
 def make_block(rng, r=16, N=16, dtype=np.float32, prefix="blk"):
@@ -384,7 +388,7 @@ def test_block_sequential_matches_fast(rng):
     params.w_out.data = rng.standard_normal(params.w_out.shape)
     seq = Tensor(rng.standard_normal((2, 20, 6)), dtype=np.float64)
     fast = mamba_block_forward(seq, params).data
-    slow = mamba_block_forward(seq, params, sequential=True).data
+    slow = with_sequential_scan(mamba_block_forward, seq, params).data
     np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
 
 

@@ -19,10 +19,7 @@ REPO = PACKAGE.parents[1]
 ENGINE = ("tensor", "ops")
 
 # Names kept without a caller outside the tests, each with its reason.
-ALLOWED = {
-    # closed-form parameter count that the tests compare the built adapter against
-    "triplane.param_count_adapter",
-}
+ALLOWED = set()
 
 
 def _parse(paths):

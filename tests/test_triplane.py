@@ -3,20 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model_helpers import param_count_adapter, param_count_ssm, scan_in_mode
 from tpmamba import tensor as T
 from tpmamba.config import TrainConfig
 from tpmamba.errors import ConfigError, ShapeError
 from tpmamba.ops import grad_check
-from tpmamba.ssm import param_count_ssm
 from tpmamba.tensor import Tensor
 from tpmamba.triplane import (
     TPMambaAdapter,
     multiscale_depth_conv,
-    param_count_adapter,
     plane_flatten,
     plane_unflatten,
     reduce_dim,
-    scan_stage,
     tp_mamba_forward,
 )
 
@@ -176,11 +174,12 @@ def test_multiscale_depth_preserved(rng):
     assert multiscale_depth_conv(G, adapter).shape == (1, 4, 9, 2, 2)
 
 
-def test_single_conv_mode(rng):
-    adapter = make_adapter(rng, C=8, r=4, conv_mode="single")
+def test_single_scale_depth_conv(rng):
+    """`adapter.dilations=1` is the single-scale ablation: one r->r branch."""
+    adapter = make_adapter(rng, C=8, r=4, dilations=(1,))
     G = Tensor(rng.standard_normal((1, 4, 5, 2, 2)).astype(np.float32))
     assert multiscale_depth_conv(G, adapter).shape == (1, 4, 5, 2, 2)
-    assert len(adapter.branch_ws) == 1
+    assert [p.name for p in adapter.branch_ws + adapter.branch_bs] == ["tp.branch0_d1.weight", "tp.branch0_d1.bias"]
     assert adapter.branch_ws[0].shape == (4, 4, 3, 1, 1)
 
 
@@ -231,8 +230,8 @@ def test_mode_consistency_eq3(rng):
     """tri_plane scan stage == hw + dw + dh contributions, same parameters."""
     adapter = nonzero_adapter(rng, C=8, r=4, dtype=np.float64)
     G = Tensor(rng.standard_normal((2, 4, 3, 2, 3)), dtype=np.float64)
-    tri = scan_stage(G, adapter, "tri_plane").data
-    parts = sum(scan_stage(G, adapter, m).data for m in ("hw_only", "dw_only", "dh_only"))
+    tri = scan_in_mode(G, adapter, "tri_plane").data
+    parts = sum(scan_in_mode(G, adapter, m).data for m in ("hw_only", "dw_only", "dh_only"))
     np.testing.assert_allclose(tri, parts, rtol=1e-6)
 
 
