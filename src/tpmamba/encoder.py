@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PATCH, TrainConfig
+from .config import MLP_RATIO, PATCH, TrainConfig
 from .errors import ShapeError
 from .ops import normalize
 from .tensor import (
@@ -109,8 +109,8 @@ class ViTBlock(Module):
             out=FrozenLinear.init(rng, f"{prefix}.attn.out", C, C, dtype),
             ln2_g=frozen("ln2.gamma", np.ones(C, dtype=dtype)),
             ln2_b=frozen("ln2.beta", np.zeros(C, dtype=dtype)),
-            mlp1=FrozenLinear.init(rng, f"{prefix}.mlp.fc1", cfg.mlp_ratio * C, C, dtype),
-            mlp2=FrozenLinear.init(rng, f"{prefix}.mlp.fc2", C, cfg.mlp_ratio * C, dtype),
+            mlp1=FrozenLinear.init(rng, f"{prefix}.mlp.fc1", MLP_RATIO * C, C, dtype),
+            mlp2=FrozenLinear.init(rng, f"{prefix}.mlp.fc2", C, MLP_RATIO * C, dtype),
             adapter=TPMambaAdapter.init(cfg, rng, f"{prefix}.tpmamba", dtype),
         )
 

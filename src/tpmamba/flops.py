@@ -17,13 +17,14 @@ Closed forms (per ViT block):
   conv3d_adapter  1x1x1 down to r, a 3^3 convolution at width r, 1x1x1 up.
   tp_mamba      (k,1,1) reduce, four dilated (k,1,1) branches, three plane
                 scans at linear cost per token, (k,1,1) raise.  Linear in T.
-                k, the scanner's expansion, state width and conv kernel are
-                TrainConfig's defaults; the delta rank follows the rank r.
+                k, the scanner's expansion and conv kernel are the model's
+                constants, the state width is TrainConfig's default and the
+                delta rank follows the rank r.
 """
 
 from __future__ import annotations
 
-from .config import PATCH, TrainConfig, auto_dt_rank
+from .config import DEPTH_KERNEL, PATCH, SSM_D_CONV, SSM_EXPAND, TrainConfig, auto_dt_rank
 from .errors import ConfigError
 
 LORA_BASELINE_RANK = 4
@@ -49,13 +50,12 @@ def flops_estimate(adapter_kind: str, input_dhw: tuple, C: int, r: int) -> float
     if adapter_kind == "conv3d_adapter":
         return float(4 * T * C * r + 2 * T * r * r * 27)
     if adapter_kind == "tp_mamba":
-        cfg = TrainConfig()
-        k, N = cfg.adapter_depth_kernel, cfg.adapter_d_state
-        E = cfg.adapter_expand * r
+        k, N = DEPTH_KERNEL, TrainConfig.adapter_d_state
+        E = SSM_EXPAND * r
         dtr = auto_dt_rank(r)
         per_token_block = (
             2 * r * 2 * E  # in-projection to (main, gate)
-            + 2 * E * cfg.adapter_d_conv  # causal depthwise conv
+            + 2 * E * SSM_D_CONV  # causal depthwise conv
             + 2 * E * (dtr + 2 * N)  # delta/B/C projection
             + 2 * dtr * E  # delta up-projection
             + SCAN_FLOPS_PER_STATE * E * N  # selective scan

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import LR_END
 from .errors import NumericError
 from .tensor import Parameter
 
@@ -59,7 +60,9 @@ def adamw_step(
         p.grad = None
 
 
-def lr_schedule(epoch: int, epochs: int, lr_start: float, lr_end: float) -> float:
-    """Linear decay from lr_start at epoch 0 to lr_end at the final epoch."""
+def lr_schedule(epoch: int, epochs: int, lr_start: float) -> float:
+    """Linear decay from lr_start at epoch 0 to `LR_END` = 0 at epoch ==
+    epochs, one past the last epoch that trains: epoch epochs - 1 runs at
+    lr_start / epochs.  Epochs outside [0, epochs] are clamped into it."""
     frac = min(max(epoch / max(epochs, 1), 0.0), 1.0)
-    return lr_start + (lr_end - lr_start) * frac
+    return lr_start + (LR_END - lr_start) * frac

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import SSM_D_CONV, SSM_EXPAND, TrainConfig, auto_dt_rank
 from .errors import NumericError, ShapeError
 from .tensor import (
     Module,
@@ -63,9 +63,9 @@ class SSMParams(Module):
 
     @classmethod
     def init(cls, cfg: TrainConfig, rng: np.random.Generator, prefix: str, dtype=np.float32) -> "SSMParams":
-        """A scanner of width `adapter.r` with `adapter.expand` times as many channels."""
-        r, N, k, dtr = cfg.adapter_r, cfg.adapter_d_state, cfg.adapter_d_conv, cfg.dt_rank
-        E = cfg.adapter_expand * r
+        """A scanner of width `adapter.r` with `SSM_EXPAND` times as many channels."""
+        r, N, k, dtr = cfg.adapter_r, cfg.adapter_d_state, SSM_D_CONV, auto_dt_rank(cfg.adapter_r)
+        E = SSM_EXPAND * r
 
         def par(name, data):
             return Parameter(f"{prefix}.{name}", data, dtype=dtype)

@@ -90,7 +90,7 @@ def train(
 
     rows = []
     for epoch in range(cfg.epochs):
-        lr = lr_schedule(epoch, cfg.epochs, cfg.lr_start, cfg.lr_end)
+        lr = lr_schedule(epoch, cfg.epochs, cfg.lr_start)
         losses, dices = [], []
         for idx, rec in enumerate(records):
             rng = np.random.default_rng((cfg.seed, epoch, idx))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import DEPTH_KERNEL, SCAN_MODES, TrainConfig
 from .errors import ConfigError, ShapeError
 from .ops import conv3d, same_padding
 from .ssm import SSMParams, mamba_block_forward
@@ -26,7 +26,7 @@ from .tensor import Module, Parameter, Tensor, add, concat, permute, reshape, un
 
 @dataclass
 class TPMambaAdapter(Module):
-    cfg: TrainConfig  # read for the dilations, depth kernel and scan mode
+    cfg: TrainConfig  # read for the dilations and scan mode
     reduce_w: Parameter
     reduce_b: Parameter
     branch_ws: list
@@ -41,7 +41,7 @@ class TPMambaAdapter(Module):
     def init(
         cls, cfg: TrainConfig, rng: np.random.Generator, prefix: str, dtype=np.float32
     ) -> "TPMambaAdapter":
-        C, r, k = cfg.C, cfg.adapter_r, cfg.adapter_depth_kernel
+        C, r, k = cfg.C, cfg.adapter_r, DEPTH_KERNEL
 
         def par(name, data):
             return Parameter(f"{prefix}.{name}", data, dtype=dtype)
@@ -72,17 +72,16 @@ def reduce_dim(F: Tensor, adapter: TPMambaAdapter) -> Tensor:
     C = adapter.reduce_w.shape[1]
     if F.shape[1] != C:
         raise ShapeError(f"input width {F.shape[1]} != adapter width {C}")
-    pad = same_padding(adapter.cfg.adapter_depth_kernel, 1)
+    pad = same_padding(DEPTH_KERNEL, 1)
     return conv3d(F, adapter.reduce_w, adapter.reduce_b, padding=(pad, 0, 0))
 
 
 def multiscale_depth_conv(G: Tensor, adapter: TPMambaAdapter) -> Tensor:
     """Parallel dilated depth convs, one per dilation, concatenated in
     dilation order; `adapter.dilations=1` is the single-scale ablation."""
-    cfg = adapter.cfg
     outs = []
-    for w, b, d in zip(adapter.branch_ws, adapter.branch_bs, cfg.adapter_dilations):
-        pad = same_padding(cfg.adapter_depth_kernel, d)
+    for w, b, d in zip(adapter.branch_ws, adapter.branch_bs, adapter.cfg.adapter_dilations):
+        pad = same_padding(DEPTH_KERNEL, d)
         outs.append(conv3d(G, w, b, dilation=(d, 1, 1), padding=(pad, 0, 0)))
     return concat(outs, axis=1)
 
@@ -123,15 +122,6 @@ def plane_unflatten(seq: Tensor, mode: str, dims: tuple) -> Tensor:
     return permute(reshape(seq, mid), np.argsort(order))
 
 
-_MODE_PLANES = {
-    "tri_plane": ("hw", "dw", "dh"),
-    "hw_only": ("hw",),
-    "dw_only": ("dw",),
-    "dh_only": ("dh",),
-    "volume_flatten": ("volume",),
-}
-
-
 def scan_stage(G: Tensor, adapter: TPMambaAdapter) -> Tensor:
     """Plane scans of (B,r,D,h,w) in the adapter's scan mode; tri_plane sums
     hw + dw + dh contributions.
@@ -143,7 +133,7 @@ def scan_stage(G: Tensor, adapter: TPMambaAdapter) -> Tensor:
     scanners = {"hw": adapter.phi_hw, "dw": adapter.phi_dw, "dh": adapter.phi_dh,
                 "volume": adapter.phi_hw}
     out = None
-    for plane in _MODE_PLANES[adapter.cfg.adapter_scan_mode]:
+    for plane in SCAN_MODES[adapter.cfg.adapter_scan_mode]:
         seq = plane_flatten(G, plane)
         scanned = mamba_block_forward(seq, scanners[plane])
         contrib = plane_unflatten(scanned, plane, dims)
@@ -152,7 +142,7 @@ def scan_stage(G: Tensor, adapter: TPMambaAdapter) -> Tensor:
 
 
 def raise_dim(G: Tensor, adapter: TPMambaAdapter) -> Tensor:
-    pad = same_padding(adapter.cfg.adapter_depth_kernel, 1)
+    pad = same_padding(DEPTH_KERNEL, 1)
     return conv3d(G, adapter.raise_w, adapter.raise_b, padding=(pad, 0, 0))
 
 

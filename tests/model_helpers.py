@@ -11,19 +11,20 @@ import dataclasses
 import pytest
 
 from tpmamba import encoder, ssm
+from tpmamba.config import DEPTH_KERNEL, SSM_D_CONV, SSM_EXPAND, auto_dt_rank
 from tpmamba.triplane import scan_stage
 
 
 def param_count_ssm(cfg) -> int:
     """Parameters of one SSMParams set."""
-    r, N, k, dtr = cfg.adapter_r, cfg.adapter_d_state, cfg.adapter_d_conv, cfg.dt_rank
-    E = cfg.adapter_expand * r
+    r, N, k, dtr = cfg.adapter_r, cfg.adapter_d_state, SSM_D_CONV, auto_dt_rank(cfg.adapter_r)
+    E = SSM_EXPAND * r
     return 2 * E * r + E * k + E + (dtr + 2 * N) * E + E * dtr + E + E * N + E + r * E
 
 
 def param_count_adapter(cfg) -> int:
     """Parameters of one adapter: reduce + dilated branches + 3 scanners + raise."""
-    C, r, k = cfg.C, cfg.adapter_r, cfg.adapter_depth_kernel
+    C, r, k = cfg.C, cfg.adapter_r, DEPTH_KERNEL
     n = len(cfg.adapter_dilations)
     rb = r // n
     return (k * C * r + r) + n * (k * r * rb + rb) + 3 * param_count_ssm(cfg) + (k * r * C + C)

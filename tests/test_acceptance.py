@@ -130,7 +130,7 @@ def test_criterion_6_freeze_contract(tmp_path):
     state = AdamWState(trainable)
     for step in range(10):
         rng = np.random.default_rng((cfg.seed, step, 0))
-        lr = lr_schedule(step, 10, cfg.lr_start, cfg.lr_end)
+        lr = lr_schedule(step, 10, cfg.lr_start)
         _train_record_step(model, rec, cfg, rng, trainable, state, lr)
     for p in frozen:
         assert np.array_equal(p.data, before[p.name]), f"frozen {p.name} changed"

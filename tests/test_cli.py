@@ -142,21 +142,31 @@ def test_epochs_override_checked_before_training(workdir, dataset, config_path, 
     assert not out.exists() and not (workdir / f"epochs{epochs}.ckpt.metrics.csv").exists()
 
 
-def test_conv_mode_is_a_removed_key(workdir, dataset, config_path, trained, capsys):
-    """The single-scale depth conv is `adapter.dilations=1`; a config file or
-    an older checkpoint's snapshot that still sets `adapter.conv_mode` is
-    rejected as an unknown key."""
-    removed = "unknown config key 'adapter.conv_mode'"
+# Keys that older configs and checkpoint snapshots may still set, with a value
+# they held there.  The single-scale depth conv is `adapter.dilations=1`; the
+# other six are the constants in `tpmamba.config`.
+REMOVED_KEYS = {
+    "adapter.conv_mode": "multiscale", "lr_end": 0.0, "mlp_ratio": 4, "adapter.depth_kernel": 3,
+    "adapter.expand": 2, "adapter.d_conv": 4, "adapter.dt_rank": None,
+}
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_is_rejected(workdir, dataset, config_path, trained, capsys, key):
+    """A config file or an older checkpoint's snapshot that still sets a
+    removed key is rejected as an unknown key."""
+    removed = f"unknown config key {key!r}"
+    line = f"{key}={'none' if REMOVED_KEYS[key] is None else REMOVED_KEYS[key]}\n"
     with pytest.raises(ConfigError, match=removed):
-        parse_config_text("adapter.conv_mode=single")
-    cfg = workdir / "conv_mode.cfg"
-    cfg.write_text(config_path.read_text(encoding="utf-8") + "adapter.conv_mode=multiscale\n", encoding="utf-8")
+        parse_config_text(line)
+    cfg = workdir / "removed_key.cfg"
+    cfg.write_text(config_path.read_text(encoding="utf-8") + line, encoding="utf-8")
     rc = main(["train", "--config", str(cfg), "--data", str(dataset), "--out", str(workdir / "never.ckpt")])
     assert removed in _one_line_error(capsys, rc, ConfigError)
 
     arrays, flat, seed = load_checkpoint(trained)
-    old = workdir / "conv_mode.ckpt"
-    save_checkpoint(old, arrays, {**flat, "adapter.conv_mode": "multiscale"}, seed)
+    old = workdir / "removed_key.ckpt"
+    save_checkpoint(old, arrays, {**flat, key: REMOVED_KEYS[key]}, seed)
     rc = main(["infer", "--ckpt", str(old), "--volume", str(dataset / "case000.img.rvol"),
                "--out", str(workdir / "never.lbl.rvol")])
     assert removed in _one_line_error(capsys, rc, ConfigError)

@@ -1,9 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from tpmamba.config import (
+    LR_END,
     TrainConfig,
     from_flat_dict,
     load_config,
@@ -18,7 +20,7 @@ def test_defaults_follow_training_protocol():
     cfg = TrainConfig()
     assert cfg.epochs == 1000
     assert cfg.lr_start == 2e-4
-    assert cfg.lr_end == 0.0
+    assert LR_END == 0.0
     assert cfg.crop == (96, 96, 96)
     assert cfg.adapter_dilations == (1, 2, 4, 8)
 
@@ -63,12 +65,11 @@ def test_flat_round_trip():
 
 def test_flat_dict_value_types_checked_by_key():
     flat = to_flat_dict(TrainConfig())
-    cfg = from_flat_dict({**flat, "lora_alpha": 4, "adapter.dt_rank": 3, "crop": [8, 32, 32], "flip": False})
-    assert (cfg.lora_alpha, cfg.adapter_dt_rank, cfg.crop, cfg.flip) == (4, 3, (8, 32, 32), False)
-    assert from_flat_dict({**flat, "adapter.dt_rank": None}).adapter_dt_rank is None
+    cfg = from_flat_dict({**flat, "lora_alpha": 4, "crop": [8, 32, 32], "flip": False})
+    assert (cfg.lora_alpha, cfg.crop, cfg.flip) == (4, (8, 32, 32), False)
     bad = {
         "C": "abc", "epochs": 2.0, "seed": True, "lr_start": "0.1", "flip": 1, "crop": 5,
-        "adapter.dilations": [1, 2.0], "adapter.scan_mode": 3, "adapter.dt_rank": "auto",
+        "adapter.dilations": [1, 2.0], "adapter.scan_mode": 3, "adapter.d_state": None,
     }
     for key, val in bad.items():
         with pytest.raises(ConfigError, match=f"config key '{key}'"):
@@ -81,8 +82,6 @@ def test_file_round_trip(tmp_path):
     for key, val in to_flat_dict(cfg).items():
         if isinstance(val, list):
             val = ",".join(str(v) for v in val)
-        elif val is None:
-            val = "none"
         lines.append(f"{key}={val}")
     path = tmp_path / "train.cfg"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -90,8 +89,10 @@ def test_file_round_trip(tmp_path):
 
 
 def test_invalid_lr_ordering():
-    with pytest.raises(ConfigError):
-        TrainConfig(lr_start=0.0, lr_end=0.0)
+    """The schedule decays lr_start to LR_END = 0, so lr_start must be positive."""
+    for lr_start in (0.0, -1e-3):
+        with pytest.raises(ConfigError, match="lr_start must be positive"):
+            TrainConfig(lr_start=lr_start)
 
 
 def test_crop_divisibility_enforced():
@@ -103,11 +104,10 @@ def test_crop_divisibility_enforced():
 TOY = dict(C=8, n_heads=2, lora_rank=2, lora_alpha=2.0, adapter_r=4, adapter_d_state=2, crop=(4, 32, 32))
 MODEL_VALUES = {
     "crop": (4, 32, 48), "seed": 1, "n_classes": 3, "C": 12, "n_blocks": 5, "n_heads": 4,
-    "mlp_ratio": 2, "lora_rank": 3, "lora_alpha": 1.5, "adapter_r": 8, "adapter_dilations": (1, 3),
-    "adapter_depth_kernel": 5, "adapter_scan_mode": "dh_only", "adapter_d_state": 3,
-    "adapter_expand": 3, "adapter_d_conv": 2, "adapter_dt_rank": 3,
+    "lora_rank": 3, "lora_alpha": 1.5, "adapter_r": 8, "adapter_dilations": (1, 3),
+    "adapter_scan_mode": "dh_only", "adapter_d_state": 3,
 }
-TRAINING_FIELDS = {"epochs", "lr_start", "lr_end", "weight_decay", "flip", "contrast", "scale_jitter"}
+TRAINING_FIELDS = {"epochs", "lr_start", "weight_decay", "flip", "contrast", "scale_jitter"}
 
 
 def _model_fingerprint(cfg):
@@ -139,12 +139,14 @@ MODEL_CHECKS = {
     "n_classes_below_2": ({"n_classes": 1}, "at least 2 classes"),
     "rank_not_dividing_into_branches": ({"adapter_r": 6}, "adapter.r=6 not divisible by the 4 dilated branches"),
     "no_dilations": ({"adapter_dilations": ()}, "not divisible by the 0 dilated branches"),
-    "unknown_scan_mode": ({"adapter_scan_mode": "xy_only"}, "unknown adapter.scan_mode"),
-    "even_depth_kernel": ({"adapter_depth_kernel": 4}, "adapter.depth_kernel must be odd"),
+    "unknown_scan_mode": ({"adapter_scan_mode": "xy_only"}, re.escape(
+        "unknown adapter.scan_mode 'xy_only'; choose from "
+        "('tri_plane', 'hw_only', 'dw_only', 'dh_only', 'volume_flatten')")),
+    "crop_depth_negative": ({"crop": (-4, 32, 32)}, r"crop extents must be positive, got \(-4, 32, 32\)"),
+    "crop_hw_zero": ({"crop": (8, 0, 0)}, r"crop extents must be positive, got \(8, 0, 0\)"),
     **{
         f"{name}_not_positive": ({name: 0}, f"{name.replace('adapter_', 'adapter.')} must be positive")
-        for name in ("C", "n_heads", "mlp_ratio", "lora_rank", "adapter_r", "adapter_d_state",
-                     "adapter_expand", "adapter_d_conv", "adapter_dt_rank")
+        for name in ("C", "n_heads", "lora_rank", "adapter_r", "adapter_d_state")
     },
 }
 
@@ -155,15 +157,8 @@ def test_model_checks_raise_config_error(change, message):
         TrainConfig(**change)
 
 
-def test_dt_rank_none_round_trip(tmp_path):
-    cfg = parse_config_text("adapter.dt_rank=none")
-    assert cfg.adapter_dt_rank is None
-    cfg2 = parse_config_text("adapter.dt_rank=3")
-    assert cfg2.adapter_dt_rank == 3
-
-
 @pytest.mark.parametrize(
-    "line", ["epochs=abc", "crop=8,x,32", "lr_start=fast", "adapter.dt_rank=big", "flip=maybe"]
+    "line", ["epochs=abc", "crop=8,x,32", "lr_start=fast", "flip=maybe"]
 )
 def test_unparsable_value_names_key_and_line(line):
     key = line.split("=")[0]
@@ -174,7 +169,7 @@ def test_unparsable_value_names_key_and_line(line):
 @pytest.mark.parametrize(
     "line",
     [
-        "lr_start=nan", "lr_start=inf", "lr_end=nan", "lr_end=inf",
+        "lr_start=nan", "lr_start=inf",
         "weight_decay=nan", "weight_decay=inf", "lora_alpha=nan", "lora_alpha=-inf",
     ],
 )

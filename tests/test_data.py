@@ -261,6 +261,9 @@ def test_gen_synth_validates_args(tmp_path):
         gen_synth(1, (16, 16, 16), 2, 0, tmp_path)
     with pytest.raises(InputError):
         gen_synth(1, (32, 32, 32), 1, 0, tmp_path)
+    with pytest.raises(InputError, match="labels are u8"):
+        gen_synth(1, (32, 32, 32), 257, 0, tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 def test_list_dataset_pairs(tmp_path):

@@ -42,9 +42,10 @@ def test_nonfinite_grad_aborts_with_name():
 
 
 def test_lr_schedule_endpoints_and_midpoint():
-    assert lr_schedule(0, 1000, 2e-4, 0.0) == 2e-4
-    assert lr_schedule(1000, 1000, 2e-4, 0.0) == 0.0
-    assert abs(lr_schedule(500, 1000, 2e-4, 0.0) - 1e-4) < 1e-12
+    assert lr_schedule(0, 1000, 2e-4) == 2e-4
+    assert lr_schedule(1000, 1000, 2e-4) == 0.0
+    assert abs(lr_schedule(500, 1000, 2e-4) - 1e-4) < 1e-12
+    assert abs(lr_schedule(999, 1000, 2e-4) - 2e-7) < 1e-15  # the last epoch that trains
 
 
 def test_moments_accumulate_deterministically():

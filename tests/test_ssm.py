@@ -348,10 +348,10 @@ def test_scan_stability_long_sequence():
 # full block
 
 
-def scanner_config(r, N=16, **kw):
+def scanner_config(r, N=16):
     """A config whose scanners have width r and N states; one depth-conv
     branch leaves r free of the dilated branches' divisibility."""
-    return TrainConfig(adapter_r=r, adapter_d_state=N, adapter_dilations=(1,), **kw)
+    return TrainConfig(adapter_r=r, adapter_d_state=N, adapter_dilations=(1,))
 
 
 def make_block(rng, r=16, N=16, dtype=np.float32, prefix="blk"):
@@ -400,8 +400,8 @@ def test_param_count_formula(rng):
 
 
 def test_dt_rank_default(rng):
-    """Unset, the delta rank is ceil(r / 16); set, it is the configured one."""
-    for r, dt_rank, rank in ((24, None, 2), (96, None, 6), (16, None, 1), (16, 5, 5)):
-        params = SSMParams.init(scanner_config(r, 2, adapter_dt_rank=dt_rank), rng, "blk")
+    """The delta rank is ceil(r / 16)."""
+    for r, rank in ((24, 2), (96, 6), (16, 1), (17, 2)):
+        params = SSMParams.init(scanner_config(r, 2), rng, "blk")
         assert params.w_dt.shape == (2 * r, rank)
         assert params.w_x_to_dtbc.shape == (rank + 2 * 2, 2 * r)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from model_helpers import param_count_adapter, param_count_ssm, scan_in_mode
 from tpmamba import tensor as T
-from tpmamba.config import TrainConfig
+from tpmamba.config import DEPTH_KERNEL, TrainConfig
 from tpmamba.errors import ConfigError, ShapeError
 from tpmamba.ops import grad_check
 from tpmamba.tensor import Tensor
@@ -114,10 +114,11 @@ def test_reduce_dim_production_shape(rng):
 
 
 def test_reduce_dim_k1_identity_slice(rng):
-    adapter = make_adapter(rng, C=6, r=4, depth_kernel=1)
-    w = np.zeros((4, 6, 1, 1, 1), dtype=np.float32)
-    w[0, 1, 0, 0, 0] = 1.0  # select channel 1
-    w[1, 4, 0, 0, 0] = 1.0  # select channel 4
+    """A kernel that is 1 at its centre depth tap and 0 elsewhere selects a channel."""
+    adapter = make_adapter(rng, C=6, r=4)
+    w = np.zeros((4, 6, DEPTH_KERNEL, 1, 1), dtype=np.float32)
+    w[0, 1, DEPTH_KERNEL // 2, 0, 0] = 1.0  # select channel 1
+    w[1, 4, DEPTH_KERNEL // 2, 0, 0] = 1.0  # select channel 4
     adapter.reduce_w.data = w
     adapter.reduce_b.data = np.zeros(4, dtype=np.float32)
     F = Tensor(rng.standard_normal((1, 6, 3, 2, 2)).astype(np.float32))
@@ -240,7 +241,7 @@ def test_rank_sweep_param_count(rng, r):
     cfg = TrainConfig(C=32, n_heads=2, adapter_r=r)
     adapter = TPMambaAdapter.init(cfg, rng, "tp")
     counted = sum(p.size for p in adapter.parameters())
-    k, C = cfg.adapter_depth_kernel, cfg.C
+    k, C = DEPTH_KERNEL, cfg.C
     expected = (
         k * C * r + r
         + 4 * (k * r * (r // 4) + r // 4)
