@@ -9,8 +9,10 @@ and seed, one process at a time; which side goes first alternates from pair to
 pair, and every pair uses a fresh seed.  The two checkouts' resolved paths
 must be of equal length, because peak RSS shifts with the path's length.  For every end-to-end metric the
 summary holds each side's median and quartiles, the number of pairs the change
-won, and whether the change's median is worse than the parent's by more than
-the metric's bound in BENCHMARK.json.  Traced pairs give per-layer medians.
+won, the number of pairs whose two values are exactly equal (for
+`loss_final`, the seeds on which the change keeps the parent's bits), and
+whether the change's median is worse than the parent's by more than the
+metric's bound in BENCHMARK.json.  Traced pairs give per-layer medians.
 """
 
 import argparse
@@ -59,6 +61,7 @@ def compare(metric: dict, parent: list, change: list) -> dict:
         "parent": p,
         "change": c,
         "change_wins": sum(sign * (a - b) > 0 for a, b in zip(parent, change)),
+        "identical": sum(a == b for a, b in zip(parent, change)),
         "pairs": len(parent),
         "median_gain": gap,
         "parent_iqr": p["q3"] - p["q1"],
@@ -86,12 +89,19 @@ def _at_least_two(text: str) -> int:
     return n
 
 
+def _non_negative(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"need a count of 0 or more, got {n}")
+    return n
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--pairs", type=_at_least_two, default=10, help="pairs per workload, >= 2 for quartiles")
-    ap.add_argument("--traced-pairs", type=int, default=3)
+    ap.add_argument("--traced-pairs", type=_non_negative, default=3)
     ap.add_argument("--seed", type=int, default=100, help="first seed; pair i uses seed + i")
     ap.add_argument("--workloads", nargs="*")
     ap.add_argument("--out", type=Path, required=True)
@@ -102,7 +112,11 @@ def main() -> int:
         # peak_rss_mb shifts by about 1 MiB with the length of the checkout path
         ap.error(f"checkout paths differ in length: {sides['parent']} and {sides['change']}")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    names = args.workloads or [w["name"] for w in spec["workloads"]]
+    known = [w["name"] for w in spec["workloads"]]
+    unknown = [name for name in args.workloads or [] if name not in known]
+    if unknown:
+        ap.error(f"unknown workloads {unknown}; choose from {known}")
+    names = args.workloads or known
     report = {
         "machine": {"cpu": cpu_model(), "cpus": len(os.sched_getaffinity(0)), "platform": platform.platform(),
                     "python": platform.python_version(), "numpy": numpy.__version__},

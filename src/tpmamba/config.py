@@ -91,6 +91,8 @@ class TrainConfig:
         n = len(self.adapter_dilations)
         if n == 0 or self.adapter_r % n != 0:
             raise ConfigError(f"adapter.r={self.adapter_r} not divisible by the {n} dilated branches")
+        if min(self.adapter_dilations) < 1:
+            raise ConfigError(f"adapter.dilations must be at least 1, got {self.adapter_dilations}")
 
 
 def _key_of(field_name: str) -> str:

@@ -36,32 +36,6 @@ from .triplane import TPMambaAdapter, tp_mamba_forward
 
 
 @dataclass
-class LoRALinear(Module):
-    """Frozen linear map plus a trainable rank-r correction B@(A@x)*alpha/r."""
-
-    w_base: Parameter
-    b_base: Parameter
-    a_lora: Parameter
-    b_lora: Parameter
-    scale: float
-
-    @classmethod
-    def init(cls, rng, prefix, out_dim, in_dim, rank, alpha, dtype=np.float32):
-        return cls(
-            w_base=Parameter(f"{prefix}.weight", uniform_init(rng, (out_dim, in_dim), in_dim, dtype), trainable=False),
-            b_base=Parameter(f"{prefix}.bias", uniform_init(rng, (out_dim,), in_dim, dtype), trainable=False),
-            a_lora=Parameter(f"{prefix}.lora_a", uniform_init(rng, (rank, in_dim), in_dim, dtype)),
-            b_lora=Parameter(f"{prefix}.lora_b", np.zeros((out_dim, rank), dtype=dtype)),
-            scale=alpha / rank,
-        )
-
-    def __call__(self, x: Tensor) -> Tensor:
-        base = linear(x, self.w_base, self.b_base)
-        delta = linear(linear(x, self.a_lora), self.b_lora)
-        return add(base, scale(delta, self.scale))
-
-
-@dataclass
 class FrozenLinear(Module):
     weight: Parameter
     bias: Parameter
@@ -75,6 +49,30 @@ class FrozenLinear(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
+
+
+@dataclass
+class LoRALinear(Module):
+    """Frozen linear map plus a trainable rank-r correction B@(A@x)*alpha/r."""
+
+    base: FrozenLinear
+    a_lora: Parameter
+    b_lora: Parameter
+    scale: float
+
+    @classmethod
+    def init(cls, rng, prefix, out_dim, in_dim, rank, alpha, dtype=np.float32):
+        return cls(
+            base=FrozenLinear.init(rng, prefix, out_dim, in_dim, dtype),
+            a_lora=Parameter(f"{prefix}.lora_a", uniform_init(rng, (rank, in_dim), in_dim, dtype)),
+            b_lora=Parameter(f"{prefix}.lora_b", np.zeros((out_dim, rank), dtype=dtype)),
+            scale=alpha / rank,
+        )
+
+    def __call__(self, x: Tensor) -> Tensor:
+        base = self.base(x)
+        delta = linear(linear(x, self.a_lora), self.b_lora)
+        return add(base, scale(delta, self.scale))
 
 
 @dataclass

@@ -8,9 +8,10 @@ The recurrence per channel e with N-wide state h:
 with input-dependent delta, B, C ("selective").  A is stored as A_log with
 A = -exp(A_log), so the dynamics always decay.  Two implementations are kept
 side by side: `selective_scan_sequential`, a naive per-step oracle composed
-from generic tape primitives, and `selective_scan`, a cache-tiled scan with a
-fused hand-derived backward.  Its forward is bit-identical to the oracle's;
-gradients agree to 1e-5 relative at f32 and 1e-10 at f64.
+from generic tape primitives, and `selective_scan`, a scan walked in tiles
+of at least sqrt(L) steps with a fused hand-derived backward.  A tile is the
+unit of cache, of recompute and of kept state.  Its forward is bit-identical
+to the oracle's; gradients agree to 1e-5 relative at f32 and 1e-10 at f64.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ from .tensor import (
 )
 from .ops import conv1d_depthwise
 
-SCAN_TILE_STATES = 2**17  # state values per scan tile: 512 KiB at f32, cache-resident
+# state values per scan tile (512 KiB at f32, cache-resident), unless the
+# sqrt(L)-step floor of `scan_tile_steps` asks for more
+SCAN_TILE_STATES = 2**17
 
 
 @dataclass
@@ -127,17 +130,10 @@ def selective_scan_sequential(
 
 
 def scan_tile_steps(b: int, L: int, E: int, N: int) -> int:
-    """Time steps per scan tile: about SCAN_TILE_STATES state values."""
-    return max(1, min(L, SCAN_TILE_STATES // (b * E * N)))
-
-
-def _scan_segments(L: int, T: int) -> list[list[tuple]]:
-    """The (t0, t1) tiles of T steps over L, grouped into segments of
-    isqrt(tiles) tiles.  A recorded scan keeps only the state entering each
-    segment; its backward recomputes one segment's states at a time."""
-    tiles = [(t0, min(t0 + T, L)) for t0 in range(0, L, T)]
-    k = math.isqrt(len(tiles))
-    return [tiles[i : i + k] for i in range(0, len(tiles), k)]
+    """Time steps per scan tile: about SCAN_TILE_STATES state values, and at
+    least isqrt(L) steps, so a recorded scan keeps at most about sqrt(L)
+    tile-start states."""
+    return max(1, min(L, max(SCAN_TILE_STATES // (b * E * N), math.isqrt(L))))
 
 
 def _decay(delta: np.ndarray, A: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -169,9 +165,9 @@ def selective_scan(
 
     Time is walked in time-major tiles of `scan_tile_steps` steps, so the
     (T, b, E, N) states and decays stay in cache.  A recorded call keeps only
-    the state entering each segment of tiles (`_scan_segments`); the backward
-    recomputes a segment's decays and states with the forward's per-tile ops,
-    so they are the forward's bits.
+    the state entering each tile; the backward recomputes one tile's decays
+    and states at a time with the forward's ops, so they are the forward's
+    bits, and then runs that tile's reverse recursion.
     """
     ud, dd, Ad, Bd, Cd, Dd = u.data, delta.data, A.data, B.data, C.data, D.data
     b, L, E, N = _check_scan_shapes(ud, dd, Ad, Bd, Cd, Dd)
@@ -185,22 +181,21 @@ def selective_scan(
 
     inputs = (u, delta, A, B, C, D)
     T = scan_tile_steps(b, L, E, N)
-    segments = _scan_segments(L, T)
-    # a recorded call keeps the state entering each segment
-    starts = np.empty((len(segments), b, E, N), dtype=ud.dtype) if _needs_grad(inputs) else None
+    tiles = [(t0, min(t0 + T, L)) for t0 in range(0, L, T)]
+    # a recorded call keeps the state entering each tile
+    starts = np.empty((len(tiles), b, E, N), dtype=ud.dtype) if _needs_grad(inputs) else None
     xbuf, abuf = np.empty((2, T, b, E, N), dtype=ud.dtype)
     dT, dtuT, BT, CT = _time_major(dd, dd * ud, Bd, Cd)
     out = np.empty((b, L, E), dtype=ud.dtype)
     h = np.zeros((b, E, N), dtype=ud.dtype)
-    for k, segment in enumerate(segments):
+    for k, (t0, t1) in enumerate(tiles):
         if starts is not None:
             starts[k] = h
-        for t0, t1 in segment:
-            x = xbuf[: t1 - t0]
-            a = _decay(dT[t0:t1], Ad, abuf[: t1 - t0])
-            _tile_states(a, dtuT[t0:t1], BT[t0:t1], h, x, a)
-            h = x[-1]
-            np.multiply(x, CT[t0:t1, :, None, :], out=a).sum(axis=-1, out=out.swapaxes(0, 1)[t0:t1])
+        x = xbuf[: t1 - t0]
+        a = _decay(dT[t0:t1], Ad, abuf[: t1 - t0])
+        _tile_states(a, dtuT[t0:t1], BT[t0:t1], h, x, a)
+        h = x[-1]
+        np.multiply(x, CT[t0:t1, :, None, :], out=a).sum(axis=-1, out=out.swapaxes(0, 1)[t0:t1])
     out += ud * Dd
     need_u, need_delta, need_A, need_B, need_C, need_D = (t.requires_grad for t in inputs)
 
@@ -212,49 +207,44 @@ def selective_scan(
         duT, ddT, dBT, dCT = (None if x is None else x.swapaxes(0, 1) for x in (du, ddelta, dB, dC))
         dT, uT, gT, BT, CT = _time_major(dd, ud, g, Bd, Cd)
         dtuT = dT * uT
-        # one segment's recomputed decays, and its states after the state
-        # entering it: hs[i] is h_{s0+i-1}
-        S = segments[0][-1][1]
-        decays = np.empty((S, b, E, N), dtype=ud.dtype)
-        hs = np.empty((S + 1, b, E, N), dtype=ud.dtype)
-        dhbuf = np.empty((T, b, E, N), dtype=ud.dtype)
+        # one tile's recomputed decays, and its states after the state
+        # entering it: hs[i] is h_{t0+i-1}
+        decays, dhbuf = np.empty((2, T, b, E, N), dtype=ud.dtype)
+        hs = np.empty((T + 1, b, E, N), dtype=ud.dtype)
         carry = np.zeros((b, E, N), dtype=ud.dtype)  # dA_{t+1} * dh_{t+1}
-        for k in reversed(range(len(segments) if recur or need_C else 0)):
-            segment, s0 = segments[k], segments[k][0][0]
+        for k in reversed(range(len(tiles) if recur or need_C else 0)):
+            t0, t1 = tiles[k]
+            n = t1 - t0
             carry = carry.copy()  # carry points into decays, which the recompute overwrites
             hs[0] = starts[k]
-            for t0, t1 in segment:
-                a = _decay(dT[t0:t1], Ad, decays[t0 - s0 : t1 - s0])
-                _tile_states(a, dtuT[t0:t1], BT[t0:t1], hs[t0 - s0], hs[t0 - s0 + 1 : t1 - s0 + 1], dhbuf)
-            for t0, t1 in reversed(segment):
-                i0, i1 = t0 - s0, t1 - s0
-                if need_C:
-                    dCT[t0:t1] = np.matmul(gT[t0:t1, :, None, :], hs[i0 + 1 : i1 + 1])[:, :, 0]
-                if not recur:
-                    continue
-                dh = np.einsum("tbe,tbn->tben", gT[t0:t1], CT[t0:t1], out=dhbuf[: i1 - i0])
-                dh[-1] += carry
-                a = decays[i0:i1]
-                for j in range(i1 - i0 - 1, 0, -1):
-                    a[j] *= dh[j]
-                    dh[j - 1] += a[j]
-                a[0] *= dh[0]
-                carry = a[0]
-                if need_u or need_delta:
-                    s = np.matmul(dh, BT[t0:t1, :, :, None])[..., 0]
-                if need_u:
-                    duT[t0:t1] += s * dT[t0:t1]
-                if need_B:
-                    dBT[t0:t1] = np.matmul(dtuT[t0:t1, :, None, :], dh)[:, :, 0]
-                if not (need_delta or need_A):
-                    continue
-                # dh becomes d(loss)/d(delta*A) = dA * dh * h_{t-1}, with h_{-1} = 0
-                np.multiply(a, hs[i0:i1], out=dh)
-                q = dh.reshape(-1, E, N).swapaxes(0, 1)  # (E, T*b, N)
-                if need_delta:
-                    ddT[t0:t1] = s * uT[t0:t1] + np.matmul(q, Ad[:, :, None])[..., 0].T.reshape(t1 - t0, b, E)
-                if need_A:
-                    dA_acc += np.matmul(dT[t0:t1].reshape(-1, E).T[:, None, :], q)[:, 0]
+            a = _decay(dT[t0:t1], Ad, decays[:n])
+            _tile_states(a, dtuT[t0:t1], BT[t0:t1], hs[0], hs[1 : n + 1], dhbuf)
+            if need_C:
+                dCT[t0:t1] = np.matmul(gT[t0:t1, :, None, :], hs[1 : n + 1])[:, :, 0]
+            if not recur:
+                continue
+            dh = np.einsum("tbe,tbn->tben", gT[t0:t1], CT[t0:t1], out=dhbuf[:n])
+            dh[-1] += carry
+            for j in range(n - 1, 0, -1):
+                a[j] *= dh[j]
+                dh[j - 1] += a[j]
+            a[0] *= dh[0]
+            carry = a[0]
+            if need_u or need_delta:
+                s = np.matmul(dh, BT[t0:t1, :, :, None])[..., 0]
+            if need_u:
+                duT[t0:t1] += s * dT[t0:t1]
+            if need_B:
+                dBT[t0:t1] = np.matmul(dtuT[t0:t1, :, None, :], dh)[:, :, 0]
+            if not (need_delta or need_A):
+                continue
+            # dh becomes d(loss)/d(delta*A) = dA * dh * h_{t-1}, with h_{-1} = 0
+            np.multiply(a, hs[:n], out=dh)
+            q = dh.reshape(-1, E, N).swapaxes(0, 1)  # (E, T*b, N)
+            if need_delta:
+                ddT[t0:t1] = s * uT[t0:t1] + np.matmul(q, Ad[:, :, None])[..., 0].T.reshape(n, b, E)
+            if need_A:
+                dA_acc += np.matmul(dT[t0:t1].reshape(-1, E).T[:, None, :], q)[:, 0]
         dD = np.einsum("ble,ble->e", g, ud, optimize=True) if need_D else None
         return du, ddelta, dA_acc, dB, dC, dD
 

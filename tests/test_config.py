@@ -139,6 +139,8 @@ MODEL_CHECKS = {
     "n_classes_below_2": ({"n_classes": 1}, "at least 2 classes"),
     "rank_not_dividing_into_branches": ({"adapter_r": 6}, "adapter.r=6 not divisible by the 4 dilated branches"),
     "no_dilations": ({"adapter_dilations": ()}, "not divisible by the 0 dilated branches"),
+    "dilation_zero": ({"adapter_dilations": (0, 1, 2, 4)}, r"adapter.dilations must be at least 1, got \(0, 1, 2, 4\)"),
+    "dilation_negative": ({"adapter_dilations": (-1, 1, 2, 4)}, r"adapter.dilations must be at least 1, got \(-1, 1, 2, 4\)"),
     "unknown_scan_mode": ({"adapter_scan_mode": "xy_only"}, re.escape(
         "unknown adapter.scan_mode 'xy_only'; choose from "
         "('tri_plane', 'hw_only', 'dw_only', 'dh_only', 'volume_flatten')")),

@@ -84,20 +84,22 @@ def _node_grads(fn, arrays, trainable):
     return tape.nodes[0], tape.nodes[0].backward(g)
 
 
-SCAN_TILE_STATES = 2 * 3 * 2 * 2  # b*E*N of the scan case times 2 steps
+SCAN_TILE_STATES = 2 * 3 * 2 * 3  # b*E*N of the scan case times 3 steps
 
 
-def test_scan_case_spans_segments_of_several_tiles(monkeypatch):
-    # the state entering a tile comes from inside its segment and, at a
-    # segment's first tile, from the kept segment start: both must run
+def test_scan_case_spans_several_tiles_of_several_steps(monkeypatch):
+    # the state entering a tile comes from the tile before it and, in the
+    # backward, from the kept tile start; at least two tiles of at least two
+    # steps run both, and the reverse carry from one tile into the next
     monkeypatch.setattr(ssm, "SCAN_TILE_STATES", SCAN_TILE_STATES)
-    segments = ssm._scan_segments(9, ssm.scan_tile_steps(2, 9, 3, 2))
-    assert len(segments) >= 2 and all(len(s) >= 2 for s in segments[:2])
+    L = 9
+    steps = ssm.scan_tile_steps(2, L, 3, 2)
+    assert 2 <= steps and 2 * steps <= L
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_masked_inputs_get_none_and_the_rest_are_unchanged(name, monkeypatch):
-    # several scan segments of several tiles, so every branch of the scan's backward runs
+    # several scan tiles of several steps, so every branch of the scan's backward runs
     monkeypatch.setattr(ssm, "SCAN_TILE_STATES", SCAN_TILE_STATES)
     fn, makers = CASES[name]
     rng = np.random.default_rng(0)

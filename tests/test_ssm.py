@@ -12,7 +12,6 @@ from tpmamba.errors import NumericError, ShapeError
 from tpmamba.ops import grad_check
 from tpmamba.ssm import (
     SSMParams,
-    _scan_segments,
     mamba_block_forward,
     scan_tile_steps,
     selective_scan,
@@ -161,7 +160,7 @@ TILED = (2, 96, 128)
 
 def tile_lengths():
     b, E, N = TILED
-    T = scan_tile_steps(b, 10**6, E, N)
+    T = scan_tile_steps(b, 16, E, N)  # at 16 steps the isqrt(L) floor is below T
     assert 2 <= T <= 8
     return [1, T - 1, T, T + 1, 2 * T + 3]
 
@@ -206,7 +205,7 @@ def traced_bytes(fn):
 
 def test_recorded_scan_holds_one_state_array(rng):
     # The tape holds less than one (b, L, E, N) state history: no full
-    # history array is kept, only segment-start states and per-step inputs.
+    # history array is kept, only tile-start states and per-step inputs.
     b, L, E, N = 6, 100, 48, 16
     arrays = random_scan_inputs(rng, b, L, E, N, dtype=np.float32)
     params = [Parameter(n, a.data, dtype=np.float32) for n, a in zip("udABCD", arrays)]
@@ -216,16 +215,18 @@ def test_recorded_scan_holds_one_state_array(rng):
     assert held < state
 
 
-@pytest.mark.parametrize("b, L", [(96, 36), (6, 576)], ids=["one_step_tiles", "long_sequence"])
-def test_recorded_scan_keeps_only_segment_start_states(rng, b, L):
-    # (96, 36): the hw plane's shape at the default config, one step per tile;
-    # (6, 576): the dw/dh planes' shape, a long sequence of multi-step tiles
+@pytest.mark.parametrize("b, L", [(96, 36), (6, 576)], ids=["isqrt_floor_tiles", "long_sequence"])
+def test_recorded_scan_keeps_only_tile_start_states(rng, b, L):
+    # (96, 36): the hw plane's shape at the default config, where a tile of
+    # SCAN_TILE_STATES values is one step and the isqrt(L) floor sets 6 tiles
+    # of 6 steps; (6, 576): the dw/dh planes' shape, a long sequence of
+    # multi-step tiles
     E, N = 48, 16
     arrays = random_scan_inputs(rng, b, L, E, N, dtype=np.float32)
     params = [Parameter(n, a.data, dtype=np.float32) for n, a in zip("udABCD", arrays)]
-    segments = _scan_segments(L, scan_tile_steps(b, L, E, N))
-    assert len(segments) >= 4
-    starts = len(segments) * b * E * N * 4
+    tiles = -(-L // scan_tile_steps(b, L, E, N))
+    assert tiles >= 4
+    starts = tiles * b * E * N * 4
     with recording():
         held, _ = traced_bytes(lambda: selective_scan(*params))
     assert held <= starts + 2 * b * L * E * 4 < b * L * E * N * 4 // 3
@@ -241,27 +242,20 @@ def _scan_grads(arrays, seed):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_scan_gradients_same_bits_for_every_segment_layout(rng, dtype, monkeypatch):
+def test_scan_gradients_same_bits_for_every_tile_size(rng, dtype, monkeypatch):
     b, L, E, N = 2, 16, 3, 2
     arrays = random_scan_inputs(rng, b, L, E, N, dtype=dtype)
     seed = np.random.default_rng(7).standard_normal((b, L, E)).astype(dtype)
-    # 8 tiles of 2 steps regrouped: one tile per segment, 3 segments,
-    # 2 segments and a single segment
-    monkeypatch.setattr(ssm, "SCAN_TILE_STATES", b * E * N * 2)
-    tiles = [tile for segment in _scan_segments(L, 2) for tile in segment]
-    reference = _scan_grads(arrays, seed)
-    for k in (1, 3, 4, 8):
-        grouped = [tiles[i : i + k] for i in range(0, len(tiles), k)]
-        with monkeypatch.context() as m:
-            m.setattr(ssm, "_scan_segments", lambda L, T: grouped)
-            assert _scan_grads(arrays, seed) == reference, k
+    assert scan_tile_steps(b, L, E, N) == L
+    reference = _scan_grads(arrays, seed)  # a single tile
 
-    # Tile sizes whose default layouts are 1 segment, 2 segments of 2 tiles
-    # and one segment per tile.  Only dA sums its per-tile partials, so its
-    # rounding follows the tile size; every other gradient keeps its bits.
-    for steps, layout in ((16, [1]), (4, [2, 2]), (8, [1, 1])):
-        monkeypatch.setattr(ssm, "SCAN_TILE_STATES", b * E * N * steps)
-        assert [len(s) for s in _scan_segments(L, scan_tile_steps(b, L, E, N))] == layout
+    # Tiles of 4 steps (a 2-step budget raised by the isqrt(16) floor), of 5
+    # steps with a 1-step last tile, and of 8 steps.  Only dA sums its
+    # per-tile partials, so its rounding follows the tile size; every other
+    # gradient keeps its bits.
+    for budget, steps in ((2, 4), (5, 5), (8, 8)):
+        monkeypatch.setattr(ssm, "SCAN_TILE_STATES", b * E * N * budget)
+        assert scan_tile_steps(b, L, E, N) == steps
         out, grads = _scan_grads(arrays, seed)
         assert out == reference[0]
         for i, (g, ref) in enumerate(zip(grads, reference[1])):
