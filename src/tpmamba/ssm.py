@@ -45,9 +45,7 @@ from .tensor import (
 )
 from .ops import conv1d_depthwise
 
-# state values per scan tile (512 KiB at f32, cache-resident), unless the
-# sqrt(L)-step floor of `scan_tile_steps` asks for more
-SCAN_TILE_STATES = 2**17
+SCAN_TILE_STATES = 2**17  # state values per scan tile (512 KiB at f32); tiles take at least isqrt(L) steps
 
 
 @dataclass
@@ -163,8 +161,9 @@ def selective_scan(
 ) -> Tensor:
     """Cache-tiled sequential scan, bit-identical to the oracle's forward.
 
-    Time is walked in time-major tiles of `scan_tile_steps` steps, so the
-    (T, b, E, N) states and decays stay in cache.  A recorded call keeps only
+    Time is walked in time-major tiles of `scan_tile_steps` steps, sized so
+    the (T, b, E, N) states and decays stay in cache unless the isqrt(L)
+    floor makes them longer.  A recorded call keeps only
     the state entering each tile; the backward recomputes one tile's decays
     and states at a time with the forward's ops, so they are the forward's
     bits, and then runs that tile's reverse recursion.
