@@ -64,8 +64,11 @@ def save_checkpoint(path, named_arrays: dict, config: dict, seed: int) -> None:
 
 def load_checkpoint(path) -> tuple[dict, dict, int]:
     """Returns (named arrays, config snapshot, seed)."""
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise CheckpointError(f"{path}: {e.strerror}") from e
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint")
     if len(blob) < _PREAMBLE_BYTES:

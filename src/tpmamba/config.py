@@ -180,6 +180,12 @@ def parse_config_text(text: str) -> TrainConfig:
 
 
 def load_config(path) -> TrainConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config_text(f.read())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except OSError as e:
+        raise ConfigError(f"{path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e.reason}") from e
+    return parse_config_text(text)
 

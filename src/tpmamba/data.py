@@ -35,7 +35,7 @@ LABEL_SUFFIX = ".lbl.rvol"
 class VolumeRecord:
     voxels: np.ndarray  # (D,H,W) float32
     spacing: tuple  # (sd,sh,sw) mm per voxel
-    labels: Optional[np.ndarray] = None  # (D,H,W) integer class ids
+    labels: Optional[np.ndarray] = None  # (D,H,W) integer class ids, u8 when read from file
     windowed: bool = False  # voxels already mapped from HU onto [0,1] by `preprocess`
 
     def __post_init__(self):
@@ -70,8 +70,11 @@ def write_rvol(path, array: np.ndarray, spacing: tuple) -> None:
 
 
 def read_rvol(path) -> tuple[np.ndarray, tuple]:
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise InputError(f"{path}: {e.strerror}") from e
     if blob[:4] != RVOL_MAGIC:
         raise InputError(f"{path}: not an RVOL file")
     if len(blob) < RVOL_HEADER_BYTES:
@@ -93,7 +96,9 @@ def load_record(volume_path, label_path=None) -> VolumeRecord:
     voxels, spacing = read_rvol(volume_path)
     labels = None
     if label_path is not None:
-        labels, lsp = read_rvol(label_path)
+        labels, _ = read_rvol(label_path)
+        if labels.dtype != np.uint8:
+            raise InputError(f"{label_path}: labels must be stored as u8, got {labels.dtype}")
         if labels.shape != voxels.shape:
             raise InputError(
                 f"label grid {labels.shape} does not match volume {voxels.shape}"

@@ -1,12 +1,12 @@
 """Slice-as-batch ViT encoder with low-rank attention adapters.
 
-The 3D input (B,1,D,H,W) is reshaped to (B*D,1,H,W) so a 2D patch embedding
-and 2D attention process depth slices as batch entries; depth mixing happens
-only inside the tri-plane adapters appended to each block.  The backbone
-(patch embed, positional embedding, attention, MLP, norms) is frozen; only
-the LoRA factors and the adapters train.  Both start at exact zero
-contribution, so a freshly adapted encoder is bit-identical to the frozen
-one.
+The 3D input (B,1,D,H,W) becomes slice-major features (B, D, C, h, w).  The
+2D patch embedding and 2D attention treat depth slices as batch entries;
+depth mixing happens only inside the tri-plane adapters appended to each
+block.  The backbone (patch embed, positional embedding, attention, MLP,
+norms) is frozen; only the LoRA factors and the adapters train.  Both start
+at exact zero contribution, so a freshly adapted encoder is bit-identical to
+the frozen one.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class Encoder(Module):
 
 
 def patch_embed_slices(X: Tensor, enc: Encoder) -> Tensor:
-    """(B,1,D,H,W) -> (B*D, C, h, w) via non-overlapping patch projection."""
+    """(B,1,D,H,W) -> (B, D, C, h, w) via non-overlapping patch projection."""
     B, one, D, H, W = X.shape
     p = PATCH
     if one != 1:
@@ -146,7 +146,7 @@ def patch_embed_slices(X: Tensor, enc: Encoder) -> Tensor:
     x = permute(x, (0, 1, 3, 2, 4))  # (BD, h, w, p, p)
     x = reshape(x, (B * D, h, w, p * p))
     x = linear(x, enc.patch_w, enc.patch_b)  # (BD, h, w, C)
-    return permute(x, (0, 3, 1, 2))
+    return permute(reshape(x, (B, D) + x.shape[1:]), (0, 1, 4, 2, 3))
 
 
 def mhsa_lora(tokens: Tensor, blk: ViTBlock) -> Tensor:
@@ -167,28 +167,28 @@ def mhsa_lora(tokens: Tensor, blk: ViTBlock) -> Tensor:
     return blk.out(merged)
 
 
-def vit_block_forward(F: Tensor, blk: ViTBlock, dims: tuple) -> Tensor:
-    """Pre-norm block: attention and MLP residuals, then the volume adapter."""
-    BD, C, h, w = F.shape
-    x = permute(reshape(F, (BD, C, h * w)), (0, 2, 1))  # tokens (BD, hw, C)
+def vit_block_forward(F: Tensor, blk: ViTBlock) -> Tensor:
+    """Pre-norm block on (B, D, C, h, w): attention and MLP residuals per
+    slice, then the volume adapter."""
+    B, D, C, h, w = F.shape
+    x = permute(reshape(F, (B * D, C, h * w)), (0, 2, 1))  # tokens (BD, hw, C)
     x = add(x, mhsa_lora(normalize(x, "layer_norm", blk.ln1_g, blk.ln1_b), blk))
     y = normalize(x, "layer_norm", blk.ln2_g, blk.ln2_b)
     y = blk.mlp2(gelu(blk.mlp1(y)))
     x = add(x, y)
-    out = reshape(permute(x, (0, 2, 1)), (BD, C, h, w))
-    return tp_mamba_forward(out, blk.adapter, dims)
+    out = reshape(permute(x, (0, 2, 1)), (B, D, C, h, w))
+    return tp_mamba_forward(out, blk.adapter)
 
 
 def encoder_forward(X: Tensor, enc: Encoder) -> list[Tensor]:
     """Chain all blocks; return the feature taps of the last four blocks."""
-    B, _, D, H, W = X.shape
     F = patch_embed_slices(X, enc)
-    if F.shape[2:] != enc.pos.shape[2:]:
-        raise ShapeError(f"feature grid {F.shape[2:]} does not match positional embedding {enc.pos.shape[2:]}")
+    if F.shape[3:] != enc.pos.shape[2:]:
+        raise ShapeError(f"feature grid {F.shape[3:]} does not match positional embedding {enc.pos.shape[2:]}")
     F = add(F, enc.pos)
     taps = []
     for i, blk in enumerate(enc.blocks):
-        F = vit_block_forward(F, blk, (B, D))
+        F = vit_block_forward(F, blk)
         if i >= len(enc.blocks) - 4:
             taps.append(F)
     return taps

@@ -26,8 +26,7 @@ class SegModel(Module):
 
     def forward(self, X: Tensor) -> Tensor:
         """(B,1,D,H,W) volume -> (B,K,D,H,W) logits."""
-        B, _, D, H, W = X.shape
-        return decoder_forward(encoder_forward(X, self.encoder), (B, D), self.decoder)
+        return decoder_forward(encoder_forward(X, self.encoder), self.decoder)
 
     def predict_logits(self, volume: np.ndarray) -> np.ndarray:
         """Inference entry point for sliding-window: numpy in, numpy out."""

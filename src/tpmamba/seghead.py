@@ -11,7 +11,7 @@ from . import tensor
 from .config import TrainConfig
 from .errors import InputError, ShapeError
 from .ops import conv3d, normalize, upsample_hw
-from .tensor import Module, Parameter, Tensor, concat, gelu, permute, reshape, uniform_init
+from .tensor import Module, Parameter, Tensor, concat, gelu, permute, uniform_init
 
 DICE_EPS = 1e-5
 DECODER_STAGES = 4  # 2x upsampling stages: 2**4 recovers the patch side, config.PATCH
@@ -74,19 +74,14 @@ class Decoder(Module):
         )
 
 
-def decoder_forward(taps: list[Tensor], dims: tuple, dec: Decoder) -> Tensor:
-    """Fuse 4 encoder taps (B*D,C,h,w) into full-resolution logits."""
-    B, D = dims
+def decoder_forward(taps: list[Tensor], dec: Decoder) -> Tensor:
+    """Fuse 4 encoder taps (B, D, C, h, w) into full-resolution logits."""
     if len(taps) != 4:
         raise ShapeError(f"decoder expects 4 taps, got {len(taps)}")
     shapes = {tuple(t.shape) for t in taps}
     if len(shapes) != 1:
         raise ShapeError(f"tap shapes differ: {sorted(shapes)}")
-    BD, C, h, w = taps[0].shape
-    if BD != B * D:
-        raise ShapeError(f"tap leading extent {BD} != B*D = {B}*{D}")
-    vols = [permute(reshape(t, (B, D, C, h, w)), (0, 2, 1, 3, 4)) for t in taps]
-    x = concat(vols, axis=1)  # (B, 4C, D, h, w)
+    x = permute(concat(taps, axis=2), (0, 2, 1, 3, 4))  # (B, 4C, D, h, w)
     x = conv3d(x, dec.reduce_w, dec.reduce_b)
     for stage in dec.stages:
         x = conv3d(x, stage.conv_w, stage.conv_b, padding=(1, 1, 1))

@@ -122,10 +122,10 @@ def gradient_errors(seed: int) -> dict[str, float]:
     adapter = TPMambaAdapter.init(TOY, rng, "tp", dtype=f64)
     for p in (adapter.raise_w, adapter.phi_hw.w_out, adapter.phi_dw.w_out, adapter.phi_dh.w_out):
         p.data = 0.3 * rng.standard_normal(p.shape)
-    F = Tensor(rng.standard_normal((3, 8, 2, 2)), dtype=f64)
-    wgt = Tensor(rng.standard_normal((3, 8, 2, 2)), dtype=f64)
+    F = Tensor(rng.standard_normal((1, 3, 8, 2, 2)), dtype=f64)
+    wgt = Tensor(rng.standard_normal((1, 3, 8, 2, 2)), dtype=f64)
     results["tp_mamba_adapter"] = grad_check(
-        lambda: T.tsum(T.mul(tp_mamba_forward(F, adapter, dims=(1, 3)), wgt)), adapter.parameters(), max_coords=3
+        lambda: T.tsum(T.mul(tp_mamba_forward(F, adapter), wgt)), adapter.parameters(), max_coords=3
     )
 
     # one full ViT block over its trainables
@@ -133,17 +133,17 @@ def gradient_errors(seed: int) -> dict[str, float]:
     ad = blk.adapter
     for p in (ad.raise_w, blk.q.b_lora, blk.v.b_lora, ad.phi_hw.w_out, ad.phi_dw.w_out, ad.phi_dh.w_out):
         p.data = 0.2 * rng.standard_normal(p.shape)
-    Fb = Tensor(rng.standard_normal((3, 8, 2, 2)), dtype=f64)
-    wb2 = Tensor(rng.standard_normal((3, 8, 2, 2)), dtype=f64)
+    Fb = Tensor(rng.standard_normal((1, 3, 8, 2, 2)), dtype=f64)
+    wb2 = Tensor(rng.standard_normal((1, 3, 8, 2, 2)), dtype=f64)
     results["vit_block"] = grad_check(
-        lambda: T.tsum(T.mul(vit_block_forward(Fb, blk, (1, 3)), wb2)), blk.partition()[0], max_coords=3
+        lambda: T.tsum(T.mul(vit_block_forward(Fb, blk), wb2)), blk.partition()[0], max_coords=3
     )
 
     dec = Decoder.init(TOY, rng, dtype=f64)
-    taps = [Tensor(rng.standard_normal((2, 8, 1, 1)), dtype=f64) for _ in range(4)]
+    taps = [Tensor(rng.standard_normal((1, 2, 8, 1, 1)), dtype=f64) for _ in range(4)]
     wd = Tensor(rng.standard_normal((1, 2, 2, 16, 16)), dtype=f64)
     results["decoder"] = grad_check(
-        lambda: T.tsum(T.mul(decoder_forward(taps, (1, 2), dec), wd)), dec.parameters(), max_coords=3
+        lambda: T.tsum(T.mul(decoder_forward(taps, dec), wd)), dec.parameters(), max_coords=3
     )
 
     labels = rng.integers(0, 2, (1, 4, 4, 4))

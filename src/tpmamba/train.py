@@ -53,10 +53,10 @@ def _train_record_step(model, rec, cfg, rng, trainable, opt_state, lr):
     sample = augment(rec, rng, aug_cfg)
     if sample.labels is None:
         raise InputError("training requires labelled volumes")
-    x = Tensor(sample.voxels[None, None].astype(np.float32))
+    x = Tensor(sample.voxels[None, None])
     with recording() as tape:
         logits = model.forward(x)
-        loss = dice_ce_loss(logits, sample.labels[None].astype(np.int64))
+        loss = dice_ce_loss(logits, sample.labels[None])
     tape.backward(loss)
     adamw_step(trainable, opt_state, lr, weight_decay=cfg.weight_decay)
     pred = logits.data.argmax(axis=1)
@@ -141,9 +141,7 @@ def evaluate_model(
     for name, rec in records:
         if rec.labels is None:
             raise InputError(f"{name}: evaluation requires labels")
-        result = sliding_window_infer(
-            rec.voxels[None, None].astype(np.float32), model_fn, window=window
-        )
+        result = sliding_window_infer(rec.voxels[None, None], model_fn, window=window)
         scores, mean = dice_score(result.labels, rec.labels[None], K)
         per_class.append(scores)
         rows.append({"volume": name, "scores": scores, "mean": mean})
@@ -188,9 +186,7 @@ def infer_volume(ckpt_path, volume_path, out_path) -> np.ndarray:
     labels as a u8 RVOL file."""
     model, cfg = model_from_checkpoint(ckpt_path)
     rec = preprocess(load_record(volume_path))
-    result = sliding_window_infer(
-        rec.voxels[None, None].astype(np.float32), model.predict_logits, window=tuple(cfg.crop)
-    )
+    result = sliding_window_infer(rec.voxels[None, None], model.predict_logits, window=tuple(cfg.crop))
     labels = result.labels[0].astype(np.uint8)
     write_rvol(out_path, labels, rec.spacing)
     return labels

@@ -1,6 +1,6 @@
 """Tri-plane state-space adapter.
 
-Takes a stack of per-slice feature maps (B*D, C, h, w), reduces the channel
+Takes slice-major feature maps (B, D, C, h, w), reduces the channel
 width to a small rank r with a depth-wise (k,1,1) convolution, widens the
 depth receptive field with four parallel dilated convolutions, scans the
 volume as flattened sequences along the height-width, depth-width and
@@ -146,16 +146,9 @@ def raise_dim(G: Tensor, adapter: TPMambaAdapter) -> Tensor:
     return conv3d(G, adapter.raise_w, adapter.raise_b, padding=(pad, 0, 0))
 
 
-def tp_mamba_forward(F: Tensor, adapter: TPMambaAdapter, dims: tuple) -> Tensor:
-    """Full adapter on slice-stacked features (B*D, C, h, w); residual output."""
-    B, D = dims
-    BD, C, h, w = F.shape
-    if BD != B * D:
-        raise ShapeError(f"leading extent {BD} != B*D = {B}*{D}")
-    vol = permute(reshape(F, (B, D, C, h, w)), (0, 2, 1, 3, 4))
-    G = reduce_dim(vol, adapter)
+def tp_mamba_forward(F: Tensor, adapter: TPMambaAdapter) -> Tensor:
+    """Full adapter on slice-major features (B, D, C, h, w); residual output."""
+    G = reduce_dim(permute(F, (0, 2, 1, 3, 4)), adapter)
     G = multiscale_depth_conv(G, adapter)
     G = scan_stage(G, adapter)
-    out = raise_dim(G, adapter)
-    out = reshape(permute(out, (0, 2, 1, 3, 4)), (BD, C, h, w))
-    return add(F, out)
+    return add(F, permute(raise_dim(G, adapter), (0, 2, 1, 3, 4)))

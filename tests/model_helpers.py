@@ -33,7 +33,7 @@ def param_count_adapter(cfg) -> int:
 def without_adapters(fn, *args):
     """fn(*args) with every encoder block's adapter replaced by the identity."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(encoder, "tp_mamba_forward", lambda F, adapter, dims: F)
+        m.setattr(encoder, "tp_mamba_forward", lambda F, adapter: F)
         return fn(*args)
 
 

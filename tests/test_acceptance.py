@@ -181,10 +181,10 @@ def test_criterion_8_rank_sweep(r):
     adapter.raise_w.data = 0.1 * rng.standard_normal(adapter.raise_w.shape)
     for phi in (adapter.phi_hw, adapter.phi_dw, adapter.phi_dh):
         phi.w_out.data = 0.1 * rng.standard_normal(phi.w_out.shape)
-    F = Tensor(rng.standard_normal((2, 16, 2, 2)), dtype=np.float64)
-    wgt = Tensor(rng.standard_normal((2, 16, 2, 2)), dtype=np.float64)
+    F = Tensor(rng.standard_normal((1, 2, 16, 2, 2)), dtype=np.float64)
+    wgt = Tensor(rng.standard_normal((1, 2, 16, 2, 2)), dtype=np.float64)
     err = grad_check(
-        lambda: T.tsum(T.mul(tp_mamba_forward(F, adapter, dims=(1, 2)), wgt)),
+        lambda: T.tsum(T.mul(tp_mamba_forward(F, adapter), wgt)),
         adapter.parameters(),
         max_coords=2,
     )
@@ -192,8 +192,8 @@ def test_criterion_8_rank_sweep(r):
 
     # criterion 3 at this width: fresh adapter is the identity
     fresh = TPMambaAdapter.init(cfg, rng, "tp2", dtype=np.float32)
-    Ff = Tensor(rng.standard_normal((2, 16, 2, 2)).astype(np.float32))
-    assert np.array_equal(tp_mamba_forward(Ff, fresh, dims=(1, 2)).data, Ff.data)
+    Ff = Tensor(rng.standard_normal((1, 2, 16, 2, 2)).astype(np.float32))
+    assert np.array_equal(tp_mamba_forward(Ff, fresh).data, Ff.data)
 
     # criterion 4 at this width: bijectivity with r channels
     for mode in ("hw", "dh", "dw", "volume"):

@@ -191,6 +191,31 @@ def test_checkpoint_error_prints_one_line(workdir, dataset, capsys):
     assert not (workdir / "never.lbl.rvol").exists()
 
 
+# An input file that cannot be read: the error it ends in and the option naming it.
+UNREADABLE = {
+    "config_missing": (ConfigError, "--config"),
+    "config_not_utf8": (ConfigError, "--config"),
+    "ckpt_missing": (CheckpointError, "--ckpt"),
+    "volume_missing": (InputError, "--volume"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_unreadable_input_prints_one_line(workdir, dataset, trained, capsys, case):
+    cls, option = UNREADABLE[case]
+    bad = workdir / f"{case}.in"
+    if case == "config_not_utf8":
+        bad.write_bytes(b"seed=\xff\n")
+    if option == "--config":
+        argv = ["train", "--config", str(bad), "--data", str(dataset), "--out", str(workdir / "never.ckpt")]
+    else:
+        files = {"--ckpt": trained, "--volume": dataset / "case000.img.rvol", option: bad}
+        argv = ["infer", "--ckpt", str(files["--ckpt"]), "--volume", str(files["--volume"]),
+                "--out", str(workdir / "never.lbl.rvol")]
+    assert str(bad) in _one_line_error(capsys, main(argv), cls)
+    assert not (workdir / "never.ckpt").exists() and not (workdir / "never.lbl.rvol").exists()
+
+
 @pytest.mark.parametrize("cls", [NumericError, ShapeError], ids=["NumericError", "ShapeError"])
 def test_numeric_and_shape_errors_print_one_line(workdir, monkeypatch, capsys, cls):
     def fail(*args):

@@ -144,6 +144,15 @@ def test_load_record_rejects_empty_grid(tmp_path, shape):
         load_record(path)
 
 
+def test_load_record_rejects_labels_not_stored_as_u8(tmp_path):
+    """An f32 label file would train on truncated class ids; it is refused."""
+    vol, lab = tmp_path / "v.img.rvol", tmp_path / "v.lbl.rvol"
+    write_rvol(vol, np.zeros((1, 1, 2), dtype=np.float32), (1.0, 1.0, 1.0))
+    write_rvol(lab, np.array([[[0.7, 1.7]]], dtype=np.float32), (1.0, 1.0, 1.0))
+    with pytest.raises(InputError, match="u8"):
+        load_record(vol, lab)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_record_rejects_non_finite_spacing(bad):
     with pytest.raises(InputError, match="finite"):

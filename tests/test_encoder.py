@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,13 +35,13 @@ def toy_encoder(rng, dtype=np.float32, **kw):
 def test_patch_embed_shapes(rng):
     enc = toy_encoder(rng)
     X = Tensor(rng.standard_normal((1, 1, 4, 32, 32)).astype(np.float32))
-    assert patch_embed_slices(X, enc).shape == (4, 8, 2, 2)
+    assert patch_embed_slices(X, enc).shape == (1, 4, 8, 2, 2)
 
 
 def test_patch_embed_full_scale_shape(rng):
     enc = toy_encoder(rng, img=(96, 96))
     X = Tensor(rng.standard_normal((1, 1, 96, 96, 96)).astype(np.float32))
-    assert patch_embed_slices(X, enc).shape == (96, 8, 6, 6)
+    assert patch_embed_slices(X, enc).shape == (1, 96, 8, 6, 6)
 
 
 def test_patch_embed_slices_are_batch(rng):
@@ -47,7 +49,7 @@ def test_patch_embed_slices_are_batch(rng):
     slice_ = rng.standard_normal((1, 1, 1, 32, 32)).astype(np.float32)
     X = Tensor(np.concatenate([slice_, slice_], axis=2))
     out = patch_embed_slices(X, enc).data
-    np.testing.assert_array_equal(out[0], out[1])
+    np.testing.assert_array_equal(out[0, 0], out[0, 1])
 
 
 def test_patch_embed_indivisible_rejected(rng):
@@ -101,16 +103,16 @@ def test_mhsa_token_permutation_equivariance(rng):
 
 def test_block_shape_preservation(rng):
     enc = toy_encoder(rng)
-    F = Tensor(rng.standard_normal((6, 8, 2, 2)).astype(np.float32))
-    out = vit_block_forward(F, enc.blocks[0], dims=(2, 3))
-    assert out.shape == (6, 8, 2, 2)
+    F = Tensor(rng.standard_normal((2, 3, 8, 2, 2)).astype(np.float32))
+    out = vit_block_forward(F, enc.blocks[0])
+    assert out.shape == (2, 3, 8, 2, 2)
 
 
 def test_block_init_transparency(rng):
     enc = toy_encoder(rng)
-    F = Tensor(rng.standard_normal((6, 8, 2, 2)).astype(np.float32))
-    with_adapters = vit_block_forward(F, enc.blocks[0], (2, 3))
-    plain = without_adapters(vit_block_forward, F, enc.blocks[0], (2, 3))
+    F = Tensor(rng.standard_normal((2, 3, 8, 2, 2)).astype(np.float32))
+    with_adapters = vit_block_forward(F, enc.blocks[0])
+    plain = without_adapters(vit_block_forward, F, enc.blocks[0])
     assert np.array_equal(with_adapters.data, plain.data)
 
 
@@ -120,7 +122,7 @@ def test_encoder_tap_count_and_shapes(rng):
     taps = encoder_forward(X, enc)
     assert len(taps) == 4
     for t in taps:
-        assert t.shape == (3, 8, 2, 2)
+        assert t.shape == (1, 3, 8, 2, 2)
 
 
 def test_encoder_taps_are_last_four(rng):
@@ -136,7 +138,7 @@ def test_encoder_taps_are_last_four(rng):
     F = patch_embed_slices(X, enc)
     F = T.add(F, enc.pos)
     for i, blk in enumerate(enc.blocks):
-        F = fwd(F, blk, (1, 2))
+        F = fwd(F, blk)
         if i >= 2:
             captured.append(F.data)
     for got, want in zip(taps, captured):
@@ -151,7 +153,7 @@ def test_encoder_twelve_blocks_taps_last_four(rng):
     F = T.add(F, enc.pos)
     all_outputs = []
     for blk in enc.blocks:
-        F = vit_block_forward(F, blk, (1, 2))
+        F = vit_block_forward(F, blk)
         all_outputs.append(F.data)
     for tap, want in zip(taps, all_outputs[8:]):  # blocks 9..12, 1-indexed
         np.testing.assert_array_equal(tap.data, want)
@@ -204,14 +206,31 @@ def test_slice_permutation_consistency(rng):
     perm = np.array([2, 0, 3, 1])
     base = without_adapters(encoder_forward, Tensor(X), enc)[-1].data
     permuted = without_adapters(encoder_forward, Tensor(X[:, :, perm]), enc)[-1].data
-    np.testing.assert_allclose(permuted, base[perm], rtol=2e-5, atol=1e-6)
+    np.testing.assert_allclose(permuted, base[:, perm], rtol=2e-5, atol=1e-6)
     # with a non-trivial adapter the depth mixing must break the equivariance
     enc.blocks[0].adapter.raise_w.data = 0.5 * rng.standard_normal(
         enc.blocks[0].adapter.raise_w.shape
     ).astype(np.float32)
     base2 = encoder_forward(Tensor(X), enc)[-1].data
     permuted2 = encoder_forward(Tensor(X[:, :, perm]), enc)[-1].data
-    assert not np.allclose(permuted2, base2[perm], atol=1e-5)
+    assert not np.allclose(permuted2, base2[:, perm], atol=1e-5)
+
+
+def test_batch_entries_are_independent(rng):
+    """Each volume of a batch of two gets the logits it gets alone: no layout
+    change in the encoder, its adapters or the decoder mixes B with D."""
+    from tpmamba.model import SegModel
+
+    cfg = dataclasses.replace(toy_config(), n_classes=3)
+    model = SegModel.init(cfg)
+    for p in model.parameters():
+        if not p.data.any():
+            p.data = (0.1 * rng.standard_normal(p.shape)).astype(p.data.dtype)
+    X = rng.standard_normal((2, 1) + cfg.crop).astype(np.float32)
+    both = model.forward(Tensor(X)).data
+    for b in range(2):
+        alone = model.forward(Tensor(X[b : b + 1])).data[0]
+        assert np.abs(both[b] - alone).max() <= 1e-5 * np.abs(alone).max()
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ def toy_decoder(rng, C=8, K=2, dtype=np.float32):
     return Decoder.init(TrainConfig(C=C, n_classes=K), rng, dtype=dtype)
 
 
-def make_taps(rng, BD=4, C=8, h=2, w=2, dtype=np.float32):
-    return [Tensor(rng.standard_normal((BD, C, h, w)).astype(dtype), dtype=dtype) for _ in range(4)]
+def make_taps(rng, D=4, C=8, h=2, w=2, dtype=np.float32):
+    return [Tensor(rng.standard_normal((1, D, C, h, w)).astype(dtype), dtype=dtype) for _ in range(4)]
 
 
 # ---------------------------------------------------------------------------
@@ -37,15 +37,15 @@ def make_taps(rng, BD=4, C=8, h=2, w=2, dtype=np.float32):
 
 def test_decoder_toy_shape(rng):
     dec = toy_decoder(rng)
-    taps = make_taps(rng, BD=4, h=2, w=2)
-    out = decoder_forward(taps, (1, 4), dec)
+    taps = make_taps(rng, D=4, h=2, w=2)
+    out = decoder_forward(taps, dec)
     assert out.shape == (1, 2, 4, 32, 32)
 
 
 def test_decoder_full_resolution_shape(rng):
     dec = toy_decoder(rng, C=8, K=3)
-    taps = make_taps(rng, BD=6, h=6, w=6)
-    out = decoder_forward(taps, (1, 6), dec)
+    taps = make_taps(rng, D=6, h=6, w=6)
+    out = decoder_forward(taps, dec)
     assert out.shape == (1, 3, 6, 96, 96)
 
 
@@ -53,24 +53,24 @@ def test_decoder_production_scale_shape(rng):
     # 96-wide taps over 96 slices of a 96^3 volume reconstruct (1,K,96,96,96)
     dec = toy_decoder(rng, C=96, K=2)
     taps = [
-        Tensor(rng.standard_normal((96, 96, 6, 6)).astype(np.float32)) for _ in range(4)
+        Tensor(rng.standard_normal((1, 96, 96, 6, 6)).astype(np.float32)) for _ in range(4)
     ]
-    out = decoder_forward(taps, (1, 96), dec)
+    out = decoder_forward(taps, dec)
     assert out.shape == (1, 2, 96, 96, 96)
 
 
 def test_decoder_tap_mismatch(rng):
     dec = toy_decoder(rng)
     taps = make_taps(rng)
-    taps[2] = Tensor(np.zeros((4, 8, 3, 2), dtype=np.float32))
+    taps[2] = Tensor(np.zeros((1, 4, 8, 3, 2), dtype=np.float32))
     with pytest.raises(ShapeError):
-        decoder_forward(taps, (1, 4), dec)
+        decoder_forward(taps, dec)
 
 
 def test_decoder_stage_count_matches_patch(rng):
     # the 2x upsampling stages undo exactly the encoder's patch embedding
     assert 2**DECODER_STAGES == PATCH
-    out = decoder_forward(make_taps(rng, BD=2, h=1, w=3), (1, 2), toy_decoder(rng))
+    out = decoder_forward(make_taps(rng, D=2, h=1, w=3), toy_decoder(rng))
     assert out.shape[3:] == (PATCH, 3 * PATCH)
 
 
@@ -142,15 +142,17 @@ def test_fused_loss_matches_composed_reference(K, B, case):
     labels = rng.integers(0, K - 1 if case == "absent_class" else K, shape[:1] + shape[2:])
     raw = rng.choice([-30.0, 30.0], shape) if case == "saturated" else 2.0 * rng.standard_normal(shape)
     results = []
-    for loss_fn in (_composed_dice_ce, dice_ce_loss):
+    # u8 labels, as a label file stores them, give the int64 labels' bytes
+    for loss_fn, lab in ((_composed_dice_ce, labels), (dice_ce_loss, labels), (dice_ce_loss, labels.astype(np.uint8))):
         logits = Tensor(raw, dtype=np.float64, requires_grad=True)
         with T.recording() as tape:
-            loss = loss_fn(logits, labels)
+            loss = loss_fn(logits, lab)
         tape.backward(loss)
         results.append((float(loss.data), logits.grad))
-    (ref, ref_grad), (val, grad) = results
+    (ref, ref_grad), (val, grad), (val_u8, grad_u8) = results
     assert abs(val - ref) <= 1e-12 * abs(ref)
     assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+    assert val_u8 == val and grad_u8.tobytes() == grad.tobytes()
 
 
 def test_fused_loss_is_one_node_keeping_one_class_volume(rng):

@@ -191,23 +191,16 @@ def test_single_scale_depth_conv(rng):
 @pytest.mark.parametrize("mode", ["tri_plane", "hw_only", "dw_only", "dh_only", "volume_flatten"])
 def test_forward_shape_all_modes(rng, mode):
     adapter = make_adapter(rng, C=8, r=4, scan_mode=mode)
-    F = Tensor(rng.standard_normal((6, 8, 2, 2)).astype(np.float32))
-    out = tp_mamba_forward(F, adapter, dims=(2, 3))
+    F = Tensor(rng.standard_normal((2, 3, 8, 2, 2)).astype(np.float32))
+    out = tp_mamba_forward(F, adapter)
     assert out.shape == F.shape
 
 
 def test_forward_identity_at_init(rng):
     adapter = make_adapter(rng, C=8, r=4)
-    F = Tensor(rng.standard_normal((6, 8, 2, 2)).astype(np.float32))
-    out = tp_mamba_forward(F, adapter, dims=(2, 3))
+    F = Tensor(rng.standard_normal((2, 3, 8, 2, 2)).astype(np.float32))
+    out = tp_mamba_forward(F, adapter)
     assert np.array_equal(out.data, F.data)
-
-
-def test_forward_bad_dims(rng):
-    adapter = make_adapter(rng, C=8, r=4)
-    F = Tensor(np.zeros((6, 8, 2, 2), dtype=np.float32))
-    with pytest.raises(ShapeError):
-        tp_mamba_forward(F, adapter, dims=(2, 4))
 
 
 def nonzero_adapter(rng, **kw):
