@@ -1,7 +1,9 @@
 """Structured operations: convolutions, normalization, upsampling, grad check.
 
 All convolutions use the cross-correlation convention (no kernel flip),
-stride 1, and zero padding.  conv3d flattens the zero-padded input
+stride 1, and zero padding that keeps the input's extents: conv3d pads
+dilation*(k-1)/2 on each side of each axis, and conv1d_depthwise pads k-1
+before the sequence, so it is causal.  conv3d flattens the zero-padded input
 channel-major to (Cin, B*Dp*Hp*Wp), where tap t of the output in column c
 reads input column c + offset_t, and crops the output computed on that grid.
 It walks the columns in tiles of CONV_TILE_VALUES // (Cin + Cout), one BLAS
@@ -24,13 +26,6 @@ NORM_EPS = 1e-5
 GRAD_CHECK_STEP = 1e-4  # central-difference step of `grad_check`
 
 
-def same_padding(kernel: int, dilation: int) -> int:
-    """Padding that preserves extent at stride 1; requires an odd kernel."""
-    if kernel % 2 == 0:
-        raise ConfigError(f"'same' padding needs an odd kernel, got {kernel}")
-    return dilation * (kernel - 1) // 2
-
-
 def _padded_columns(a: Array, widths: tuple) -> Array:
     """(B,C,D,H,W) zero-padded by `widths` per spatial axis, as (C, B*Dp*Hp*Wp).
 
@@ -41,28 +36,20 @@ def _padded_columns(a: Array, widths: tuple) -> Array:
     return np.ascontiguousarray(a).reshape(a.shape[0], -1)
 
 
-def conv3d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor,
-    dilation: tuple = (1, 1, 1),
-    padding: tuple = (0, 0, 0),
-) -> Tensor:
+def conv3d(x: Tensor, weight: Tensor, bias: Tensor, dilation: tuple = (1, 1, 1)) -> Tensor:
     """3-D cross-correlation plus a per-channel bias, x (B,Cin,D,H,W) with
-    weight (Cout,Cin,kd,kh,kw) and bias (Cout,)."""
+    weight (Cout,Cin,kd,kh,kw) of odd extents and bias (Cout,); the output
+    keeps the input's extents."""
     if x.ndim != 5 or weight.ndim != 5:
         raise ShapeError(f"conv3d expects 5-D operands, got {x.shape} and {weight.shape}")
     B, cin, D, H, W = x.shape
     cout, cin_w, kd, kh, kw = weight.shape
     if cin != cin_w:
         raise ShapeError(f"conv3d channel mismatch: input {cin} vs weight {cin_w}")
+    if any(k % 2 == 0 for k in (kd, kh, kw)):
+        raise ConfigError(f"conv3d keeps extents only with an odd kernel, got {(kd, kh, kw)}")
     dd, dh, dw = dilation
-    pd, ph, pw = padding
-    od = D + 2 * pd - dd * (kd - 1)
-    oh = H + 2 * ph - dh * (kh - 1)
-    ow = W + 2 * pw - dw * (kw - 1)
-    if min(od, oh, ow) <= 0:
-        raise ShapeError(f"conv3d output extent would be non-positive: ({od},{oh},{ow})")
+    pd, ph, pw = dd * (kd - 1) // 2, dh * (kh - 1) // 2, dw * (kw - 1) // 2
 
     # On the padded grid flattened to columns, tap (i,j,k) of the output voxel
     # in column c reads the input in column c + offset: one GEMM per tap and
@@ -83,7 +70,7 @@ def conv3d(
         np.matmul(wt[0], xf[:, c0:c1], out=a)
         for t in range(1, len(offsets)):
             a += np.matmul(wt[t], xf[:, offsets[t] + c0 : offsets[t] + c1], out=tmp[:, : c1 - c0])
-    out = np.ascontiguousarray(acc.reshape(cout, B, Dp, Hp, Wp)[:, :, :od, :oh, :ow].transpose(1, 0, 2, 3, 4))
+    out = np.ascontiguousarray(acc.reshape(cout, B, Dp, Hp, Wp)[:, :, :D, :H, :W].transpose(1, 0, 2, 3, 4))
     out += bias.data.reshape(1, cout, 1, 1, 1)
     need_x, need_w, need_b, w_shape, dtype = x.requires_grad, weight.requires_grad, bias.requires_grad, weight.shape, x.dtype
     xd = x.data if need_w else None  # the input only for the weight's gradient
@@ -91,7 +78,7 @@ def conv3d(
     def backward(g):
         # Walk the input columns in tiles: input column c receives tap t from
         # gradient column c - offset_t, and those same pairs give tap t's gw.
-        gf = _padded_columns(g, ((0, Dp - od), (0, Hp - oh), (0, Wp - ow)))[:, :n]
+        gf = _padded_columns(g, ((0, 2 * pd), (0, 2 * ph), (0, 2 * pw)))[:, :n]
         m = B * Dp * Hp * Wp
         gx = gw = gb = None
         if need_w:
@@ -129,20 +116,20 @@ def conv3d(
 
 
 def conv1d_depthwise(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Causal per-channel 1-D convolution plus bias: x (B,E,L), weight (E,k),
-    bias (E,), left pad k-1."""
+    """Causal per-channel 1-D convolution plus bias along the sequence axis:
+    x (B,L,E), weight (E,k), bias (E,), left pad k-1."""
     if x.ndim != 3:
-        raise ShapeError(f"conv1d_depthwise expects (B,E,L), got {x.shape}")
+        raise ShapeError(f"conv1d_depthwise expects (B,L,E), got {x.shape}")
     w = weight.data
-    B, E, L = x.shape
+    B, L, E = x.shape
     if w.ndim != 2 or w.shape[0] != E:
         raise ShapeError(f"conv1d_depthwise needs an (E,k) weight with E={E}, got {w.shape}")
     k = w.shape[1]
-    xp = np.pad(x.data, ((0, 0), (0, 0), (k - 1, 0)))
+    xp = np.pad(x.data, ((0, 0), (k - 1, 0), (0, 0)))
     out = np.zeros_like(x.data)
     for i in range(k):
-        out += w[None, :, i : i + 1] * xp[:, :, i : i + L]
-    out += bias.data.reshape(1, E, 1)
+        out += w[:, i] * xp[:, i : i + L]
+    out += bias.data
     need_x, need_w, need_b, dtype = x.requires_grad, weight.requires_grad, bias.requires_grad, x.dtype
     xp = xp if need_w else None  # the padded input only for the weight's gradient
 
@@ -151,14 +138,14 @@ def conv1d_depthwise(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if need_w:
             gw = np.empty_like(w)
             for i in range(k):
-                gw[:, i] = (g * xp[:, :, i : i + L]).sum(axis=(0, 2))
+                gw[:, i] = (g * xp[:, i : i + L]).sum(axis=(0, 1))
         if need_x:
-            gxp = np.zeros((B, E, L + k - 1), dtype=dtype)
+            gxp = np.zeros((B, L + k - 1, E), dtype=dtype)
             for i in range(k):
-                gxp[:, :, i : i + L] += w[None, :, i : i + 1] * g
-            gx = gxp[:, :, k - 1 :]
+                gxp[:, i : i + L] += w[:, i] * g
+            gx = gxp[:, k - 1 :]
         if need_b:
-            gb = g.sum(axis=(0, 2))
+            gb = g.sum(axis=(0, 1))
         return gx, gw, gb
 
     return _record((x, weight, bias), out, backward)
@@ -215,9 +202,6 @@ def _interp_matrix(n_in: int, n_out: int, dtype) -> Array:
     neighbouring inputs and always sum to one.
     """
     M = np.zeros((n_out, n_in), dtype=dtype)
-    if n_in == 1:
-        M[:, 0] = 1.0
-        return M
     src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in - 1) / n_out
     lo = np.floor(src).astype(int)
     frac = src - lo
@@ -227,23 +211,21 @@ def _interp_matrix(n_in: int, n_out: int, dtype) -> Array:
     return M
 
 
-def upsample_hw(x: Tensor, factor: int) -> Tensor:
-    """Bilinear upsampling of H and W by an integer factor; depth untouched."""
-    if factor < 1:
-        raise ConfigError(f"upsample factor must be >= 1, got {factor}")
+def upsample_hw(x: Tensor) -> Tensor:
+    """Bilinear 2x upsampling of H and W; depth untouched."""
     if x.ndim != 5:
         raise ShapeError(f"upsample_hw expects (B,C,D,H,W), got {x.shape}")
     B, C, D, H, W = x.shape
-    Mh = _interp_matrix(H, factor * H, x.data.dtype)
-    Mw = _interp_matrix(W, factor * W, x.data.dtype)
+    Mh = _interp_matrix(H, 2 * H, x.data.dtype)
+    Mw = _interp_matrix(W, 2 * W, x.data.dtype)
     # W pass as one flat GEMM, then H pass as a matmul broadcast over (B,C,D).
-    t = (x.data.reshape(-1, W) @ Mw.T).reshape(B, C, D, H, factor * W)
+    t = (x.data.reshape(-1, W) @ Mw.T).reshape(B, C, D, H, 2 * W)
     out = np.matmul(Mh, t)
     shape = x.shape
 
     def backward(g):
         gt = np.matmul(Mh.T, g)
-        return ((gt.reshape(-1, factor * W) @ Mw).reshape(shape),)
+        return ((gt.reshape(-1, 2 * W) @ Mw).reshape(shape),)
 
     return _record((x,), out, backward)
 

@@ -84,10 +84,10 @@ def decoder_forward(taps: list[Tensor], dec: Decoder) -> Tensor:
     x = permute(concat(taps, axis=2), (0, 2, 1, 3, 4))  # (B, 4C, D, h, w)
     x = conv3d(x, dec.reduce_w, dec.reduce_b)
     for stage in dec.stages:
-        x = conv3d(x, stage.conv_w, stage.conv_b, padding=(1, 1, 1))
+        x = conv3d(x, stage.conv_w, stage.conv_b)
         x = normalize(x, "instance_norm", stage.norm_g, stage.norm_b)
         x = gelu(x)
-        x = upsample_hw(x, 2)
+        x = upsample_hw(x)
     return conv3d(x, dec.head_w, dec.head_b)
 
 

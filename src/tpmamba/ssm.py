@@ -35,7 +35,6 @@ from .tensor import (
     mul,
     narrow,
     neg,
-    permute,
     reshape,
     silu,
     softplus,
@@ -258,9 +257,6 @@ def mamba_block_forward(seq: Tensor, params: SSMParams) -> Tensor:
     multiply, out-projection.  With w_out at its zero init the block is the
     identity map.  The sizes come from the parameter shapes.
     """
-    b, L, r = seq.shape
-    if r != params.w_in.shape[1]:
-        raise ShapeError(f"sequence width {r} != scanner width {params.w_in.shape[1]}")
     E, N = params.a_log.shape
     dtr = params.w_dt.shape[1]
 
@@ -268,9 +264,7 @@ def mamba_block_forward(seq: Tensor, params: SSMParams) -> Tensor:
     x = narrow(xz, 2, 0, E)
     z = narrow(xz, 2, E, E)
 
-    xt = permute(x, (0, 2, 1))
-    xt = conv1d_depthwise(xt, params.w_conv, params.b_conv)
-    xs = silu(permute(xt, (0, 2, 1)))
+    xs = silu(conv1d_depthwise(x, params.w_conv, params.b_conv))
 
     dbc = linear(xs, params.w_x_to_dtbc)
     dt = narrow(dbc, 2, 0, dtr)

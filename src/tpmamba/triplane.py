@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEPTH_KERNEL, SCAN_MODES, TrainConfig
 from .errors import ConfigError, ShapeError
-from .ops import conv3d, same_padding
+from .ops import conv3d
 from .ssm import SSMParams, mamba_block_forward
 from .tensor import Module, Parameter, Tensor, add, concat, permute, reshape, uniform_init
 
@@ -68,12 +68,8 @@ class TPMambaAdapter(Module):
 
 
 def reduce_dim(F: Tensor, adapter: TPMambaAdapter) -> Tensor:
-    """(B,C,D,h,w) -> (B,r,D,h,w) with a depth-only same-padded conv."""
-    C = adapter.reduce_w.shape[1]
-    if F.shape[1] != C:
-        raise ShapeError(f"input width {F.shape[1]} != adapter width {C}")
-    pad = same_padding(DEPTH_KERNEL, 1)
-    return conv3d(F, adapter.reduce_w, adapter.reduce_b, padding=(pad, 0, 0))
+    """(B,C,D,h,w) -> (B,r,D,h,w) with a depth-only conv."""
+    return conv3d(F, adapter.reduce_w, adapter.reduce_b)
 
 
 def multiscale_depth_conv(G: Tensor, adapter: TPMambaAdapter) -> Tensor:
@@ -81,8 +77,7 @@ def multiscale_depth_conv(G: Tensor, adapter: TPMambaAdapter) -> Tensor:
     dilation order; `adapter.dilations=1` is the single-scale ablation."""
     outs = []
     for w, b, d in zip(adapter.branch_ws, adapter.branch_bs, adapter.cfg.adapter_dilations):
-        pad = same_padding(DEPTH_KERNEL, d)
-        outs.append(conv3d(G, w, b, dilation=(d, 1, 1), padding=(pad, 0, 0)))
+        outs.append(conv3d(G, w, b, dilation=(d, 1, 1)))
     return concat(outs, axis=1)
 
 
@@ -142,8 +137,7 @@ def scan_stage(G: Tensor, adapter: TPMambaAdapter) -> Tensor:
 
 
 def raise_dim(G: Tensor, adapter: TPMambaAdapter) -> Tensor:
-    pad = same_padding(DEPTH_KERNEL, 1)
-    return conv3d(G, adapter.raise_w, adapter.raise_b, padding=(pad, 0, 0))
+    return conv3d(G, adapter.raise_w, adapter.raise_b)
 
 
 def tp_mamba_forward(F: Tensor, adapter: TPMambaAdapter) -> Tensor:

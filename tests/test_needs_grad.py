@@ -41,17 +41,17 @@ CASES = {
     "gelu": (T.gelu, [_normal(3, 4)]),
     "softmax": (lambda a: T.softmax(a, axis=1), [_normal(2, 3, 4)]),
     "conv3d": (
-        lambda x, w, b: ops.conv3d(x, w, b, dilation=(2, 1, 1), padding=(2, 1, 1)),
+        lambda x, w, b: ops.conv3d(x, w, b, dilation=(2, 1, 1)),
         [_normal(2, 3, 4, 5, 6), _normal(2, 3, 3, 3, 3), _normal(2)],
     ),
-    "conv3d_unpadded": (ops.conv3d, [_normal(1, 2, 3, 4, 4), _normal(3, 2, 1, 3, 1), lambda rng: np.zeros(3)]),
-    "conv1d_depthwise": (ops.conv1d_depthwise, [_normal(2, 3, 7), _normal(3, 4), _normal(3)]),
+    "conv3d_unpadded": (ops.conv3d, [_normal(1, 2, 3, 4, 4), _normal(3, 2, 1, 1, 1), lambda rng: np.zeros(3)]),
+    "conv1d_depthwise": (ops.conv1d_depthwise, [_normal(2, 7, 3), _normal(3, 4), _normal(3)]),
     "layer_norm": (lambda x, g, b: ops.normalize(x, "layer_norm", g, b), [_normal(2, 3, 5), _normal(5), _normal(5)]),
     "instance_norm": (
         lambda x, g, b: ops.normalize(x, "instance_norm", g, b),
         [_normal(2, 3, 2, 3, 4), _normal(1, 3, 1, 1, 1), _normal(1, 3, 1, 1, 1)],
     ),
-    "upsample_hw": (lambda x: ops.upsample_hw(x, 2), [_normal(1, 2, 2, 3, 4)]),
+    "upsample_hw": (ops.upsample_hw, [_normal(1, 2, 2, 3, 4)]),
     "selective_scan": (
         ssm.selective_scan,
         [

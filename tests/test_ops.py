@@ -11,7 +11,6 @@ from tpmamba.ops import (
     conv3d,
     grad_check,
     normalize,
-    same_padding,
     upsample_hw,
 )
 from tpmamba.tensor import Parameter, Tensor
@@ -33,7 +32,7 @@ def test_conv3d_identity_channel_map(rng):
 def test_conv3d_ones_depth_profile():
     x = Tensor(np.ones((1, 1, 5, 1, 1), dtype=np.float32))
     w = Tensor(np.ones((1, 1, 3, 1, 1), dtype=np.float32))
-    out = conv3d(x, w, Tensor(np.zeros(1, dtype=np.float32)), dilation=(1, 1, 1), padding=(1, 0, 0))
+    out = conv3d(x, w, Tensor(np.zeros(1, dtype=np.float32)))
     np.testing.assert_array_equal(out.data[0, 0, :, 0, 0], [2, 3, 3, 3, 2])
 
 
@@ -43,7 +42,7 @@ def test_conv3d_dilated_receptive_field():
     x = np.zeros((1, 1, D, 1, 1), dtype=np.float32)
     x[0, 0, D // 2] = 1.0
     w = Tensor(np.ones((1, 1, 3, 1, 1), dtype=np.float32))
-    out = conv3d(Tensor(x), w, Tensor(np.zeros(1, dtype=np.float32)), dilation=(8, 1, 1), padding=(8, 0, 0))
+    out = conv3d(Tensor(x), w, Tensor(np.zeros(1, dtype=np.float32)), dilation=(8, 1, 1))
     nz = np.nonzero(out.data[0, 0, :, 0, 0])[0]
     assert nz.max() - nz.min() + 1 == 17
 
@@ -52,13 +51,15 @@ def test_conv3d_same_padding_preserves_depth(rng):
     x = Tensor(rng.standard_normal((1, 2, 9, 3, 3)))
     for d in (1, 2, 4, 8):
         w = Tensor(rng.standard_normal((2, 2, 3, 1, 1)))
-        out = conv3d(x, w, Tensor(np.zeros(2)), dilation=(d, 1, 1), padding=(same_padding(3, d), 0, 0))
+        out = conv3d(x, w, Tensor(np.zeros(2)), dilation=(d, 1, 1))
         assert out.shape == x.shape
 
 
 def test_conv3d_even_kernel_same_padding_rejected():
-    with pytest.raises(ConfigError):
-        same_padding(4, 1)
+    x = Tensor(np.zeros((1, 1, 4, 4, 4)))
+    for kernel in ((4, 1, 1), (1, 2, 1), (3, 3, 2)):
+        with pytest.raises(ConfigError):
+            conv3d(x, Tensor(np.zeros((1, 1) + kernel)), Tensor(np.zeros(1)))
 
 
 def test_conv3d_channel_mismatch():
@@ -75,7 +76,7 @@ def test_conv3d_linearity(rng):
     zero = Tensor(np.zeros(3), dtype=np.float64)
 
     def run(arr):
-        return conv3d(Tensor(arr, dtype=np.float64), w, zero, padding=(1, 0, 0)).data
+        return conv3d(Tensor(arr, dtype=np.float64), w, zero).data
 
     np.testing.assert_allclose(run(x + y), run(x) + run(y), rtol=1e-10)
     np.testing.assert_allclose(run(2.5 * x), 2.5 * run(x), rtol=1e-10)
@@ -87,14 +88,15 @@ def test_conv3d_grad(rng):
     b = Parameter("b", rng.standard_normal(3), dtype=np.float64)
 
     def f():
-        out = conv3d(x, w, b, dilation=(2, 1, 1), padding=(2, 0, 0))
+        out = conv3d(x, w, b, dilation=(2, 1, 1))
         return T.tsum(T.square(out))
 
     assert grad_check(f, [x, w, b], max_coords=12) < 1e-6
 
 
 def _conv3d_loops(x, w, b, dilation, padding):
-    """Direct cross-correlation, one output voxel at a time."""
+    """Direct cross-correlation over x zero-padded by `padding`, one output
+    voxel at a time."""
     (dd, dh, dw), (pd, ph, pw) = dilation, padding
     _, _, kd, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
@@ -110,6 +112,7 @@ def _conv3d_loops(x, w, b, dilation, padding):
     return out
 
 
+# `padding` is the 'same' padding conv3d must apply: dilation*(k-1)/2 per axis
 @pytest.mark.parametrize(
     "x_shape,w_shape,dilation,padding",
     [
@@ -122,19 +125,19 @@ def test_conv3d_matches_loop_reference_and_grads(rng, x_shape, w_shape, dilation
     x = Parameter("x", rng.standard_normal(x_shape), dtype=np.float64)
     w = Parameter("w", rng.standard_normal(w_shape) * 0.5, dtype=np.float64)
     b = Parameter("b", rng.standard_normal(w_shape[0]), dtype=np.float64)
-    out = conv3d(x, w, b, dilation=dilation, padding=padding)
+    out = conv3d(x, w, b, dilation=dilation)
     ref = _conv3d_loops(x.data, w.data, b.data, dilation, padding)
     np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
 
     r = Tensor(rng.standard_normal(ref.shape), dtype=np.float64)
 
     def f():
-        return T.tsum(T.mul(conv3d(x, w, b, dilation=dilation, padding=padding), r))
+        return T.tsum(T.mul(conv3d(x, w, b, dilation=dilation), r))
 
     assert grad_check(f, [x, w, b], max_coords=24) < 1e-7
 
 
-# Padded grid of x (2,2,5,4,3) under padding (2,1,1): Dp, Hp, Wp = 9, 6, 5, so
+# Padded grid of x (2,2,5,4,3) under 'same' padding (2,1,1): Dp, Hp, Wp = 9, 6, 5, so
 # 540 columns.  The last 3x3x3 tap at dilation (2,1,1) sits 2*2*30 + 2*5 + 2 =
 # 132 columns on, so the forward covers n = 408 columns.  Tile widths below
 # the 132-column offset span put tile boundaries inside every tap's shifted
@@ -148,14 +151,14 @@ def test_conv3d_column_tiles_match_loop_reference_and_grads(rng, monkeypatch, co
     dilation, padding = (2, 1, 1), (2, 1, 1)
     monkeypatch.setattr(ops, "CONV_TILE_VALUES", cols * (2 + 3))
 
-    out = conv3d(x, w, b, dilation=dilation, padding=padding)
+    out = conv3d(x, w, b, dilation=dilation)
     ref = _conv3d_loops(x.data, w.data, b.data, dilation, padding)
     np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
 
     r = Tensor(rng.standard_normal(ref.shape), dtype=np.float64)
 
     def f():
-        return T.tsum(T.mul(conv3d(x, w, b, dilation=dilation, padding=padding), r))
+        return T.tsum(T.mul(conv3d(x, w, b, dilation=dilation), r))
 
     assert grad_check(f, [x, w, b], max_coords=24) < 1e-7
 
@@ -165,38 +168,38 @@ def test_conv3d_column_tiles_match_loop_reference_and_grads(rng, monkeypatch, co
 
 
 def test_depthwise_k1_identity(rng):
-    x = Tensor(rng.standard_normal((2, 3, 5)))
+    x = Tensor(rng.standard_normal((2, 5, 3)))
     w = Tensor(np.ones((3, 1), dtype=np.float32))
     out = conv1d_depthwise(x, w, Tensor(np.zeros(3)))
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_depthwise_hand_convolution():
-    x = Tensor(np.array([[[1.0, 2.0, 3.0]]]))
+    x = Tensor(np.array([[[1.0], [2.0], [3.0]]]))
     w = Tensor(np.array([[1.0, 1.0]]))
     out = conv1d_depthwise(x, w, Tensor(np.zeros(1)))
-    np.testing.assert_array_equal(out.data[0, 0], [1.0, 3.0, 5.0])
+    np.testing.assert_array_equal(out.data[0, :, 0], [1.0, 3.0, 5.0])
 
 
 def test_depthwise_causality(rng):
-    x = rng.standard_normal((1, 2, 8)).astype(np.float32)
+    x = rng.standard_normal((1, 8, 2)).astype(np.float32)
     w = Tensor(rng.standard_normal((2, 4)).astype(np.float32))
     zero = Tensor(np.zeros(2, dtype=np.float32))
     base = conv1d_depthwise(Tensor(x), w, zero).data
     x2 = x.copy()
-    x2[:, :, -1] += 5.0
+    x2[:, -1] += 5.0
     bumped = conv1d_depthwise(Tensor(x2), w, zero).data
-    assert np.array_equal(base[:, :, :-1], bumped[:, :, :-1])
-    assert not np.array_equal(base[:, :, -1], bumped[:, :, -1])
+    assert np.array_equal(base[:, :-1], bumped[:, :-1])
+    assert not np.array_equal(base[:, -1], bumped[:, -1])
 
 
 def test_depthwise_channel_mismatch():
     with pytest.raises(ShapeError):
-        conv1d_depthwise(Tensor(np.zeros((1, 3, 4))), Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
+        conv1d_depthwise(Tensor(np.zeros((1, 4, 3))), Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
 
 
 def test_depthwise_grad(rng):
-    x = Parameter("x", rng.standard_normal((2, 3, 6)), dtype=np.float64)
+    x = Parameter("x", rng.standard_normal((2, 6, 3)), dtype=np.float64)
     w = Parameter("w", rng.standard_normal((3, 4)), dtype=np.float64)
     b = Parameter("b", rng.standard_normal(3), dtype=np.float64)
 
@@ -254,15 +257,15 @@ def test_normalize_grads(rng):
 
 
 def test_upsample_constant_field():
-    x = Tensor(np.full((1, 2, 3, 4, 4), 5.0))
-    out = upsample_hw(x, 2)
-    assert out.shape == (1, 2, 3, 8, 8)
-    np.testing.assert_allclose(out.data, 5.0, rtol=1e-6)
+    for H in (4, 1):
+        out = upsample_hw(Tensor(np.full((1, 2, 3, H, 4), 5.0)))
+        assert out.shape == (1, 2, 3, 2 * H, 8)
+        np.testing.assert_allclose(out.data, 5.0, rtol=1e-6)
 
 
 def test_upsample_linear_values():
     x = Tensor(np.array([0.0, 2.0]).reshape(1, 1, 1, 2, 1), dtype=np.float64)
-    out = upsample_hw(x, 2)
+    out = upsample_hw(x)
     np.testing.assert_allclose(out.data[0, 0, 0, :, 0], [0.25, 0.75, 1.25, 1.75], rtol=1e-12)
 
 
@@ -270,13 +273,8 @@ def test_upsample_shape_16x():
     x = Tensor(np.zeros((1, 3, 2, 6, 6), dtype=np.float32))
     out = x
     for _ in range(4):
-        out = upsample_hw(out, 2)
+        out = upsample_hw(out)
     assert out.shape == (1, 3, 2, 96, 96)
-
-
-def test_upsample_factor_zero_rejected():
-    with pytest.raises(ConfigError):
-        upsample_hw(Tensor(np.zeros((1, 1, 1, 2, 2))), 0)
 
 
 def test_upsample_grad(rng):
@@ -284,33 +282,31 @@ def test_upsample_grad(rng):
     wgt = Tensor(rng.standard_normal((1, 2, 2, 6, 6)), dtype=np.float64)
 
     def f():
-        return T.tsum(T.mul(upsample_hw(x, 2), wgt))
+        return T.tsum(T.mul(upsample_hw(x), wgt))
 
     assert grad_check(f, [x], max_coords=16) < 1e-7
 
 
-def _upsample_dense(x, factor):
+def _upsample_dense(x):
     """The interpolation written as two dense einsums over the full matrices."""
-    Mh = _interp_matrix(x.shape[3], factor * x.shape[3], x.dtype)
-    Mw = _interp_matrix(x.shape[4], factor * x.shape[4], x.dtype)
+    Mh = _interp_matrix(x.shape[3], 2 * x.shape[3], x.dtype)
+    Mw = _interp_matrix(x.shape[4], 2 * x.shape[4], x.dtype)
     return np.einsum("qw,bcdpw->bcdpq", Mw, np.einsum("ph,bcdhw->bcdpw", Mh, x))
 
 
-@pytest.mark.parametrize("factor", [2, 3])
 @pytest.mark.parametrize("permuted", [False, True])
-def test_upsample_matches_dense_formula_and_grads(rng, factor, permuted):
+def test_upsample_matches_dense_formula_and_grads(rng, permuted):
     # (B,C,D,H,W) = (2,3,2,4,5); the permuted case feeds a non-contiguous view.
     shape = (2, 3, 5, 2, 4) if permuted else (2, 3, 2, 4, 5)
     x = Parameter("x", rng.standard_normal(shape), dtype=np.float64)
 
     def up():
-        v = T.permute(x, (0, 1, 3, 4, 2)) if permuted else x
-        return upsample_hw(v, factor)
+        return upsample_hw(T.permute(x, (0, 1, 3, 4, 2)) if permuted else x)
 
     xv = x.data.transpose(0, 1, 3, 4, 2) if permuted else x.data
     out = up()
-    assert out.shape == (2, 3, 2, 4 * factor, 5 * factor)
-    np.testing.assert_allclose(out.data, _upsample_dense(xv, factor), rtol=1e-12, atol=1e-12)
+    assert out.shape == (2, 3, 2, 8, 10)
+    np.testing.assert_allclose(out.data, _upsample_dense(xv), rtol=1e-12, atol=1e-12)
 
     wgt = Tensor(rng.standard_normal(out.shape), dtype=np.float64)
     assert grad_check(lambda: T.tsum(T.mul(up(), wgt)), [x], max_coords=24) < 1e-7

@@ -308,13 +308,13 @@ def test_scan_grad_finite_differences(rng):
 
 def test_scan_runtime_linear_in_length():
     """Eight times the length costs at most ten times the time per call.  The
-    lengths are timed in interleaved rounds of 8 short calls and 1 long one,
-    and the median round is taken, so load from other processes that slows
-    a few rounds does not move the result."""
+    lengths are timed in 21 interleaved rounds of 8 short calls and 1 long
+    one, and the median round is taken, so load from other processes that
+    slows a few rounds does not move the result."""
     rng = np.random.default_rng(0)
     short, long = (random_scan_inputs(rng, 1, L, 4, 4, dtype=np.float32) for L in (512, 4096))
     ratios = []
-    for _ in range(7):
+    for _ in range(21):
         t0 = time.perf_counter()
         for _ in range(8):
             selective_scan(*short)

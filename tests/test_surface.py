@@ -5,10 +5,12 @@ from somewhere in `src/tpmamba` outside its own definition: a primitive that
 only tests use belongs in the tests.  Every other public top-level function,
 and every public method or property of a class in `src/tpmamba`, needs a
 caller in `src/tpmamba`, `scripts/` or `perfbench/`.  Methods are matched by
-attribute name, since the receiver's class is not known statically.
+attribute name, since the receiver's class is not known statically.  The
+benchmark's tracer must find every module attribute it patches.
 """
 
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -126,3 +128,20 @@ def test_every_public_method_has_a_caller():
             if total[fn.name] <= _attributes(fn)[fn.name] and name not in ALLOWED:
                 uncalled.append(name)
     assert not uncalled, f"no caller in src/tpmamba, scripts/ or perfbench/: {uncalled}"
+
+
+def test_benchmark_tracer_installs_and_restores_every_patched_attribute():
+    # perfbench/tracer.py wraps package functions where their callers look
+    # them up (`triplane.conv3d`, `ssm.conv1d_depthwise`, each `_record`, ...);
+    # a renamed or removed one makes `install` raise AttributeError
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", REPO / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    modules = [importlib.import_module(f"tpmamba.{p.stem}") for p in PACKAGE_TREES if p.stem != "__init__"]
+    before = [dict(vars(m)) for m in modules]
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()  # a partial install must not leak into later tests
+    assert [dict(vars(m)) for m in modules] == before
