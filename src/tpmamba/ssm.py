@@ -12,6 +12,9 @@ from generic tape primitives, and `selective_scan`, a scan walked in tiles
 of at least sqrt(L) steps with a fused hand-derived backward.  A tile is the
 unit of cache, of recompute and of kept state.  Its forward is bit-identical
 to the oracle's; gradients agree to 1e-5 relative at f32 and 1e-10 at f64.
+Its tiles are state-major, (T, b, N, E), so the output contraction is a
+multiply and an in-place add tree over the N lanes (`_lane_sum`), in the
+order of numpy's pairwise sum that the oracle's `tsum` runs: same bits.
 """
 
 from __future__ import annotations
@@ -89,18 +92,13 @@ class SSMParams(Module):
 
 
 def _check_scan_shapes(u, delta, A, B, C, D):
-    if u.ndim != 3:
-        raise ShapeError(f"scan input must be (B,L,E), got {u.shape}")
-    b, L, E = u.shape
-    N = A.shape[1]
-    if delta.shape != (b, L, E):
-        raise ShapeError(f"delta shape {delta.shape} != input shape {(b, L, E)}")
-    if A.shape != (E, N):
-        raise ShapeError(f"A shape {A.shape} incompatible with E={E}")
-    if B.shape != (b, L, N) or C.shape != (b, L, N):
-        raise ShapeError(f"B/C shapes {B.shape}/{C.shape} != {(b, L, N)}")
-    if D.shape != (E,):
-        raise ShapeError(f"D shape {D.shape} != ({E},)")
+    if u.ndim != 3 or A.ndim != 2:
+        raise ShapeError(f"scan input must be (B,L,E) and A (E,N), got {u.shape} and {A.shape}")
+    (b, L, E), N = u.shape, A.shape[1]
+    want = {"delta": (b, L, E), "A": (E, N), "B": (b, L, N), "C": (b, L, N), "D": (E,)}
+    for (name, shape), x in zip(want.items(), (delta, A, B, C, D)):
+        if x.shape != shape:
+            raise ShapeError(f"scan {name} shape {x.shape} != {shape} for input {u.shape}")
     return b, L, E, N
 
 
@@ -133,26 +131,45 @@ def scan_tile_steps(b: int, L: int, E: int, N: int) -> int:
     return max(1, min(L, max(SCAN_TILE_STATES // (b * E * N), math.isqrt(L))))
 
 
-def _decay(delta: np.ndarray, A: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """exp(delta * A) into `out` for a time-major (T, b, E) tile of delta."""
-    # einsum forms each product once, with longer inner loops than a broadcast
-    # multiply; a zero product may lose its sign, which exp ignores
-    return np.exp(np.einsum("tbe,en->tben", delta, A, out=out), out=out)
+def _decay(delta: np.ndarray, AT: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(delta * A) into `out`, a state-major (T, b, N, E) tile, from a
+    time-major (T, b, E) tile of delta and A held transposed, as (N, E)."""
+    # einsum on a contiguous (N, E) A takes half a broadcast multiply's time;
+    # a zero product may lose its sign, which exp ignores
+    return np.exp(np.einsum("tbe,ne->tbne", delta, AT, out=out), out=out)
 
 
 def _tile_states(a, dtu, B, h, x, prod) -> None:
-    """The states of one time-major tile into x: x_j = a_j * x_{j-1} + dtu_j B_j,
+    """The states of one state-major tile into x: x_j = a_j * x_{j-1} + dtu_j B_j,
     with x_{-1} = h.  The products a_j * x_{j-1} go to prod, which may be the
     decays a themselves when they are not needed afterwards."""
     np.multiply(a[0], h, out=prod[0])  # h may alias x: read it before x is overwritten
-    np.multiply(dtu[:, :, :, None], B[:, :, None, :], out=x)
+    np.multiply(dtu[:, :, None, :], B[:, :, :, None], out=x)
     x[0] += prod[0]
     for j in range(1, len(x)):
         x[j] += np.multiply(a[j], x[j - 1], out=prod[j])
 
 
-def _time_major(*arrays: np.ndarray) -> list[np.ndarray]:
-    return [np.ascontiguousarray(x.swapaxes(0, 1)) for x in arrays]
+def _lane_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum over axis -2 of a (..., n, E) array, formed in place, into `out`, in
+    numpy's pairwise_sum order: up to 128 lanes, blocks of 8 add into lanes 0-7,
+    which fold as ((0+1)+(2+3))+((4+5)+(6+7)), then the rest in order; above,
+    two halves split at a multiple of 8.  Last, numpy's start +0: -0 lanes give +0."""
+    n = a.shape[-2]
+    if n > 128:
+        n2 = n // 2 - n // 2 % 8
+        r = _lane_sum(a[..., :n2, :])
+        r += _lane_sum(a[..., n2:, :])
+    else:
+        m = n - n % 8
+        for i in range(8, m, 8):
+            a[..., :8, :] += a[..., i : i + 8, :]
+        for s in (1, 2, 4) if m else ():
+            a[..., : 8 : 2 * s, :] += a[..., s : 8 : 2 * s, :]
+        r = a[..., 0, :]
+        for i in range(max(m, 1), n):
+            r += a[..., i, :]
+    return r if out is None else np.add(r, 0, out=out)
 
 
 def selective_scan(
@@ -160,12 +177,12 @@ def selective_scan(
 ) -> Tensor:
     """Cache-tiled sequential scan, bit-identical to the oracle's forward.
 
-    Time is walked in time-major tiles of `scan_tile_steps` steps, sized so
-    the (T, b, E, N) states and decays stay in cache unless the isqrt(L)
-    floor makes them longer.  A recorded call keeps only
-    the state entering each tile; the backward recomputes one tile's decays
-    and states at a time with the forward's ops, so they are the forward's
-    bits, and then runs that tile's reverse recursion.
+    Time is walked in tiles of `scan_tile_steps` steps, sized so the
+    state-major (T, b, N, E) states and decays stay in cache unless the
+    isqrt(L) floor makes them longer.  A recorded call keeps only the state
+    entering each tile; the backward recomputes one tile's decays and states
+    at a time with the forward's ops, so they are the forward's bits, and
+    then runs that tile's reverse recursion.
     """
     ud, dd, Ad, Bd, Cd, Dd = u.data, delta.data, A.data, B.data, C.data, D.data
     b, L, E, N = _check_scan_shapes(ud, dd, Ad, Bd, Cd, Dd)
@@ -174,26 +191,25 @@ def selective_scan(
         raise ShapeError(f"selective_scan: mixed dtypes (u, delta, A, B, C, D) = {tuple(dtypes)}")
     if not np.isfinite(dd).all():
         raise NumericError("selective_scan: non-finite delta")
-    if L == 0:
-        return Tensor(np.zeros((b, 0, E), dtype=ud.dtype))
 
     inputs = (u, delta, A, B, C, D)
     T = scan_tile_steps(b, L, E, N)
     tiles = [(t0, min(t0 + T, L)) for t0 in range(0, L, T)]
-    # a recorded call keeps the state entering each tile
-    starts = np.empty((len(tiles), b, E, N), dtype=ud.dtype) if _needs_grad(inputs) else None
-    xbuf, abuf = np.empty((2, T, b, E, N), dtype=ud.dtype)
-    dT, dtuT, BT, CT = _time_major(dd, dd * ud, Bd, Cd)
+    starts = np.empty((len(tiles), b, N, E), dtype=ud.dtype) if _needs_grad(inputs) else None
+    work = np.empty((1 + 2 * T * b) * N * E, dtype=ud.dtype)  # A as (N, E), one tile's states and decays
+    AT, (xbuf, abuf) = work[: N * E].reshape(N, E), work[N * E :].reshape(2, T, b, N, E)
+    AT[...] = Ad.T
+    dT, dtuT, BT, CT = (np.ascontiguousarray(x.swapaxes(0, 1)) for x in (dd, dd * ud, Bd, Cd))  # time-major
     out = np.empty((b, L, E), dtype=ud.dtype)
-    h = np.zeros((b, E, N), dtype=ud.dtype)
+    h = np.zeros((b, N, E), dtype=ud.dtype)
     for k, (t0, t1) in enumerate(tiles):
         if starts is not None:
             starts[k] = h
         x = xbuf[: t1 - t0]
-        a = _decay(dT[t0:t1], Ad, abuf[: t1 - t0])
+        a = _decay(dT[t0:t1], AT, abuf[: t1 - t0])
         _tile_states(a, dtuT[t0:t1], BT[t0:t1], h, x, a)
         h = x[-1]
-        np.multiply(x, CT[t0:t1, :, None, :], out=a).sum(axis=-1, out=out.swapaxes(0, 1)[t0:t1])
+        _lane_sum(np.multiply(x, CT[t0:t1, :, :, None], out=a), out.swapaxes(0, 1)[t0:t1])
     out += ud * Dd
     need_u, need_delta, need_A, need_B, need_C, need_D = (t.requires_grad for t in inputs)
 
@@ -203,25 +219,25 @@ def selective_scan(
         ddelta, dB, dC = (np.empty_like(x) if need else None for x, need in ((dd, need_delta), (Bd, need_B), (Cd, need_C)))
         dA_acc = np.zeros_like(Ad) if need_A else None
         duT, ddT, dBT, dCT = (None if x is None else x.swapaxes(0, 1) for x in (du, ddelta, dB, dC))
-        dT, uT, gT, BT, CT = _time_major(dd, ud, g, Bd, Cd)
+        dT, uT, gT, BT, CT, AT = (np.ascontiguousarray(x.swapaxes(0, 1)) for x in (dd, ud, g, Bd, Cd, Ad))
         dtuT = dT * uT
         # one tile's recomputed decays, and its states after the state
-        # entering it: hs[i] is h_{t0+i-1}
-        decays, dhbuf = np.empty((2, T, b, E, N), dtype=ud.dtype)
-        hs = np.empty((T + 1, b, E, N), dtype=ud.dtype)
-        carry = np.zeros((b, E, N), dtype=ud.dtype)  # dA_{t+1} * dh_{t+1}
+        # entering it: hs[i] is h_{t0+i-1}; all (T, b, N, E) like the forward's
+        decays, dhbuf = np.empty((2, T, b, N, E), dtype=ud.dtype)
+        hs = np.empty((T + 1, b, N, E), dtype=ud.dtype)
+        carry = np.zeros((b, N, E), dtype=ud.dtype)  # dA_{t+1} * dh_{t+1}
         for k in reversed(range(len(tiles) if recur or need_C else 0)):
             t0, t1 = tiles[k]
             n = t1 - t0
             carry = carry.copy()  # carry points into decays, which the recompute overwrites
             hs[0] = starts[k]
-            a = _decay(dT[t0:t1], Ad, decays[:n])
+            a = _decay(dT[t0:t1], AT, decays[:n])
             _tile_states(a, dtuT[t0:t1], BT[t0:t1], hs[0], hs[1 : n + 1], dhbuf)
             if need_C:
-                dCT[t0:t1] = np.matmul(gT[t0:t1, :, None, :], hs[1 : n + 1])[:, :, 0]
+                dCT[t0:t1] = np.matmul(hs[1 : n + 1], gT[t0:t1, :, :, None])[..., 0]
             if not recur:
                 continue
-            dh = np.einsum("tbe,tbn->tben", gT[t0:t1], CT[t0:t1], out=dhbuf[:n])
+            dh = np.einsum("tbe,tbn->tbne", gT[t0:t1], CT[t0:t1], out=dhbuf[:n])
             dh[-1] += carry
             for j in range(n - 1, 0, -1):
                 a[j] *= dh[j]
@@ -229,20 +245,19 @@ def selective_scan(
             a[0] *= dh[0]
             carry = a[0]
             if need_u or need_delta:
-                s = np.matmul(dh, BT[t0:t1, :, :, None])[..., 0]
+                s = np.matmul(BT[t0:t1, :, None, :], dh)[:, :, 0]
             if need_u:
                 duT[t0:t1] += s * dT[t0:t1]
             if need_B:
-                dBT[t0:t1] = np.matmul(dtuT[t0:t1, :, None, :], dh)[:, :, 0]
+                dBT[t0:t1] = np.matmul(dh, dtuT[t0:t1, :, :, None])[..., 0]
             if not (need_delta or need_A):
                 continue
             # dh becomes d(loss)/d(delta*A) = dA * dh * h_{t-1}, with h_{-1} = 0
-            np.multiply(a, hs[:n], out=dh)
-            q = dh.reshape(-1, E, N).swapaxes(0, 1)  # (E, T*b, N)
-            if need_delta:
-                ddT[t0:t1] = s * uT[t0:t1] + np.matmul(q, Ad[:, :, None])[..., 0].T.reshape(n, b, E)
+            q = np.multiply(a, hs[:n], out=dh)
             if need_A:
-                dA_acc += np.matmul(dT[t0:t1].reshape(-1, E).T[:, None, :], q)[:, 0]
+                dA_acc += np.einsum("tbe,tbne->en", dT[t0:t1], q)
+            if need_delta:
+                ddT[t0:t1] = s * uT[t0:t1] + np.einsum("tbne,ne->tbe", q, AT)
         dD = np.einsum("ble,ble->e", g, ud, optimize=True) if need_D else None
         return du, ddelta, dA_acc, dB, dC, dD
 

@@ -451,9 +451,13 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 def gelu(a: Tensor) -> Tensor:
     """GELU in its tanh approximation."""
     x = a.data
-    # integer powers as products: on float32, `x**3` takes numpy's slow `pow` loop
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
-    out = 0.5 * x * (1.0 + t)
+    # t = tanh(c * (x + 0.044715*x^3)) in place; on float32, `x**3` is numpy's slow `pow` loop
+    t = x * x * x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    half_x = 0.5 * x
     d = None
     if _needs_grad((a,)):
         # the derivative 0.5*(1+t) + 0.5*x*(1-t*t) * c*(1+3*0.044715*x*x),
@@ -462,9 +466,12 @@ def gelu(a: Tensor) -> Tensor:
         d *= 3 * 0.044715
         d += 1.0
         d *= _GELU_C
-        d *= 0.5 * x * (1.0 - t * t)
-        d += 0.5 * (1.0 + t)
-    return _record((a,), out.astype(x.dtype, copy=False), lambda g: (d * g,))
+        d *= half_x * (1.0 - t * t)
+    t += 1.0
+    if d is not None:
+        d += 0.5 * t
+    t *= half_x  # the output, 0.5*x * (1+t)
+    return _record((a,), t, lambda g: (d * g,))
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:

@@ -81,6 +81,16 @@ def test_scan_rejects_mixed_dtypes(rng):
         selective_scan(u, delta, A64, B, C, D)
 
 
+@pytest.mark.parametrize("impl", [selective_scan, selective_scan_sequential], ids=["tiled", "oracle"])
+@pytest.mark.parametrize("bad", range(6), ids=["u", "delta", "A", "B", "C", "D"])
+def test_scan_rejects_mismatched_shapes(rng, impl, bad):
+    arrays = list(random_scan_inputs(rng, 2, 5, 3, 4))
+    x = arrays[bad].data
+    arrays[bad] = Tensor(x[..., None] if bad == 0 else x[:-1], dtype=np.float64)
+    with pytest.raises(ShapeError, match="scan"):
+        impl(*arrays)
+
+
 # ---------------------------------------------------------------------------
 # oracle behaviour
 
@@ -154,15 +164,23 @@ def test_scan_single_step_bit_exact(rng):
     assert np.array_equal(fast, slow)
 
 
-# (b, E, N) with a tile of a few steps, so lengths straddle tile boundaries
-TILED = (2, 96, 128)
+# (b, E, N) for each branch of the lane-sum tree that the output contraction
+# runs: under 8 lanes, blocks of 8 and a rest, one block of 128, and over 128
+# lanes split in two halves.  Each runs in 5-step tiles from a patched
+# SCAN_TILE_STATES (for (2, 96, 128) the default's own tile), so the lengths
+# straddle tile boundaries.
+SCAN_SHAPES = [(2, 3, 5), (2, 3, 20), (2, 96, 128), (2, 3, 136)]
+TILE_STEPS = 5
 
 
-def tile_lengths():
-    b, E, N = TILED
-    T = scan_tile_steps(b, 16, E, N)  # at 16 steps the isqrt(L) floor is below T
-    assert 2 <= T <= 8
-    return [1, T - 1, T, T + 1, 2 * T + 3]
+def tiled_cases(monkeypatch):
+    """(b, L, E, N) for each of SCAN_SHAPES at lengths around one and two tiles."""
+    for b, E, N in SCAN_SHAPES:
+        monkeypatch.setattr(ssm, "SCAN_TILE_STATES", b * E * N * TILE_STEPS)
+        T = scan_tile_steps(b, 16, E, N)  # at 16 steps the isqrt(L) floor is below T
+        assert T == TILE_STEPS
+        for L in (1, T - 1, T, T + 1, 2 * T + 3):
+            yield b, L, E, N
 
 
 def recorded_scan(arrays):
@@ -171,22 +189,52 @@ def recorded_scan(arrays):
         return selective_scan(*[p for p in params]).data
 
 
+# bytes, not values: np.array_equal does not tell -0 from +0
 @pytest.mark.parametrize("taped", [False, True], ids=["plain", "taped"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_scan_forward_bit_identical_to_oracle(rng, dtype, taped):
-    b, E, N = TILED
-    for L in tile_lengths():
+def test_scan_forward_bit_identical_to_oracle(rng, dtype, taped, monkeypatch):
+    for b, L, E, N in tiled_cases(monkeypatch):
         arrays = random_scan_inputs(rng, b, L, E, N, dtype=dtype)
         fast = recorded_scan(arrays) if taped else selective_scan(*arrays).data
-        assert np.array_equal(fast, selective_scan_sequential(*arrays).data), L
+        assert fast.tobytes() == selective_scan_sequential(*arrays).data.tobytes(), (L, N)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_scan_taped_and_plain_forward_same_bits(rng, dtype):
-    b, E, N = TILED
-    for L in tile_lengths():
+def test_scan_taped_and_plain_forward_same_bits(rng, dtype, monkeypatch):
+    for b, L, E, N in tiled_cases(monkeypatch):
         arrays = random_scan_inputs(rng, b, L, E, N, dtype=dtype)
-        assert recorded_scan(arrays).tobytes() == selective_scan(*arrays).data.tobytes(), L
+        assert recorded_scan(arrays).tobytes() == selective_scan(*arrays).data.tobytes(), (L, N)
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["plain", "taped"])
+@pytest.mark.parametrize("N", [16, 20])
+def test_scan_sums_negative_zero_lanes_to_positive_zero(N, taped):
+    # every <C_t, h_t> lane is -0 and so is D*u; numpy's sum starts from +0,
+    # so the oracle gives +0, where a lane tree without that start gives -0
+    b, L, E = 1, 3, 2
+    args = [np.ones((b, L, E)), np.full((b, L, E), 0.1), -np.ones((E, N)), np.ones((b, L, N)),
+            np.full((b, L, N), -0.0), np.full(E, -0.0)]
+    arrays = [Tensor(a, dtype=np.float64) for a in args]
+    fast = recorded_scan(arrays) if taped else selective_scan(*arrays).data
+    slow = selective_scan_sequential(*arrays).data
+    assert not np.signbit(slow).any()
+    assert fast.tobytes() == slow.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lane_sum_keeps_numpys_summation_order(dtype):
+    # The scan is bit-identical to its oracle only while ssm._lane_sum adds in
+    # the order of numpy's pairwise sum; a numpy whose order differs fails here
+    # first.  Lanes span many magnitudes, so a different order shows.
+    rng = np.random.default_rng(3)
+    for n in [*range(1, 41), 127, 128, 129, 136, 300]:
+        x = (rng.standard_normal((9, n)) * np.exp(3 * rng.standard_normal((9, n)))).astype(dtype)
+        x[0] = -0.0
+        x[1, ::2] = -0.0
+        expected = np.add.reduce(x, axis=-1)
+        got = np.empty(9, dtype=dtype)
+        ssm._lane_sum(np.ascontiguousarray(x.T), got)
+        assert got.tobytes() == expected.tobytes(), f"n={n}: lane tree differs from np.add.reduce on numpy {np.__version__}"
 
 
 def traced_bytes(fn):
