@@ -78,8 +78,10 @@ def cpu_model() -> str:
 
 
 def git_id(checkout: Path) -> str:
-    out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout, stdout=subprocess.PIPE, text=True)
-    return out.stdout.strip()
+    """The checkout's `git describe`, or "" when it is not a git work tree."""
+    out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
+                         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    return out.stdout.strip() if out.returncode == 0 else ""
 
 
 def _at_least_two(text: str) -> int:
@@ -117,10 +119,14 @@ def main() -> int:
     if unknown:
         ap.error(f"unknown workloads {unknown}; choose from {known}")
     names = args.workloads or known
+    commits = {side: git_id(path) for side, path in sides.items()}
+    for side, commit in commits.items():
+        if not commit:
+            ap.error(f"the {side} checkout {sides[side]} is not a git work tree, so the report cannot name its commit")
     report = {
         "machine": {"cpu": cpu_model(), "cpus": len(os.sched_getaffinity(0)), "platform": platform.platform(),
                     "python": platform.python_version(), "numpy": numpy.__version__},
-        "commits": {side: git_id(path) for side, path in sides.items()},
+        "commits": commits,
         "protocol": {"pairs": args.pairs, "traced_pairs": args.traced_pairs, "seeds": [args.seed, args.seed + args.pairs - 1],
                      "run_seconds": spec["run_seconds"], "order": "alternating, parent first on even pairs"},
         "end_to_end": {},

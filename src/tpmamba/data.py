@@ -123,40 +123,28 @@ def list_dataset(data_dir) -> list[tuple[Path, Optional[Path]]]:
 # resampling (raw numpy; inference-side code, no gradients involved)
 
 
-def _linear_resample_axis(vol: np.ndarray, axis: int, n_out: int) -> np.ndarray:
+def _resample_axis(vol: np.ndarray, axis: int, n_out: int) -> np.ndarray:
+    """Nearest-neighbour for integer and bool arrays (labels), linear for
+    float arrays (voxels), on one half-pixel source grid."""
     n_in = vol.shape[axis]
     if n_out == n_in:
         return vol
-    src = (np.arange(n_out) + 0.5) * n_in / n_out - 0.5
-    src = np.clip(src, 0, n_in - 1)
+    src = np.clip((np.arange(n_out) + 0.5) * n_in / n_out - 0.5, 0, n_in - 1)
+    if vol.dtype.kind in "biu":
+        return np.take(vol, np.round(src).astype(int), axis=axis)
     lo = np.floor(src).astype(int)
     hi = np.minimum(lo + 1, n_in - 1)
-    frac = (src - lo).astype(vol.dtype)
+    frac = (src - lo).astype(vol.dtype).reshape(-1, *([1] * (vol.ndim - 1)))
     moved = np.moveaxis(vol, axis, 0)
-    out = moved[lo] * (1 - frac).reshape(-1, *([1] * (vol.ndim - 1))) + moved[hi] * frac.reshape(
-        -1, *([1] * (vol.ndim - 1))
-    )
-    return np.moveaxis(out, 0, axis)
+    return np.moveaxis(moved[lo] * (1 - frac) + moved[hi] * frac, 0, axis)
 
 
-def _nearest_resample_axis(vol: np.ndarray, axis: int, n_out: int) -> np.ndarray:
-    n_in = vol.shape[axis]
-    if n_out == n_in:
-        return vol
-    src = (np.arange(n_out) + 0.5) * n_in / n_out - 0.5
-    idx = np.clip(np.round(src).astype(int), 0, n_in - 1)
-    return np.take(vol, idx, axis=axis)
-
-
-def resample(vol: np.ndarray, factors: tuple, order: str) -> np.ndarray:
-    """Separable rescale by per-axis factors; 'linear' or 'nearest'."""
+def resample(vol: np.ndarray, factors: tuple) -> np.ndarray:
+    """Separable rescale by per-axis factors: nearest-neighbour for integer
+    and bool arrays, linear for float arrays."""
     out = vol
     for axis, f in enumerate(factors):
-        n_out = max(int(round(out.shape[axis] * f)), 1)
-        if order == "linear":
-            out = _linear_resample_axis(out, axis, n_out)
-        else:
-            out = _nearest_resample_axis(out, axis, n_out)
+        out = _resample_axis(out, axis, max(int(round(out.shape[axis] * f)), 1))
     return out
 
 
@@ -181,9 +169,9 @@ def preprocess(rec: VolumeRecord) -> VolumeRecord:
         vox = (vox - HU_LO) / (HU_HI - HU_LO)
     labels = rec.labels
     if tuple(rec.spacing) != (1.0, 1.0, 1.0):
-        vox = resample(vox, rec.spacing, "linear")
+        vox = resample(vox, rec.spacing)
         if labels is not None:
-            labels = resample(labels, rec.spacing, "nearest")
+            labels = resample(labels, rec.spacing)
     return VolumeRecord(voxels=vox.astype(np.float32), spacing=(1.0, 1.0, 1.0), labels=labels, windowed=True)
 
 
@@ -218,9 +206,9 @@ def augment(rec: VolumeRecord, rng: np.random.Generator, cfg: AugmentConfig) -> 
     vox, labels = rec.voxels, rec.labels
     if cfg.scale_jitter:
         f = float(rng.uniform(*SCALE_RANGE))
-        vox = resample(vox, (f, f, f), "linear")
+        vox = resample(vox, (f, f, f))
         if labels is not None:
-            labels = resample(labels, (f, f, f), "nearest")
+            labels = resample(labels, (f, f, f))
     starts = tuple(
         int(rng.integers(0, max(vox.shape[ax] - cfg.crop[ax], 0) + 1)) for ax in range(3)
     )

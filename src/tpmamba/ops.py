@@ -8,6 +8,9 @@ channel-major to (Cin, B*Dp*Hp*Wp), where tap t of the output in column c
 reads input column c + offset_t, and crops the output computed on that grid.
 It walks the columns in tiles of CONV_TILE_VALUES // (Cin + Cout), one BLAS
 GEMM per tap and tile, so a tile's operands stay in cache across the taps.
+The input gradient is the same kernel on the output gradient padded like the
+input, with each tap's matrix transposed and its offset mirrored to
+offsets[-1] - offset_t.
 """
 
 from __future__ import annotations
@@ -36,6 +39,25 @@ def _padded_columns(a: Array, widths: tuple) -> Array:
     return np.ascontiguousarray(a).reshape(a.shape[0], -1)
 
 
+def _tap_gemm(wt: Array, cols: Array, offsets: list, tile: int, grid: tuple, extents: tuple) -> Array:
+    """Column c < n of the result is sum_t wt[t] @ cols[:, c + offsets[t]],
+    summed in tap order, where n leaves room for the largest offset.  One
+    GEMM per tap and tile of `tile` columns, so a tile's operands stay in
+    cache across the taps.  Returns the (B, rows, *extents) corner of the
+    result on the padded `grid` (B, Dp, Hp, Wp), as a view."""
+    n = cols.shape[1] - max(offsets)
+    acc = np.empty((wt.shape[1], cols.shape[1]), dtype=cols.dtype)
+    tmp = np.empty((wt.shape[1], min(tile, n)), dtype=acc.dtype)
+    for c0 in range(0, n, tile):
+        c1 = min(c0 + tile, n)
+        a = acc[:, c0:c1]
+        np.matmul(wt[0], cols[:, offsets[0] + c0 : offsets[0] + c1], out=a)
+        for t in range(1, len(offsets)):
+            a += np.matmul(wt[t], cols[:, offsets[t] + c0 : offsets[t] + c1], out=tmp[:, : c1 - c0])
+    D, H, W = extents
+    return acc.reshape(-1, *grid)[:, :, :D, :H, :W].transpose(1, 0, 2, 3, 4)
+
+
 def conv3d(x: Tensor, weight: Tensor, bias: Tensor, dilation: tuple = (1, 1, 1)) -> Tensor:
     """3-D cross-correlation plus a per-channel bias, x (B,Cin,D,H,W) with
     weight (Cout,Cin,kd,kh,kw) of odd extents and bias (Cout,); the output
@@ -52,62 +74,40 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor, dilation: tuple = (1, 1, 1))
     pd, ph, pw = dd * (kd - 1) // 2, dh * (kh - 1) // 2, dw * (kw - 1) // 2
 
     # On the padded grid flattened to columns, tap (i,j,k) of the output voxel
-    # in column c reads the input in column c + offset: one GEMM per tap and
-    # column tile, so each tile's operands stay in cache across the taps.
-    Dp, Hp, Wp = D + 2 * pd, H + 2 * ph, W + 2 * pw
+    # in column c reads the input in column c + offset.
+    grid = (B, D + 2 * pd, H + 2 * ph, W + 2 * pw)
     pads = ((pd, pd), (ph, ph), (pw, pw))
     xf = _padded_columns(x.data, pads)
-    offsets = [i * dd * Hp * Wp + j * dh * Wp + k * dw for i in range(kd) for j in range(kh) for k in range(kw)]
-    n = xf.shape[1] - offsets[-1]  # every output voxel lies in the first n columns
+    offsets = [i * dd * grid[2] * grid[3] + j * dh * grid[3] + k * dw for i in range(kd) for j in range(kh) for k in range(kw)]
     wt = np.ascontiguousarray(np.moveaxis(weight.data.reshape(cout, cin, -1), 2, 0))  # (taps,Cout,Cin)
     cols = max(1, CONV_TILE_VALUES // (cin + cout))
-
-    acc = np.empty((cout, xf.shape[1]), dtype=x.data.dtype)
-    tmp = np.empty((cout, min(cols, n)), dtype=acc.dtype)
-    for c0 in range(0, n, cols):
-        c1 = min(c0 + cols, n)
-        a = acc[:, c0:c1]
-        np.matmul(wt[0], xf[:, c0:c1], out=a)
-        for t in range(1, len(offsets)):
-            a += np.matmul(wt[t], xf[:, offsets[t] + c0 : offsets[t] + c1], out=tmp[:, : c1 - c0])
-    out = np.ascontiguousarray(acc.reshape(cout, B, Dp, Hp, Wp)[:, :, :D, :H, :W].transpose(1, 0, 2, 3, 4))
+    out = np.ascontiguousarray(_tap_gemm(wt, xf, offsets, cols, grid, (D, H, W)))
     out += bias.data.reshape(1, cout, 1, 1, 1)
-    need_x, need_w, need_b, w_shape, dtype = x.requires_grad, weight.requires_grad, bias.requires_grad, weight.shape, x.dtype
+    need_x, need_w, need_b, w_shape = x.requires_grad, weight.requires_grad, bias.requires_grad, weight.shape
     xd = x.data if need_w else None  # the input only for the weight's gradient
 
     def backward(g):
-        # Walk the input columns in tiles: input column c receives tap t from
-        # gradient column c - offset_t, and those same pairs give tap t's gw.
-        gf = _padded_columns(g, ((0, 2 * pd), (0, 2 * ph), (0, 2 * pw)))[:, :n]
-        m = B * Dp * Hp * Wp
+        # Padded like the input, g holds output column c's gradient in column
+        # c + offsets[-1] // 2.  Input column c receives tap t from output
+        # column c - offset_t, that is from g's column c + offsets[-1] - offset_t:
+        # the forward kernel with each tap transposed and its offset mirrored.
+        gp = _padded_columns(g, pads)
         gx = gw = gb = None
+        if need_x:
+            gx = _tap_gemm(wt.transpose(0, 2, 1), gp, [offsets[-1] - off for off in offsets], cols, grid, (D, H, W))
         if need_w:
+            # Tiles of input columns: tap t pairs input column c with output
+            # column c - offset_t.  These tiles fix each tap's summation order.
             xf = _padded_columns(xd, pads)  # rebuilt, so the tape keeps no padded copy
+            gf = gp[:, offsets[-1] // 2 :]
+            n, m = xf.shape[1] - offsets[-1], xf.shape[1]
             gwt = np.zeros_like(wt)
-        if need_x:
-            gxf = np.empty((cin, m), dtype=dtype)
-            tmp = np.empty((cin, min(cols, m)), dtype=dtype)
-        for c0 in range(0, m, cols):
-            c1 = min(c0 + cols, m)
-            if need_x:
-                gxf[:, max(c0, n) : c1] = 0  # the columns tap 0 (offset 0) does not write
-            for t, off in enumerate(offsets):
-                s0, s1 = max(c0 - off, 0), min(c1 - off, n)
-                if s0 >= s1:
-                    continue
-                gs = gf[:, s0:s1]
-                if need_x:
-                    gx_s = gxf[:, s0 + off : s1 + off]
-                    if t:
-                        gx_s += np.matmul(wt[t].T, gs, out=tmp[:, : s1 - s0])
-                    else:
-                        np.matmul(wt[0].T, gs, out=gx_s)
-                if need_w:
-                    gwt[t] += gs @ xf[:, s0 + off : s1 + off].T
-        if need_w:
+            for c0 in range(0, m, cols):
+                for t, off in enumerate(offsets):
+                    s0, s1 = max(c0 - off, 0), min(c0 + cols - off, n)
+                    if s0 < s1:
+                        gwt[t] += gf[:, s0:s1] @ xf[:, s0 + off : s1 + off].T
             gw = np.moveaxis(gwt, 0, 2).reshape(w_shape)
-        if need_x:
-            gx = gxf.reshape(cin, B, Dp, Hp, Wp)[:, :, pd : pd + D, ph : ph + H, pw : pw + W].transpose(1, 0, 2, 3, 4)
         if need_b:
             gb = g.sum(axis=(0, 2, 3, 4))
         return gx, gw, gb

@@ -51,8 +51,6 @@ def _train_record_step(model, rec, cfg, rng, trainable, opt_state, lr):
         scale_jitter=cfg.scale_jitter,
     )
     sample = augment(rec, rng, aug_cfg)
-    if sample.labels is None:
-        raise InputError("training requires labelled volumes")
     x = Tensor(sample.voxels[None, None])
     with recording() as tape:
         logits = model.forward(x)

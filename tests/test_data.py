@@ -170,9 +170,20 @@ def test_preprocess_rejects_non_finite_voxels(bad, base):
 
 def test_resample_nearest_keeps_labels_integral(rng):
     labels = rng.integers(0, 5, (6, 6, 6)).astype(np.uint8)
-    out = resample(labels, (1.5, 1.5, 1.5), "nearest")
+    out = resample(labels, (1.5, 1.5, 1.5))
     assert out.dtype == np.uint8
     assert set(np.unique(out)) <= set(np.unique(labels))
+
+
+def test_resample_picks_its_interpolation_by_dtype():
+    """Integer and bool arrays take the nearest source sample, float arrays
+    mix the two neighbours, on the same half-pixel grid."""
+    ramp = np.arange(4)
+    np.testing.assert_array_equal(resample(ramp.astype(np.uint8)[:, None, None], (2, 1, 1)).ravel(),
+                                  [0, 0, 1, 1, 2, 2, 3, 3])
+    np.testing.assert_array_equal(resample((ramp == 2)[:, None, None], (0.5, 1, 1)).ravel(), [False, True])
+    np.testing.assert_array_equal(resample(ramp.astype(np.float32)[:, None, None], (2, 1, 1)).ravel(),
+                                  np.float32([0, 0.25, 0.75, 1.25, 1.75, 2.25, 2.75, 3]))
 
 
 # ---------------------------------------------------------------------------

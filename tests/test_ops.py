@@ -119,6 +119,9 @@ def _conv3d_loops(x, w, b, dilation, padding):
         ((2, 2, 5, 4, 3), (3, 2, 3, 3, 3), (2, 1, 1), (2, 1, 1)),
         ((2, 4, 3, 2, 5), (3, 4, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
         ((1, 4, 3, 2, 5), (3, 4, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+        # dilation and unequal taps off the depth axis: the input gradient's
+        # mirrored offsets cross H and W rows as well as depth slices
+        ((2, 3, 6, 5, 7), (4, 3, 3, 3, 5), (1, 2, 1), (1, 2, 2)),
     ],
 )
 def test_conv3d_matches_loop_reference_and_grads(rng, x_shape, w_shape, dilation, padding):
@@ -139,10 +142,13 @@ def test_conv3d_matches_loop_reference_and_grads(rng, x_shape, w_shape, dilation
 
 # Padded grid of x (2,2,5,4,3) under 'same' padding (2,1,1): Dp, Hp, Wp = 9, 6, 5, so
 # 540 columns.  The last 3x3x3 tap at dilation (2,1,1) sits 2*2*30 + 2*5 + 2 =
-# 132 columns on, so the forward covers n = 408 columns.  Tile widths below
-# the 132-column offset span put tile boundaries inside every tap's shifted
-# window (12 forward tiles at 37); 136 = 408 / 3 makes n an exact multiple of
-# the tile; 407 makes n = tile + 1, a one-column last tile.
+# 132 columns on, so the forward covers n = 408 columns.  The input gradient
+# runs the forward's kernel on the padded gradient and walks the same n
+# columns in the same tiles; the weight gradient walks all 540 input columns
+# (15 tiles at 37).  Tile widths below the 132-column offset span put tile
+# boundaries inside every tap's shifted window (12 forward tiles at 37);
+# 136 = 408 / 3 makes n an exact multiple of the tile; 407 makes n = tile + 1,
+# a one-column last tile.
 @pytest.mark.parametrize("cols", [37, 136, 407])
 def test_conv3d_column_tiles_match_loop_reference_and_grads(rng, monkeypatch, cols):
     x = Parameter("x", rng.standard_normal((2, 2, 5, 4, 3)), dtype=np.float64)

@@ -52,6 +52,17 @@ def test_ab_bench_rejects_unknown_workload_before_running(tmp_path):
     assert not out.exists()
 
 
+def test_ab_bench_rejects_checkout_outside_git_before_running(tmp_path):
+    """A `git archive` copy has no commit id to report; it is refused, not
+    summarised under an empty one."""
+    (tmp_path / "BENCHMARK.json").write_text((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    out = tmp_path / "bench.json"
+    proc = ab_bench(tmp_path, tmp_path, "2", out)
+    assert proc.returncode == 2
+    assert f"{tmp_path.resolve()} is not a git work tree" in proc.stderr
+    assert not out.exists()
+
+
 def test_ab_bench_rejects_negative_traced_pairs_before_running(tmp_path):
     out = tmp_path / "bench.json"
     proc = ab_bench(tmp_path, tmp_path, "2", out, "--traced-pairs", "-1")
