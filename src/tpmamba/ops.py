@@ -8,9 +8,8 @@ channel-major to (Cin, B*Dp*Hp*Wp), where tap t of the output in column c
 reads input column c + offset_t, and crops the output computed on that grid.
 It walks the columns in tiles of CONV_TILE_VALUES // (Cin + Cout), one BLAS
 GEMM per tap and tile, so a tile's operands stay in cache across the taps.
-The input gradient is the same kernel on the output gradient padded like the
-input, with each tap's matrix transposed and its offset mirrored to
-offsets[-1] - offset_t.
+The input gradient is that kernel on the padded output gradient, with each
+tap's matrix transposed and its offset mirrored to offsets[-1] - offset_t.
 """
 
 from __future__ import annotations
@@ -40,11 +39,11 @@ def _padded_columns(a: Array, widths: tuple) -> Array:
 
 
 def _tap_gemm(wt: Array, cols: Array, offsets: list, tile: int, grid: tuple, extents: tuple) -> Array:
-    """Column c < n of the result is sum_t wt[t] @ cols[:, c + offsets[t]],
-    summed in tap order, where n leaves room for the largest offset.  One
-    GEMM per tap and tile of `tile` columns, so a tile's operands stay in
-    cache across the taps.  Returns the (B, rows, *extents) corner of the
-    result on the padded `grid` (B, Dp, Hp, Wp), as a view."""
+    """sum_t wt[t] @ cols[:, c + offsets[t]], summed in tap order, for every
+    column c that leaves room for the largest offset: one GEMM per tap and
+    tile of `tile` columns, so a tile's operands stay in cache across the
+    taps.  Returns the (B, rows, *extents) corner of those columns laid out
+    on the padded `grid` (B, Dp, Hp, Wp), as a view."""
     n = cols.shape[1] - max(offsets)
     acc = np.empty((wt.shape[1], cols.shape[1]), dtype=cols.dtype)
     tmp = np.empty((wt.shape[1], min(tile, n)), dtype=acc.dtype)
@@ -75,10 +74,10 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor, dilation: tuple = (1, 1, 1))
 
     # On the padded grid flattened to columns, tap (i,j,k) of the output voxel
     # in column c reads the input in column c + offset.
-    grid = (B, D + 2 * pd, H + 2 * ph, W + 2 * pw)
-    pads = ((pd, pd), (ph, ph), (pw, pw))
+    Dp, Hp, Wp = D + 2 * pd, H + 2 * ph, W + 2 * pw
+    grid, pads = (B, Dp, Hp, Wp), ((pd, pd), (ph, ph), (pw, pw))
     xf = _padded_columns(x.data, pads)
-    offsets = [i * dd * grid[2] * grid[3] + j * dh * grid[3] + k * dw for i in range(kd) for j in range(kh) for k in range(kw)]
+    offsets = [i * dd * Hp * Wp + j * dh * Wp + k * dw for i in range(kd) for j in range(kh) for k in range(kw)]
     wt = np.ascontiguousarray(np.moveaxis(weight.data.reshape(cout, cin, -1), 2, 0))  # (taps,Cout,Cin)
     cols = max(1, CONV_TILE_VALUES // (cin + cout))
     out = np.ascontiguousarray(_tap_gemm(wt, xf, offsets, cols, grid, (D, H, W)))
