@@ -24,6 +24,8 @@ def _parse_size(text: str) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .selfcheck import SUITES
+
     parser = argparse.ArgumentParser(prog="tpmamba")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -54,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--out", required=True, help="label RVOL output path")
 
     c = sub.add_parser("check", help="run the built-in verification suites")
-    c.add_argument("--suite", choices=["grad", "scan", "roundtrip", "all"], default="all")
+    c.add_argument("--suite", choices=[*SUITES, "all"], default="all")
 
     b = sub.add_parser("bench-flops", help="analytic per-block adapter flop counts")
     b.add_argument("--input", type=_parse_size, default=(96, 96, 96), help="D,H,W")

@@ -120,7 +120,8 @@ def list_dataset(data_dir) -> list[tuple[Path, Optional[Path]]]:
 
 
 # ---------------------------------------------------------------------------
-# resampling (raw numpy; inference-side code, no gradients involved)
+# resampling (raw numpy, no gradients; `ops.upsample_hw` builds its matrices
+# from `_resample_axis`, so the decoder shares this source grid)
 
 
 def _resample_axis(vol: np.ndarray, axis: int, n_out: int) -> np.ndarray:

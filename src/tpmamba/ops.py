@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .data import _resample_axis
 from .errors import ConfigError, NumericError, ShapeError
 from .tensor import Parameter, Tensor, _record, recording
 
@@ -172,7 +173,7 @@ def normalize(x: Tensor, kind: str, gamma: Tensor, beta: Tensor) -> Tensor:
     out = xhat * gam + beta.data.reshape(affine_shape)
     n = int(np.prod([x.shape[a] for a in axes]))
     need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
-    dtype, gamma_shape, beta_shape = x.dtype, gamma.shape, beta.shape
+    gamma_shape, beta_shape = gamma.shape, beta.shape
     reduce_axes = tuple(i for i in range(x.ndim) if i not in (1,)) if kind == "instance_norm" else tuple(range(x.ndim - 1))
     xhat = xhat if need_x or need_gamma else None
 
@@ -183,7 +184,7 @@ def normalize(x: Tensor, kind: str, gamma: Tensor, beta: Tensor) -> Tensor:
             # standard layer-norm vjp over the normalized axes
             t1 = gg.sum(axis=axes, keepdims=True)
             t2 = (gg * xhat).sum(axis=axes, keepdims=True)
-            gx = ((inv / n) * (n * gg - t1 - xhat * t2)).astype(dtype)
+            gx = (inv / n) * (n * gg - t1 - xhat * t2)
         if need_gamma:
             ggamma = (g * xhat).sum(axis=reduce_axes).reshape(gamma_shape)
         if need_beta:
@@ -193,30 +194,15 @@ def normalize(x: Tensor, kind: str, gamma: Tensor, beta: Tensor) -> Tensor:
     return _record((x, gamma, beta), out, backward)
 
 
-def _interp_matrix(n_in: int, n_out: int, dtype) -> Array:
-    """Row-stochastic linear interpolation matrix mapping length n_in -> n_out.
-
-    Output sample o reads the input at (o + 0.5) * (n_in - 1) / n_out, the
-    half-pixel output grid mapped onto the input span; rows mix at most two
-    neighbouring inputs and always sum to one.
-    """
-    M = np.zeros((n_out, n_in), dtype=dtype)
-    src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in - 1) / n_out
-    lo = np.floor(src).astype(int)
-    frac = src - lo
-    hi = np.minimum(lo + 1, n_in - 1)
-    M[np.arange(n_out), lo] += (1.0 - frac).astype(dtype)
-    M[np.arange(n_out), hi] += frac.astype(dtype)
-    return M
-
-
 def upsample_hw(x: Tensor) -> Tensor:
-    """Bilinear 2x upsampling of H and W; depth untouched."""
+    """Bilinear 2x upsampling of H and W; depth untouched.  Each axis's
+    (2n, n) matrix is `data.resample`'s linear kernel applied to an identity,
+    so the decoder samples on the half-pixel grid preprocessing uses."""
     if x.ndim != 5:
         raise ShapeError(f"upsample_hw expects (B,C,D,H,W), got {x.shape}")
     B, C, D, H, W = x.shape
-    Mh = _interp_matrix(H, 2 * H, x.data.dtype)
-    Mw = _interp_matrix(W, 2 * W, x.data.dtype)
+    Mh = _resample_axis(np.eye(H, dtype=x.dtype), 0, 2 * H)
+    Mw = _resample_axis(np.eye(W, dtype=x.dtype), 0, 2 * W)
     # W pass as one flat GEMM, then H pass as a matmul broadcast over (B,C,D).
     t = (x.data.reshape(-1, W) @ Mw.T).reshape(B, C, D, H, 2 * W)
     out = np.matmul(Mh, t)

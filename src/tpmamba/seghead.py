@@ -164,17 +164,9 @@ def dice_score(pred: np.ndarray, gt: np.ndarray, K: int) -> tuple[np.ndarray, fl
     """
     if pred.shape != gt.shape:
         raise ShapeError(f"prediction shape {pred.shape} != labels shape {gt.shape}")
-    scores = np.zeros(K - 1, dtype=np.float64)
-    for k in range(1, K):
-        p = pred == k
-        g = gt == k
-        ps, gs = int(p.sum()), int(g.sum())
-        if ps == 0 and gs == 0:
-            scores[k - 1] = 1.0
-        elif ps == 0 or gs == 0:
-            scores[k - 1] = 0.0
-        else:
-            scores[k - 1] = 2.0 * int((p & g).sum()) / (ps + gs)
+    inter = np.bincount(gt[pred == gt], minlength=K)[1:K]
+    total = np.bincount(pred.reshape(-1), minlength=K)[1:K] + np.bincount(gt.reshape(-1), minlength=K)[1:K]
+    scores = np.divide(2.0 * inter, total, out=np.ones(K - 1), where=total > 0)
     return scores, float(scores.mean())
 
 

@@ -213,5 +213,5 @@ def run_suite(name: str) -> list[Check]:
     if name == "all":
         return [check for suite in SUITES.values() for check in suite()]
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from grad, scan, roundtrip, all")
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}")
     return SUITES[name]()

@@ -4,9 +4,9 @@ from reference_ops import log
 
 from tpmamba import ops
 from tpmamba import tensor as T
+from tpmamba.data import _resample_axis, resample
 from tpmamba.errors import ConfigError, ShapeError
 from tpmamba.ops import (
-    _interp_matrix,
     conv1d_depthwise,
     conv3d,
     grad_check,
@@ -272,7 +272,24 @@ def test_upsample_constant_field():
 def test_upsample_linear_values():
     x = Tensor(np.array([0.0, 2.0]).reshape(1, 1, 1, 2, 1), dtype=np.float64)
     out = upsample_hw(x)
-    np.testing.assert_allclose(out.data[0, 0, 0, :, 0], [0.25, 0.75, 1.25, 1.75], rtol=1e-12)
+    np.testing.assert_allclose(out.data[0, 0, 0, :, 0], [0.0, 0.5, 1.5, 2.0], rtol=1e-12)
+
+
+def test_upsample_stages_land_on_the_patch_grid():
+    # Four 2x stages take a 6-token ramp to 96 voxels; voxel v's centre sits at
+    # token (v + 0.5) / 16 - 0.5, exactly, wherever no edge clamp reaches.
+    x = Tensor(np.arange(6.0).reshape(1, 1, 1, 1, 6), dtype=np.float64)
+    for _ in range(4):
+        x = upsample_hw(x)
+    ideal = (np.arange(96) + 0.5) / 16 - 0.5
+    np.testing.assert_array_equal(x.data[0, 0, 0, 0, 15:81], ideal[15:81])
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1, 3), (2, 3, 2, 4, 5), (1, 2, 3, 7, 1), (1, 1, 2, 6, 6)])
+def test_upsample_matches_data_resample(rng, shape):
+    x = rng.standard_normal(shape)
+    out = upsample_hw(Tensor(x, dtype=np.float64))
+    np.testing.assert_allclose(out.data, resample(x, (1, 1, 1, 2, 2)), rtol=0, atol=1e-12)
 
 
 def test_upsample_shape_16x():
@@ -295,8 +312,8 @@ def test_upsample_grad(rng):
 
 def _upsample_dense(x):
     """The interpolation written as two dense einsums over the full matrices."""
-    Mh = _interp_matrix(x.shape[3], 2 * x.shape[3], x.dtype)
-    Mw = _interp_matrix(x.shape[4], 2 * x.shape[4], x.dtype)
+    Mh = _resample_axis(np.eye(x.shape[3], dtype=x.dtype), 0, 2 * x.shape[3])
+    Mw = _resample_axis(np.eye(x.shape[4], dtype=x.dtype), 0, 2 * x.shape[4])
     return np.einsum("qw,bcdpw->bcdpq", Mw, np.einsum("ph,bcdhw->bcdpw", Mh, x))
 
 
