@@ -240,8 +240,8 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter], max_coords:
             raise NumericError(f"grad_check: no gradient reached parameter {p.name}")
         if not np.isfinite(p.grad).all():
             raise NumericError(f"grad_check: non-finite gradient in {p.name}")
-        flat = p.data.reshape(-1)
-        n = flat.size
+        flat = p.data.flat  # writes into p.data, in gflat's C order, contiguous or not
+        n = p.size
         coords = np.arange(n) if n <= max_coords else rng.choice(n, size=max_coords, replace=False)
         gflat = p.grad.reshape(-1)
         for c in coords:

@@ -1,14 +1,22 @@
 """Built-in verification suites behind `tpmamba check` and the acceptance tests.
 
-`scan_oracle_errors`, `gradient_errors` and `plane_roundtrip_exact` measure;
-the suites turn their results into (name, passed, detail) triples, and the
-CLI prints one line per check and exits non-zero when anything fails.
+`scan_oracle_errors` and `plane_roundtrip_exact` measure.  `GRAD_CASES` is
+the one table of finite-difference gradient checks: each case names what it
+checks, builds its f64 loss and parameters from its own generator, and
+carries its `max_coords` and tolerance; `run_grad_case` turns a case into an
+`ops.grad_check` error.  The `grad` suite, a tier-1 test parametrized over
+the table and acceptance criteria 2 and 8 all run cases through it.  The
+suites turn results into (name, passed, detail) triples, and the CLI prints
+one line per check and exits non-zero when anything fails.
 """
 
 from __future__ import annotations
 
 import tempfile
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -20,19 +28,15 @@ from .ops import conv1d_depthwise, conv3d, grad_check, normalize, upsample_hw
 from .seghead import Decoder, decoder_forward, dice_ce_loss
 from .ssm import SSMParams, mamba_block_forward, selective_scan, selective_scan_sequential
 from .tensor import Parameter, Tensor
-from .triplane import TPMambaAdapter, plane_flatten, plane_unflatten, tp_mamba_forward
+from .triplane import TPMambaAdapter, plane_flatten, plane_unflatten, reduce_dim, tp_mamba_forward
 
 Check = tuple[str, bool, str]
 
 SCAN_TOLERANCE = {"f32": 1e-5, "f64": 1e-10}
+GRAD_SEED = 7  # every gradient case draws its data from a generator of this seed
 
 # the model cases' config: width 8 in 2 heads, scanners of width 4 with 2 states
 TOY = TrainConfig(C=8, n_heads=2, lora_rank=2, lora_alpha=2.0, adapter_r=4, adapter_d_state=2, crop=(4, 32, 32))
-
-
-def grad_tolerance(case: str) -> float:
-    """Bound on a gradient case's error: matmul is exact up to rounding."""
-    return 1e-6 if case == "matmul" else 1e-3
 
 
 def _scan_case(rng, b, L, E, N, dtype):
@@ -71,92 +75,149 @@ def scan_oracle_errors(seed: int, n_configs: int) -> tuple[dict[str, float], boo
     return worst, bool(exact)
 
 
-def gradient_errors(seed: int) -> dict[str, float]:
-    """f64 tape gradients against central differences, one error per case.
+@dataclass(frozen=True)
+class GradCase:
+    """One finite-difference check: `build(rng)` returns the scalar loss as a
+    closure over the f64 parameters it differentiates, and `run_grad_case`
+    probes each parameter at up to `max_coords` entries."""
 
-    The cases run in a fixed order from one generator, so each draws the
-    same data whatever cases follow it.
-    """
-    rng = np.random.default_rng(seed)
-    f64 = np.float64
-    results = {}
+    name: str
+    build: Callable[[np.random.Generator], tuple[Callable[[], Tensor], list[Parameter]]]
+    max_coords: int
+    tolerance: float
 
-    a = Parameter("a", rng.standard_normal((3, 4)), dtype=f64)
-    b = Parameter("b", rng.standard_normal((4, 2)), dtype=f64)
-    results["matmul"] = grad_check(lambda: T.tsum(T.matmul(a, b)), [a, b])
 
-    x = Parameter("x", rng.standard_normal((1, 2, 3, 2, 2)), dtype=f64)
-    w = Parameter("w", rng.standard_normal((2, 2, 3, 1, 1)), dtype=f64)
-    wb = Parameter("wb", rng.standard_normal(2), dtype=f64)
-    results["conv3d"] = grad_check(
-        lambda: T.tsum(T.square(conv3d(x, w, wb, dilation=(2, 1, 1)))),
-        [x, w, wb],
-        max_coords=8,
-    )
+def run_grad_case(case: GradCase) -> float:
+    """The case's worst relative error, on data from its own generator."""
+    loss, params = case.build(np.random.default_rng(GRAD_SEED))
+    return grad_check(loss, params, max_coords=case.max_coords)
 
-    xc = Parameter("xc", rng.standard_normal((1, 6, 3)), dtype=f64)
-    wc = Parameter("wc", rng.standard_normal((3, 4)), dtype=f64)
-    bc = Parameter("bc", rng.standard_normal(3), dtype=f64)
-    results["conv1d_depthwise"] = grad_check(
-        lambda: T.tsum(T.square(conv1d_depthwise(xc, wc, bc))), [xc, wc, bc]
-    )
 
-    for kind, shape, cdim in (("layer_norm", (3, 5), 5), ("instance_norm", (1, 2, 2, 3, 3), 2)):
-        xn = Parameter("xn", rng.standard_normal(shape), dtype=f64)
-        gg = Parameter("gg", 1 + 0.1 * rng.standard_normal(cdim), dtype=f64)
-        bb = Parameter("bb", rng.standard_normal(cdim), dtype=f64)
-        wgt = Tensor(rng.standard_normal(shape), dtype=f64)
-        results[kind] = grad_check(
-            lambda xn=xn, gg=gg, bb=bb, kind=kind, wgt=wgt: T.tsum(
-                T.mul(normalize(xn, kind, gg, bb), wgt)
-            ),
-            [xn, gg, bb],
-            max_coords=8,
-        )
+def _loss(rng, f, kind):
+    """A scalar loss over f(): its sum, its sum of squares, or its sum
+    weighted by a fixed random array of f()'s shape."""
+    if kind == "sum":
+        return lambda: T.tsum(f())
+    if kind == "square":
+        return lambda: T.tsum(T.square(f()))
+    w = Tensor(rng.standard_normal(f().shape), dtype=np.float64)
+    return lambda: T.tsum(T.mul(f(), w))
 
-    xu = Parameter("xu", rng.standard_normal((1, 1, 2, 3, 3)), dtype=f64)
-    wu = Tensor(rng.standard_normal((1, 1, 2, 6, 6)), dtype=f64)
-    results["upsample_hw"] = grad_check(lambda: T.tsum(T.mul(upsample_hw(xu), wu)), [xu], max_coords=8)
 
-    # full tri-plane adapter with every zero-init path given signal
-    adapter = TPMambaAdapter.init(TOY, rng, "tp", dtype=f64)
+def _op(rng, op, shapes, loss, scale):
+    params = [Parameter(f"arg{i}", scale * rng.standard_normal(s), dtype=np.float64) for i, s in enumerate(shapes)]
+    return _loss(rng, lambda: op(*params), loss), params
+
+
+def _op_case(name, op, shapes, max_coords, tolerance, loss="weighted", scale=1.0) -> GradCase:
+    """`op` applied to f64 parameters of these shapes, drawn at `scale`."""
+    return GradCase(name, partial(_op, op=op, shapes=shapes, loss=loss, scale=scale), max_coords, tolerance)
+
+
+def _concat_narrow_stack(a, b):
+    piece = T.narrow(T.concat([a, b], axis=1), 1, 2, 3)
+    return T.stack([piece, piece], axis=0)
+
+
+def _normalize(rng, kind, shape):
+    c = shape[-1] if kind == "layer_norm" else shape[1]
+    x = Parameter("x", rng.standard_normal(shape), dtype=np.float64)
+    g = Parameter("gamma", 1 + 0.1 * rng.standard_normal(c), dtype=np.float64)
+    b = Parameter("beta", rng.standard_normal(c), dtype=np.float64)
+    return _loss(rng, lambda: normalize(x, kind, g, b), "weighted"), [x, g, b]
+
+
+def _selective_scan(rng):
+    params = [Parameter(n, t.data) for n, t in zip("udABCD", _scan_case(rng, 1, 5, 2, 3, np.float64))]
+    return _loss(rng, lambda: selective_scan(*params), "square"), params
+
+
+def _mamba_block(rng):
+    params = SSMParams.init(TOY, rng, "blk", dtype=np.float64)
+    params.w_out.data = 0.1 * rng.standard_normal(params.w_out.shape)
+    seq = Tensor(rng.standard_normal((1, 8, 4)), dtype=np.float64)
+    return _loss(rng, lambda: mamba_block_forward(seq, params), "square"), params.parameters()
+
+
+def _reduce_dim(rng):
+    adapter = TPMambaAdapter.init(TOY, rng, "tp", dtype=np.float64)
+    F = Tensor(rng.standard_normal((1, 8, 3, 2, 2)), dtype=np.float64)
+    return _loss(rng, lambda: reduce_dim(F, adapter), "square"), [adapter.reduce_w, adapter.reduce_b]
+
+
+def _tp_mamba_adapter(rng, cfg, depth, signal):
+    adapter = TPMambaAdapter.init(cfg, rng, "tp", dtype=np.float64)
     for p in (adapter.raise_w, adapter.phi_hw.w_out, adapter.phi_dw.w_out, adapter.phi_dh.w_out):
-        p.data = 0.3 * rng.standard_normal(p.shape)
-    F = Tensor(rng.standard_normal((1, 3, 8, 2, 2)), dtype=f64)
-    wgt = Tensor(rng.standard_normal((1, 3, 8, 2, 2)), dtype=f64)
-    results["tp_mamba_adapter"] = grad_check(
-        lambda: T.tsum(T.mul(tp_mamba_forward(F, adapter), wgt)), adapter.parameters(), max_coords=3
-    )
+        p.data = signal * rng.standard_normal(p.shape)
+    F = Tensor(rng.standard_normal((1, depth, cfg.C, 2, 2)), dtype=np.float64)
+    return _loss(rng, lambda: tp_mamba_forward(F, adapter), "weighted"), adapter.parameters()
 
-    # one full ViT block over its trainables
-    blk = Encoder.init(TOY, rng, dtype=f64).blocks[0]
+
+def _vit_block(rng):
+    blk = Encoder.init(TOY, rng, dtype=np.float64).blocks[0]
     ad = blk.adapter
     for p in (ad.raise_w, blk.q.b_lora, blk.v.b_lora, ad.phi_hw.w_out, ad.phi_dw.w_out, ad.phi_dh.w_out):
         p.data = 0.2 * rng.standard_normal(p.shape)
-    Fb = Tensor(rng.standard_normal((1, 3, 8, 2, 2)), dtype=f64)
-    wb2 = Tensor(rng.standard_normal((1, 3, 8, 2, 2)), dtype=f64)
-    results["vit_block"] = grad_check(
-        lambda: T.tsum(T.mul(vit_block_forward(Fb, blk), wb2)), blk.partition()[0], max_coords=3
-    )
+    F = Tensor(rng.standard_normal((1, 3, 8, 2, 2)), dtype=np.float64)
+    return _loss(rng, lambda: vit_block_forward(F, blk), "weighted"), blk.partition()[0]
 
-    dec = Decoder.init(TOY, rng, dtype=f64)
-    taps = [Tensor(rng.standard_normal((1, 2, 8, 1, 1)), dtype=f64) for _ in range(4)]
-    wd = Tensor(rng.standard_normal((1, 2, 2, 16, 16)), dtype=f64)
-    results["decoder"] = grad_check(
-        lambda: T.tsum(T.mul(decoder_forward(taps, dec), wd)), dec.parameters(), max_coords=3
-    )
 
+def _decoder(rng):
+    dec = Decoder.init(TOY, rng, dtype=np.float64)
+    taps = [Tensor(rng.standard_normal((1, 2, 8, 1, 1)), dtype=np.float64) for _ in range(4)]
+    return _loss(rng, lambda: decoder_forward(taps, dec), "weighted"), dec.parameters()
+
+
+def _dice_ce_loss(rng):
     labels = rng.integers(0, 2, (1, 4, 4, 4))
-    P = Parameter("logits", 0.5 * rng.standard_normal((1, 2, 4, 4, 4)), dtype=f64)
-    results["dice_ce_loss"] = grad_check(lambda: dice_ce_loss(P, labels), [P], max_coords=10)
+    P = Parameter("logits", 0.5 * rng.standard_normal((1, 2, 4, 4, 4)), dtype=np.float64)
+    return (lambda: dice_ce_loss(P, labels)), [P]
 
-    params = SSMParams.init(TOY, rng, "blk", dtype=f64)
-    params.w_out.data = 0.1 * rng.standard_normal(params.w_out.shape)
-    seq = Tensor(rng.standard_normal((1, 6, 4)), dtype=f64)
-    results["mamba_block"] = grad_check(
-        lambda: T.tsum(T.square(mamba_block_forward(seq, params))), params.parameters(), max_coords=4
-    )
-    return results
+
+def adapter_case(name: str, cfg: TrainConfig, depth: int, signal: float, max_coords: int) -> GradCase:
+    """The whole tri-plane adapter of `cfg` on (1, depth, C, 2, 2) features,
+    its zero-initialised raise and scanner outputs drawn at scale `signal`
+    so every path carries gradient."""
+    return GradCase(name, partial(_tp_mamba_adapter, cfg=cfg, depth=depth, signal=signal), max_coords, 1e-3)
+
+
+# Every function that records a tape node appears in at least one case, and a
+# tier-1 test holds the table to that.
+GRAD_CASES = [
+    _op_case("matmul", T.matmul, [(3, 4), (4, 2)], 64, 1e-6, loss="sum"),
+    _op_case("matmul_batched", T.matmul, [(2, 3, 4), (4, 5)], 40, 1e-6, loss="square"),
+    *(
+        _op_case(f"linear_{len(x)}d{'_bias' * bias}", T.linear, [x, (4, 5), 4][: 2 + bias], 24, 1e-7)
+        for x in ((7, 5), (3, 6, 5), (4, 2, 3, 5))
+        for bias in (True, False)
+    ),
+    *(
+        _op_case(f"{fn.__name__}_{len(x)}d", fn, [x], 8, 1e-7, loss="sum", scale=0.5)
+        for fn in (T.exp, T.silu, T.softplus, T.gelu, T.square)
+        for x in ((7,), (3, 2, 4))
+    ),
+    _op_case("softmax_2d", partial(T.softmax, axis=1), [(3, 5)], 16, 1e-7),
+    _op_case("softmax_3d", partial(T.softmax, axis=2), [(2, 3, 4)], 16, 1e-7),
+    _op_case("concat_narrow_stack", _concat_narrow_stack, [(2, 3), (2, 4)], 16, 1e-7, loss="square"),
+    _op_case("conv3d_k333_d211", partial(conv3d, dilation=(2, 1, 1)), [(2, 2, 5, 4, 3), (3, 2, 3, 3, 3), 3], 24, 1e-7),
+    _op_case("conv3d_k111", conv3d, [(2, 4, 3, 2, 5), (3, 4, 1, 1, 1), 3], 24, 1e-7),
+    _op_case("conv3d_k111_b1", conv3d, [(1, 4, 3, 2, 5), (3, 4, 1, 1, 1), 3], 24, 1e-7),
+    _op_case("conv3d_k335_d121", partial(conv3d, dilation=(1, 2, 1)), [(2, 3, 6, 5, 7), (4, 3, 3, 3, 5), 4], 24, 1e-7),
+    _op_case("conv1d_depthwise", conv1d_depthwise, [(2, 6, 3), (3, 4), 3], 16, 1e-6, loss="square"),
+    GradCase("layer_norm", partial(_normalize, kind="layer_norm", shape=(3, 5)), 10, 1e-6),
+    GradCase("instance_norm_d3", partial(_normalize, kind="instance_norm", shape=(1, 2, 3, 2, 2)), 10, 1e-6),
+    GradCase("instance_norm_d2", partial(_normalize, kind="instance_norm", shape=(1, 2, 2, 3, 3)), 8, 1e-6),
+    _op_case("upsample_hw", upsample_hw, [(2, 3, 2, 4, 5)], 24, 1e-7),
+    # a non-contiguous (2,3,2,4,5) view
+    _op_case("upsample_hw_permuted", lambda x: upsample_hw(T.permute(x, (0, 1, 3, 4, 2))), [(2, 3, 5, 2, 4)], 24, 1e-7),
+    GradCase("selective_scan", _selective_scan, 8, 1e-6),
+    GradCase("mamba_block", _mamba_block, 6, 1e-3),
+    GradCase("reduce_dim", _reduce_dim, 10, 1e-3),
+    adapter_case("tp_mamba_adapter", TOY, depth=3, signal=0.3, max_coords=3),
+    GradCase("vit_block", _vit_block, 3, 1e-3),
+    GradCase("decoder", _decoder, 3, 1e-3),
+    GradCase("dice_ce_loss", _dice_ce_loss, 12, 1e-3),
+]
 
 
 def plane_roundtrip_exact(seed: int) -> bool:
@@ -181,10 +242,11 @@ def check_scan() -> list[Check]:
 
 
 def check_grad() -> list[Check]:
-    return [
-        (f"{case} grad < {grad_tolerance(case):.0e}", err < grad_tolerance(case), f"err {err:.3e}")
-        for case, err in gradient_errors(7).items()
-    ]
+    checks = []
+    for case in GRAD_CASES:
+        err = run_grad_case(case)
+        checks.append((f"{case.name} grad < {case.tolerance:.0e}", err < case.tolerance, f"err {err:.3e}"))
+    return checks
 
 
 def check_roundtrip() -> list[Check]:

@@ -10,17 +10,16 @@ import numpy as np
 import pytest
 
 from model_helpers import param_count_adapter, scan_in_mode, with_sequential_scan, without_adapters
-from tpmamba import tensor as T
 from tpmamba.config import TrainConfig
 from tpmamba.data import VolumeRecord, gen_synth, preprocess
 from tpmamba.encoder import Encoder, encoder_forward
 from tpmamba.flops import gflops_estimate
-from tpmamba.ops import grad_check
 from tpmamba.selfcheck import (
+    GRAD_CASES,
     SCAN_TOLERANCE,
-    grad_tolerance,
-    gradient_errors,
+    adapter_case,
     plane_roundtrip_exact,
+    run_grad_case,
     scan_oracle_errors,
 )
 from tpmamba.ssm import SSMParams, mamba_block_forward
@@ -50,13 +49,13 @@ def test_criterion_1_scan_oracle_equivalence():
 
 def test_criterion_2_gradient_suite():
     start = time.perf_counter()
-    results = gradient_errors(7)
+    results = {case.name: run_grad_case(case) for case in GRAD_CASES}
     elapsed = time.perf_counter() - start
-    for name, err in results.items():
-        assert err < grad_tolerance(name), f"{name}: {err}"
+    for case in GRAD_CASES:
+        assert results[case.name] < case.tolerance, f"{case.name}: {results[case.name]}"
     assert elapsed < 120.0
     worst = max(results, key=results.get)
-    _report(2, f"gradient suite ({len(results)} checks), worst {worst} = {results[worst]:.2e}, {elapsed:.1f}s")
+    _report(2, f"gradient table ({len(results)} cases), worst {worst} = {results[worst]:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_3_init_transparency():
@@ -177,18 +176,9 @@ def test_criterion_8_rank_sweep(r):
     slow = with_sequential_scan(mamba_block_forward, seq, params).data
     assert np.abs(fast - slow).max() / max(1.0, np.abs(slow).max()) < 1e-10
 
-    # criterion 2 at this width: adapter gradients
-    adapter.raise_w.data = 0.1 * rng.standard_normal(adapter.raise_w.shape)
-    for phi in (adapter.phi_hw, adapter.phi_dw, adapter.phi_dh):
-        phi.w_out.data = 0.1 * rng.standard_normal(phi.w_out.shape)
-    F = Tensor(rng.standard_normal((1, 2, 16, 2, 2)), dtype=np.float64)
-    wgt = Tensor(rng.standard_normal((1, 2, 16, 2, 2)), dtype=np.float64)
-    err = grad_check(
-        lambda: T.tsum(T.mul(tp_mamba_forward(F, adapter), wgt)),
-        adapter.parameters(),
-        max_coords=2,
-    )
-    assert err < 1e-3
+    # criterion 2 at this width: the table's adapter case
+    case = adapter_case(f"tp_mamba_adapter_r{r}", cfg, depth=2, signal=0.1, max_coords=2)
+    assert run_grad_case(case) < case.tolerance
 
     # criterion 3 at this width: fresh adapter is the identity
     fresh = TPMambaAdapter.init(cfg, rng, "tp2", dtype=np.float32)

@@ -5,8 +5,10 @@ from tpmamba import cli
 from tpmamba.cli import main
 from tpmamba.checkpoint import load_checkpoint, save_checkpoint
 from tpmamba.config import TrainConfig, load_config, parse_config_text
-from tpmamba.data import read_rvol
+from tpmamba.data import read_rvol, write_rvol
 from tpmamba.errors import CheckpointError, ConfigError, InputError, NumericError, ShapeError
+from tpmamba.selfcheck import GRAD_CASES
+from tpmamba.train import evaluate
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +92,13 @@ def test_check_cli_suites(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
     rc = main(["check", "--suite", "roundtrip"])
     assert rc == 0
+    capsys.readouterr()
+    rc = main(["check", "--suite", "grad"])
+    lines = capsys.readouterr().out.splitlines()
+    n = len(GRAD_CASES)
+    assert rc == 0
+    assert [line.split(" grad < ")[0] for line in lines[:-1]] == [f"[PASS] {case.name}" for case in GRAD_CASES]
+    assert lines[-1] == f"{n}/{n} checks passed"
 
 
 def test_bench_flops_cli(workdir, capsys):
@@ -175,6 +184,17 @@ def test_removed_key_is_rejected(workdir, dataset, config_path, trained, capsys,
 
 def test_epochs_override_is_the_snapshot(trained):
     assert load_checkpoint(trained)[1]["epochs"] == 2
+
+
+def test_evaluate_rejects_unlabelled(workdir, trained, capsys):
+    data = workdir / "unlabelled"
+    data.mkdir()
+    write_rvol(data / "x.img.rvol", np.zeros((32, 32, 32), dtype=np.float32), (1, 1, 1))
+    with pytest.raises(InputError, match="x.img.rvol"):
+        evaluate(trained, data, workdir / "never.csv")
+    rc = main(["eval", "--ckpt", str(trained), "--data", str(data), "--out", str(workdir / "never.csv")])
+    assert "requires a label file" in _one_line_error(capsys, rc, InputError)
+    assert not (workdir / "never.csv").exists()
 
 
 def test_input_error_prints_one_line(workdir, capsys):

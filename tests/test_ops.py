@@ -1,8 +1,11 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from reference_ops import log
 
-from tpmamba import ops
+from tpmamba import ops, seghead, ssm
 from tpmamba import tensor as T
 from tpmamba.data import _resample_axis, resample
 from tpmamba.errors import ConfigError, ShapeError
@@ -13,7 +16,8 @@ from tpmamba.ops import (
     normalize,
     upsample_hw,
 )
-from tpmamba.tensor import Parameter, Tensor
+from tpmamba.selfcheck import GRAD_CASES, run_grad_case
+from tpmamba.tensor import Parameter, Tensor, recording
 
 
 # ---------------------------------------------------------------------------
@@ -82,18 +86,6 @@ def test_conv3d_linearity(rng):
     np.testing.assert_allclose(run(2.5 * x), 2.5 * run(x), rtol=1e-10)
 
 
-def test_conv3d_grad(rng):
-    x = Parameter("x", rng.standard_normal((1, 2, 3, 2, 2)), dtype=np.float64)
-    w = Parameter("w", rng.standard_normal((3, 2, 3, 1, 1)) * 0.5, dtype=np.float64)
-    b = Parameter("b", rng.standard_normal(3), dtype=np.float64)
-
-    def f():
-        out = conv3d(x, w, b, dilation=(2, 1, 1))
-        return T.tsum(T.square(out))
-
-    assert grad_check(f, [x, w, b], max_coords=12) < 1e-6
-
-
 def _conv3d_loops(x, w, b, dilation, padding):
     """Direct cross-correlation over x zero-padded by `padding`, one output
     voxel at a time."""
@@ -112,7 +104,8 @@ def _conv3d_loops(x, w, b, dilation, padding):
     return out
 
 
-# `padding` is the 'same' padding conv3d must apply: dilation*(k-1)/2 per axis
+# `padding` is the 'same' padding conv3d must apply: dilation*(k-1)/2 per axis.
+# The gradients of these configurations are GRAD_CASES' conv3d cases.
 @pytest.mark.parametrize(
     "x_shape,w_shape,dilation,padding",
     [
@@ -125,19 +118,9 @@ def _conv3d_loops(x, w, b, dilation, padding):
     ],
 )
 def test_conv3d_matches_loop_reference_and_grads(rng, x_shape, w_shape, dilation, padding):
-    x = Parameter("x", rng.standard_normal(x_shape), dtype=np.float64)
-    w = Parameter("w", rng.standard_normal(w_shape) * 0.5, dtype=np.float64)
-    b = Parameter("b", rng.standard_normal(w_shape[0]), dtype=np.float64)
-    out = conv3d(x, w, b, dilation=dilation)
-    ref = _conv3d_loops(x.data, w.data, b.data, dilation, padding)
-    np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
-
-    r = Tensor(rng.standard_normal(ref.shape), dtype=np.float64)
-
-    def f():
-        return T.tsum(T.mul(conv3d(x, w, b, dilation=dilation), r))
-
-    assert grad_check(f, [x, w, b], max_coords=24) < 1e-7
+    x, w, b = rng.standard_normal(x_shape), rng.standard_normal(w_shape) * 0.5, rng.standard_normal(w_shape[0])
+    out = conv3d(*(Tensor(a, dtype=np.float64) for a in (x, w, b)), dilation=dilation)
+    np.testing.assert_allclose(out.data, _conv3d_loops(x, w, b, dilation, padding), rtol=1e-12, atol=1e-12)
 
 
 # Padded grid of x (2,2,5,4,3) under 'same' padding (2,1,1): Dp, Hp, Wp = 9, 6, 5, so
@@ -148,25 +131,16 @@ def test_conv3d_matches_loop_reference_and_grads(rng, x_shape, w_shape, dilation
 # (15 tiles at 37).  Tile widths below the 132-column offset span put tile
 # boundaries inside every tap's shifted window (12 forward tiles at 37);
 # 136 = 408 / 3 makes n an exact multiple of the tile; 407 makes n = tile + 1,
-# a one-column last tile.
+# a one-column last tile.  The gradients are the table's case of that shape.
 @pytest.mark.parametrize("cols", [37, 136, 407])
 def test_conv3d_column_tiles_match_loop_reference_and_grads(rng, monkeypatch, cols):
-    x = Parameter("x", rng.standard_normal((2, 2, 5, 4, 3)), dtype=np.float64)
-    w = Parameter("w", rng.standard_normal((3, 2, 3, 3, 3)) * 0.5, dtype=np.float64)
-    b = Parameter("b", rng.standard_normal(3), dtype=np.float64)
-    dilation, padding = (2, 1, 1), (2, 1, 1)
+    x, w, b = rng.standard_normal((2, 2, 5, 4, 3)), rng.standard_normal((3, 2, 3, 3, 3)) * 0.5, rng.standard_normal(3)
     monkeypatch.setattr(ops, "CONV_TILE_VALUES", cols * (2 + 3))
 
-    out = conv3d(x, w, b, dilation=dilation)
-    ref = _conv3d_loops(x.data, w.data, b.data, dilation, padding)
-    np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
-
-    r = Tensor(rng.standard_normal(ref.shape), dtype=np.float64)
-
-    def f():
-        return T.tsum(T.mul(conv3d(x, w, b, dilation=dilation), r))
-
-    assert grad_check(f, [x, w, b], max_coords=24) < 1e-7
+    out = conv3d(*(Tensor(a, dtype=np.float64) for a in (x, w, b)), dilation=(2, 1, 1))
+    np.testing.assert_allclose(out.data, _conv3d_loops(x, w, b, (2, 1, 1), (2, 1, 1)), rtol=1e-12, atol=1e-12)
+    case = next(case for case in GRAD_CASES if case.name == "conv3d_k333_d211")
+    assert run_grad_case(case) < case.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +178,6 @@ def test_depthwise_channel_mismatch():
         conv1d_depthwise(Tensor(np.zeros((1, 4, 3))), Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
 
 
-def test_depthwise_grad(rng):
-    x = Parameter("x", rng.standard_normal((2, 6, 3)), dtype=np.float64)
-    w = Parameter("w", rng.standard_normal((3, 4)), dtype=np.float64)
-    b = Parameter("b", rng.standard_normal(3), dtype=np.float64)
-
-    def f():
-        return T.tsum(T.square(conv1d_depthwise(x, w, b)))
-
-    assert grad_check(f, [x, w, b], max_coords=12) < 1e-6
-
-
 # ---------------------------------------------------------------------------
 # normalize
 
@@ -243,19 +206,6 @@ def test_instance_norm_per_channel(rng):
     for c in range(2):
         ref = (x[0, c] - x[0, c].mean()) / np.sqrt(x[0, c].var() + 1e-5)
         np.testing.assert_allclose(out[0, c], ref, rtol=1e-6, atol=1e-8)
-
-
-def test_normalize_grads(rng):
-    for kind, shape, c in (("layer_norm", (2, 5), 5), ("instance_norm", (1, 2, 3, 2, 2), 2)):
-        x = Parameter("x", rng.standard_normal(shape), dtype=np.float64)
-        g = Parameter("g", 1 + 0.1 * rng.standard_normal(c), dtype=np.float64)
-        b = Parameter("b", rng.standard_normal(c), dtype=np.float64)
-        wgt = Tensor(rng.standard_normal(shape), dtype=np.float64)
-
-        def f():
-            return T.tsum(T.mul(normalize(x, kind, g, b), wgt))
-
-        assert grad_check(f, [x, g, b], max_coords=10) < 1e-6, kind
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +250,6 @@ def test_upsample_shape_16x():
     assert out.shape == (1, 3, 2, 96, 96)
 
 
-def test_upsample_grad(rng):
-    x = Parameter("x", rng.standard_normal((1, 2, 2, 3, 3)), dtype=np.float64)
-    wgt = Tensor(rng.standard_normal((1, 2, 2, 6, 6)), dtype=np.float64)
-
-    def f():
-        return T.tsum(T.mul(upsample_hw(x), wgt))
-
-    assert grad_check(f, [x], max_coords=16) < 1e-7
-
-
 def _upsample_dense(x):
     """The interpolation written as two dense einsums over the full matrices."""
     Mh = _resample_axis(np.eye(x.shape[3], dtype=x.dtype), 0, 2 * x.shape[3])
@@ -317,26 +257,50 @@ def _upsample_dense(x):
     return np.einsum("qw,bcdpw->bcdpq", Mw, np.einsum("ph,bcdhw->bcdpw", Mh, x))
 
 
+# The gradients are the table's upsample_hw and upsample_hw_permuted cases.
 @pytest.mark.parametrize("permuted", [False, True])
 def test_upsample_matches_dense_formula_and_grads(rng, permuted):
     # (B,C,D,H,W) = (2,3,2,4,5); the permuted case feeds a non-contiguous view.
-    shape = (2, 3, 5, 2, 4) if permuted else (2, 3, 2, 4, 5)
-    x = Parameter("x", rng.standard_normal(shape), dtype=np.float64)
-
-    def up():
-        return upsample_hw(T.permute(x, (0, 1, 3, 4, 2)) if permuted else x)
-
-    xv = x.data.transpose(0, 1, 3, 4, 2) if permuted else x.data
-    out = up()
+    x = Tensor(rng.standard_normal((2, 3, 5, 2, 4) if permuted else (2, 3, 2, 4, 5)), dtype=np.float64)
+    if permuted:
+        x = T.permute(x, (0, 1, 3, 4, 2))
+    out = upsample_hw(x)
     assert out.shape == (2, 3, 2, 8, 10)
-    np.testing.assert_allclose(out.data, _upsample_dense(xv), rtol=1e-12, atol=1e-12)
-
-    wgt = Tensor(rng.standard_normal(out.shape), dtype=np.float64)
-    assert grad_check(lambda: T.tsum(T.mul(up(), wgt)), [x], max_coords=24) < 1e-7
+    np.testing.assert_allclose(out.data, _upsample_dense(x.data), rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# grad_check harness itself
+# gradient cases and the grad_check harness
+
+
+@pytest.mark.parametrize("case", GRAD_CASES, ids=lambda case: case.name)
+def test_gradient_case(case):
+    assert run_grad_case(case) < case.tolerance
+
+
+def _recording_functions(module):
+    """`module.name` of each top-level function whose body calls `_record`."""
+    return {
+        f"{module.__name__}.{fn.name}"
+        for fn in ast.parse(inspect.getsource(module)).body
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(n, ast.Call) and "_record" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+            for n in ast.walk(fn)
+        )
+    }
+
+
+def test_gradient_cases_cover_every_recording_function():
+    covered = set()
+    for case in GRAD_CASES:
+        loss, _ = case.build(np.random.default_rng(0))
+        with recording() as tape:
+            loss()
+        covered |= {f"{n.backward.__module__}.{n.backward.__qualname__.split('.')[0]}" for n in tape.nodes}
+    recorders = set().union(*(_recording_functions(m) for m in (T, ops, ssm, seghead)))
+    assert "tpmamba.ssm.selective_scan" in recorders and "tpmamba.seghead.dice_ce_loss" in recorders
+    assert recorders <= covered, f"no gradient case records: {sorted(recorders - covered)}"
 
 
 def test_grad_check_nonfinite_names_parameter(rng):
@@ -360,3 +324,9 @@ def test_grad_check_excludes_frozen(rng):
 
     assert grad_check(f, [a, frozen]) < 1e-7
     assert frozen.grad is None
+
+
+def test_grad_check_perturbs_a_non_contiguous_parameter(rng):
+    p = Parameter("p", rng.standard_normal((4, 3)).T, dtype=np.float64)
+    assert not p.data.flags.c_contiguous
+    assert grad_check(lambda: T.tsum(T.square(p)), [p]) < 1e-7

@@ -9,7 +9,6 @@ from tpmamba import ssm
 from tpmamba import tensor as T
 from tpmamba.config import TrainConfig
 from tpmamba.errors import NumericError, ShapeError
-from tpmamba.ops import grad_check
 from tpmamba.ssm import (
     SSMParams,
     mamba_block_forward,
@@ -342,18 +341,6 @@ def test_scan_gradient_matches_oracle_gradient(rng):
         np.testing.assert_allclose(ga, gb, rtol=1e-9, atol=1e-11)
 
 
-def test_scan_grad_finite_differences(rng):
-    b, L, E, N = 1, 5, 2, 3
-    arrays = random_scan_inputs(rng, b, L, E, N)
-    params = [Parameter(n, a.data, dtype=np.float64) for n, a in zip("udABCD", arrays)]
-
-    def f():
-        y = selective_scan(*[p for p in params])
-        return T.tsum(T.square(y))
-
-    assert grad_check(f, params, max_coords=8) < 1e-6
-
-
 def test_scan_runtime_linear_in_length():
     """Eight times the length costs at most ten times the time per call.  The
     lengths are timed in 21 interleaved rounds of 8 short calls and 1 long
@@ -412,17 +399,6 @@ def test_block_identity_at_init(rng):
     seq = Tensor(rng.standard_normal((2, 12, 8)).astype(np.float32))
     out = mamba_block_forward(seq, params)
     assert np.array_equal(out.data, seq.data)
-
-
-def test_block_grad_check(rng):
-    params = make_block(rng, r=4, N=2, dtype=np.float64)
-    params.w_out.data = 0.1 * rng.standard_normal(params.w_out.shape)
-    seq = Tensor(rng.standard_normal((1, 8, 4)), dtype=np.float64)
-
-    def f():
-        return T.tsum(T.square(mamba_block_forward(seq, params)))
-
-    assert grad_check(f, params.parameters(), max_coords=6) < 1e-3
 
 
 def test_block_sequential_matches_fast(rng):

@@ -1,4 +1,6 @@
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from reference_ops import log
 
 from tpmamba import tensor as T
 from tpmamba.errors import ShapeError
-from tpmamba.ops import conv3d, grad_check, normalize
+from tpmamba.ops import conv3d, normalize
+from tpmamba.selfcheck import GradCase, run_grad_case
 from tpmamba.tensor import Parameter, Tensor, matmul, permute, recording, reshape
 
 
@@ -32,20 +35,6 @@ def test_matmul_shape_error_names_both_shapes():
         matmul(a, b)
 
 
-def test_matmul_grad_matches_central_differences(rng):
-    a = Parameter("a", rng.standard_normal((3, 4)), dtype=np.float64)
-    b = Parameter("b", rng.standard_normal((4, 2)), dtype=np.float64)
-    err = grad_check(lambda: T.tsum(matmul(a, b)), [a, b], max_coords=64)
-    assert err < 1e-6
-
-
-def test_matmul_batched_grad(rng):
-    a = Parameter("a", rng.standard_normal((2, 3, 4)), dtype=np.float64)
-    w = Parameter("w", rng.standard_normal((4, 5)), dtype=np.float64)
-    err = grad_check(lambda: T.tsum(T.square(matmul(a, w))), [a, w], max_coords=40)
-    assert err < 1e-6
-
-
 def test_linear_matches_matmul(rng):
     x = Tensor(rng.standard_normal((5, 3)), dtype=np.float64)
     w = Tensor(rng.standard_normal((4, 3)), dtype=np.float64)
@@ -54,33 +43,18 @@ def test_linear_matches_matmul(rng):
     np.testing.assert_allclose(out.data, x.data @ w.data.T + b.data, rtol=1e-12)
 
 
-def test_linear_grad(rng):
-    x = Parameter("x", rng.standard_normal((2, 6, 3)), dtype=np.float64)
-    w = Parameter("w", rng.standard_normal((4, 3)), dtype=np.float64)
-    b = Parameter("b", rng.standard_normal(4), dtype=np.float64)
-    err = grad_check(lambda: T.tsum(T.square(T.linear(x, w, b))), [x, w, b])
-    assert err < 1e-6
-
-
+# The gradients of these shapes are GRAD_CASES' linear cases.
 @pytest.mark.parametrize("x_shape", [(7, 5), (3, 6, 5), (4, 2, 3, 5)])
 @pytest.mark.parametrize("with_bias", [True, False])
 def test_linear_leading_axes_match_reference_and_grads(rng, x_shape, with_bias):
     # 4-D is patch embedding's (BD, h, w, p*p) layout.
-    x = Parameter("x", rng.standard_normal(x_shape), dtype=np.float64)
-    w = Parameter("w", rng.standard_normal((4, 5)), dtype=np.float64)
-    b = Parameter("b", rng.standard_normal(4), dtype=np.float64)
-    params = [x, w, b] if with_bias else [x, w]
-
-    def lin():
-        return T.linear(x, w, b if with_bias else None)
-
+    x = Tensor(rng.standard_normal(x_shape), dtype=np.float64)
+    w = Tensor(rng.standard_normal((4, 5)), dtype=np.float64)
+    b = Tensor(rng.standard_normal(4), dtype=np.float64)
     ref = np.einsum("...i,oi->...o", x.data, w.data) + (b.data if with_bias else 0.0)
-    out = lin()
+    out = T.linear(x, w, b if with_bias else None)
     assert out.shape == x_shape[:-1] + (4,)
     np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
-
-    r = Tensor(rng.standard_normal(ref.shape), dtype=np.float64)
-    assert grad_check(lambda: T.tsum(T.mul(lin(), r)), params, max_coords=24) < 1e-7
 
 
 def test_permute_round_trip_bit_exact(rng):
@@ -370,32 +344,16 @@ def test_gelu_float32_matches_float64_formula():
     assert err(grad, ref_grad) < 2e-6
 
 
-@pytest.mark.parametrize("shape", [(7,), (3, 2, 4)])
-def test_elementwise_grads(rng, shape):
-    x = Parameter("x", rng.standard_normal(shape) * 0.5, dtype=np.float64)
-    for fn in (T.exp, T.silu, T.softplus, T.gelu, T.square):
-        err = grad_check(lambda fn=fn: T.tsum(fn(x)), [x], max_coords=8)
-        assert err < 1e-7, fn.__name__
-
-
-@pytest.mark.parametrize("shape,axis", [((3, 5), 1), ((2, 3, 4), 2)])
-def test_softmax_log_softmax_grads(rng, shape, axis):
+def _log_softmax(rng, shape, axis):
+    """log∘softmax through the test-local `log` node: softmax's gradient
+    where the loss reads its log, as cross-entropy does."""
     x = Parameter("x", rng.standard_normal(shape), dtype=np.float64)
     w = Tensor(rng.standard_normal(shape), dtype=np.float64)
-    err = grad_check(lambda: T.tsum(T.mul(T.softmax(x, axis=axis), w)), [x])
-    assert err < 1e-7
-    err = grad_check(lambda: T.tsum(T.mul(log(T.softmax(x, axis=axis)), w)), [x])
-    assert err < 1e-7
+    return (lambda: T.tsum(T.mul(log(T.softmax(x, axis=axis)), w))), [x]
 
 
-def test_concat_narrow_stack_grads(rng):
-    a = Parameter("a", rng.standard_normal((2, 3)), dtype=np.float64)
-    b = Parameter("b", rng.standard_normal((2, 4)), dtype=np.float64)
-
-    def f():
-        cat = T.concat([a, b], axis=1)
-        piece = T.narrow(cat, 1, 2, 3)
-        stk = T.stack([piece, piece], axis=0)
-        return T.tsum(T.square(stk))
-
-    assert grad_check(f, [a, b]) < 1e-7
+# softmax itself is GRAD_CASES' softmax_2d and softmax_3d
+@pytest.mark.parametrize("shape,axis", [((3, 5), 1), ((2, 3, 4), 2)])
+def test_softmax_log_softmax_grads(shape, axis):
+    case = GradCase(f"log_softmax_{len(shape)}d", partial(_log_softmax, shape=shape, axis=axis), 16, 1e-7)
+    assert run_grad_case(case) < case.tolerance

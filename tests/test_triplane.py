@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from model_helpers import param_count_adapter, param_count_ssm, scan_in_mode
-from tpmamba import tensor as T
 from tpmamba.config import DEPTH_KERNEL, TrainConfig
 from tpmamba.errors import ConfigError, ShapeError
-from tpmamba.ops import grad_check
 from tpmamba.tensor import Tensor
 from tpmamba.triplane import (
     TPMambaAdapter,
@@ -131,17 +129,6 @@ def test_reduce_dim_channel_mismatch(rng):
     adapter = make_adapter(rng, C=8, r=4)
     with pytest.raises(ShapeError):
         reduce_dim(Tensor(np.zeros((1, 7, 3, 2, 2))), adapter)
-
-
-def test_reduce_dim_grad(rng):
-    adapter = make_adapter(rng, C=8, r=4, dtype=np.float64)
-    F = Tensor(rng.standard_normal((1, 8, 3, 2, 2)), dtype=np.float64)
-
-    def f():
-        return T.tsum(T.square(reduce_dim(F, adapter)))
-
-    err = grad_check(f, [adapter.reduce_w, adapter.reduce_b], max_coords=10)
-    assert err < 1e-3
 
 
 def test_multiscale_branch_concat_order(rng):
