@@ -29,7 +29,8 @@ class DecoderStage(Module):
 
 @dataclass
 class Decoder(Module):
-    """Four conv+norm+GELU+upsample stages recover the patch-downsampled H,W.
+    """Four conv+norm+GELU stages with a 2x upsample between each pair and
+    one after the 1x1x1 head recover the patch-downsampled H,W.
 
     Depth is never downsampled by the slice-wise encoder, so only H and W are
     upsampled; the k=3 stage convolutions provide inter-slice mixing.  Stage
@@ -83,12 +84,15 @@ def decoder_forward(taps: list[Tensor], dec: Decoder) -> Tensor:
         raise ShapeError(f"tap shapes differ: {sorted(shapes)}")
     x = permute(concat(taps, axis=2), (0, 2, 1, 3, 4))  # (B, 4C, D, h, w)
     x = conv3d(x, dec.reduce_w, dec.reduce_b)
-    for stage in dec.stages:
+    for i, stage in enumerate(dec.stages):
+        if i:
+            x = upsample_hw(x)
         x = conv3d(x, stage.conv_w, stage.conv_b)
         x = normalize(x, "instance_norm", stage.norm_g, stage.norm_b)
         x = gelu(x)
-        x = upsample_hw(x)
-    return conv3d(x, dec.head_w, dec.head_b)
+    # the 1x1x1 head commutes with the upsample, whose weights sum to 1, so
+    # it runs on a quarter of the voxels and the upsample moves K channels
+    return upsample_hw(conv3d(x, dec.head_w, dec.head_b))
 
 
 def _label_index(labels: np.ndarray, K: int) -> np.ndarray:
@@ -127,12 +131,17 @@ def dice_ce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     p = np.subtract(z, m)
     np.exp(p, out=p)
     total = p.sum(axis=1, keepdims=True)
+    p /= total
     idx = _label_index(labels, K)
     # log p_label as shifted logit minus log-sum-exp, so it cannot underflow
-    ce = -(z.reshape(-1).take(idx).reshape(m.shape) - m - np.log(total)).mean()
-    p /= total
+    log_lik = z.reshape(-1).take(idx).reshape(m.shape)
+    log_lik -= m
+    log_lik -= np.log(total, out=total)
+    ce = -log_lik.mean()
+    p_label = p.reshape(-1).take(idx)
+    del m, total, log_lik, idx  # freed before bincount copies its inputs to f64 and intp
     flat_labels = labels.reshape(-1)
-    inter = np.bincount(flat_labels, weights=p.reshape(-1).take(idx), minlength=K).astype(dt)
+    inter = np.bincount(flat_labels, weights=p_label, minlength=K).astype(dt)
     eps = dt(DICE_EPS)
     den = p.sum(axis=(0,) + tuple(range(2, z.ndim))) + np.bincount(flat_labels, minlength=K).astype(dt) + eps
     d = (dt(2.0) * inter + eps) / den
@@ -140,14 +149,16 @@ def dice_ce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
 
     def backward(g):
         idx = _label_index(labels, K)
-        p_label = p.reshape(-1).take(idx)
         a, b, inv_m = d / (K * den), dt(2.0) / (K * den), dt(1.0 / labels.size)
-        b_label = b.take(flat_labels)
+        bp = b.take(flat_labels)  # b_label p_label, then 1/M + b_label p_label
+        bp *= p.reshape(-1).take(idx)
         s = np.einsum("bk...,k->b...", p, a)
-        s -= (b_label * p_label).reshape(s.shape)
+        s -= bp.reshape(s.shape)
+        bp += inv_m
         gz = np.subtract((a + inv_m).reshape((1, K) + (1,) * (p.ndim - 2)), s[:, None])
+        del s  # freed before the scatter below forms its gathered copy
         gz *= p
-        gz.reshape(-1)[idx] -= inv_m + b_label * p_label
+        gz.reshape(-1)[idx] -= bp
         gz *= g
         return (gz,)
 
@@ -173,7 +184,7 @@ def dice_score(pred: np.ndarray, gt: np.ndarray, K: int) -> tuple[np.ndarray, fl
 @dataclass
 class SegmentationOutput:
     logits: np.ndarray  # (1, K, D, H, W)
-    labels: np.ndarray  # argmax over K, (1, D, H, W)
+    labels: np.ndarray  # argmax over K, (1, D, H, W) u8
 
 
 def _window_starts(extent: int, win: int, stride: int) -> list[int]:
@@ -208,7 +219,7 @@ def sliding_window_infer(
     `model` maps a (1,1,d,h,w) window to (1,K,d,h,w) logits.  Windows are
     visited in a fixed order so accumulation is deterministic.  Volumes
     smaller than the window are padded symmetrically with their minimum
-    intensity and cropped back afterwards.
+    intensity and cropped back afterwards.  Labels are the u8 argmax over K.
     """
     if volume.ndim != 5 or volume.shape[0] != 1 or volume.shape[1] != 1:
         raise InputError(f"expected volume of shape (1,1,D,H,W), got {volume.shape}")
@@ -237,6 +248,8 @@ def sliding_window_infer(
                 patch = padded[:, :, zs : zs + window[0], ys : ys + window[1], xs : xs + window[2]]
                 logits = np.asarray(model(patch))
                 if acc is None:
+                    if logits.shape[1] > 256:
+                        raise ShapeError(f"labels are u8, so at most 256 classes; the model gave {logits.shape[1]}")
                     dtype = np.result_type(logits.dtype, np.float32)
                     weight = weight.astype(dtype)
                     acc = np.zeros((logits.shape[1], pD, pH, pW), dtype=dtype)
@@ -251,4 +264,8 @@ def sliding_window_infer(
                 norm[region] += weight
     blended = np.divide(acc, norm, out=acc)
     blended = blended[None, :, pads[0][0] : pads[0][0] + D, pads[1][0] : pads[1][0] + H, pads[2][0] : pads[2][0] + W]
-    return SegmentationOutput(logits=blended, labels=blended.argmax(axis=1))
+    # one depth slice at a time, so no full-volume intp argmax is formed
+    labels = np.empty((1, D, H, W), dtype=np.uint8)
+    for z in range(D):
+        labels[0, z] = blended[0, :, z].argmax(axis=0)
+    return SegmentationOutput(logits=blended, labels=labels)

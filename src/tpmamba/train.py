@@ -183,6 +183,6 @@ def infer_volume(ckpt_path, volume_path, out_path) -> np.ndarray:
     model, cfg = model_from_checkpoint(ckpt_path)
     rec = preprocess(load_record(volume_path))
     result = sliding_window_infer(rec.voxels[None, None], model.predict_logits, window=tuple(cfg.crop))
-    labels = result.labels[0].astype(np.uint8)
+    labels = result.labels[0]
     write_rvol(out_path, labels, rec.spacing)
     return labels

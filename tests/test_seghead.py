@@ -8,6 +8,7 @@ from tpmamba import tensor as T
 from tpmamba.config import TrainConfig
 from tpmamba.encoder import PATCH
 from tpmamba.errors import InputError, ShapeError
+from tpmamba.ops import conv3d, normalize, upsample_hw
 from tpmamba.seghead import (
     DECODER_STAGES,
     DICE_EPS,
@@ -35,10 +36,19 @@ def make_taps(rng, D=4, C=8, h=2, w=2, dtype=np.float32):
 
 
 def test_decoder_toy_shape(rng):
-    dec = toy_decoder(rng)
-    taps = make_taps(rng, D=4, h=2, w=2)
+    dec = toy_decoder(rng, dtype=np.float64)
+    taps = make_taps(rng, D=4, h=2, w=2, dtype=np.float64)
     out = decoder_forward(taps, dec)
     assert out.shape == (1, 2, 4, 32, 32)
+    # The head runs before the last upsample.  Upsampling first and then
+    # applying the 1x1x1 head gives the same logits, since each upsampled
+    # voxel is a weighted mean of its neighbours.
+    x = conv3d(T.permute(T.concat(taps, axis=2), (0, 2, 1, 3, 4)), dec.reduce_w, dec.reduce_b)
+    for stage in dec.stages:
+        x = T.gelu(normalize(conv3d(x, stage.conv_w, stage.conv_b), "instance_norm", stage.norm_g, stage.norm_b))
+        x = upsample_hw(x)
+    ref = conv3d(x, dec.head_w, dec.head_b).data
+    assert np.abs(out.data - ref).max() <= 1e-12
 
 
 def test_decoder_full_resolution_shape(rng):
@@ -307,14 +317,21 @@ def test_sliding_window_f32_blend_matches_f64(rng):
     scale = np.abs(ref.logits).max()
     np.testing.assert_allclose(result.logits, ref.logits, rtol=1e-6, atol=1e-6 * scale)
     np.testing.assert_array_equal(result.labels, ref.labels)
+    for r in (result, ref):
+        # u8 labels, taken one depth slice at a time, are the blend's argmax
+        assert r.labels.dtype == np.uint8
+        np.testing.assert_array_equal(r.labels, r.logits.argmax(axis=1))
 
 
 def test_sliding_window_pads_small_volume(rng):
     vol = rng.standard_normal((1, 1, 8, 8, 8))
     result = sliding_window_infer(vol, constant_model(K=2, value=[0.0, 1.0]), window=(16, 16, 16))
     assert result.logits.shape == (1, 2, 8, 8, 8)
+    assert result.labels.shape == (1, 8, 8, 8) and (result.labels == 1).all()
 
 
 def test_sliding_window_rejects_bad_input():
     with pytest.raises(InputError):
         sliding_window_infer(np.zeros((1, 2, 4, 4, 4)), constant_model(), window=(16, 16, 16))
+    with pytest.raises(ShapeError, match="u8"):
+        sliding_window_infer(np.zeros((1, 1, 4, 4, 4)), constant_model(K=257), window=(4, 4, 4))
