@@ -86,6 +86,8 @@ class TrainConfig:
             raise ConfigError(f"need at least 4 blocks for the output taps, got n_blocks={self.n_blocks}")
         if self.n_classes < 2:
             raise ConfigError(f"need at least 2 classes, got n_classes={self.n_classes}")
+        if self.n_classes > 256:
+            raise ConfigError(f"labels are u8, so at most 256 classes, got n_classes={self.n_classes}")
         if self.adapter_scan_mode not in SCAN_MODES:
             raise ConfigError(f"unknown adapter.scan_mode {self.adapter_scan_mode!r}; choose from {tuple(SCAN_MODES)}")
         n = len(self.adapter_dilations)

@@ -204,24 +204,23 @@ def _crop_or_pad(arr: np.ndarray, target: tuple, starts: tuple, pad_value) -> np
 
 def augment(rec: VolumeRecord, rng: np.random.Generator, cfg: AugmentConfig) -> VolumeRecord:
     """Scale jitter, random crop (pad 0 when short), flips, contrast."""
+    if rec.labels is None:
+        raise InputError("augment needs a labelled record")
     vox, labels = rec.voxels, rec.labels
     if cfg.scale_jitter:
         f = float(rng.uniform(*SCALE_RANGE))
         vox = resample(vox, (f, f, f))
-        if labels is not None:
-            labels = resample(labels, (f, f, f))
+        labels = resample(labels, (f, f, f))
     starts = tuple(
         int(rng.integers(0, max(vox.shape[ax] - cfg.crop[ax], 0) + 1)) for ax in range(3)
     )
     vox = _crop_or_pad(vox, cfg.crop, starts, 0.0)
-    if labels is not None:
-        labels = _crop_or_pad(labels, cfg.crop, starts, 0)
+    labels = _crop_or_pad(labels, cfg.crop, starts, 0)
     if cfg.flip:
         for ax in range(3):
             if rng.random() < 0.5:
                 vox = np.flip(vox, axis=ax)
-                if labels is not None:
-                    labels = np.flip(labels, axis=ax)
+                labels = np.flip(labels, axis=ax)
     if cfg.contrast:
         gamma = float(rng.uniform(*CONTRAST_RANGE))
         mean = float(vox.mean())
@@ -229,7 +228,7 @@ def augment(rec: VolumeRecord, rng: np.random.Generator, cfg: AugmentConfig) -> 
     return VolumeRecord(
         voxels=np.ascontiguousarray(vox, dtype=np.float32),
         spacing=rec.spacing,
-        labels=np.ascontiguousarray(labels) if labels is not None else None,
+        labels=np.ascontiguousarray(labels),
         windowed=rec.windowed,
     )
 

@@ -41,10 +41,10 @@ class FrozenLinear(Module):
     bias: Parameter
 
     @classmethod
-    def init(cls, rng, prefix, out_dim, in_dim, dtype=np.float32):
+    def init(cls, rng, prefix, out_dim, in_dim):
         return cls(
-            weight=Parameter(f"{prefix}.weight", uniform_init(rng, (out_dim, in_dim), in_dim, dtype), trainable=False),
-            bias=Parameter(f"{prefix}.bias", uniform_init(rng, (out_dim,), in_dim, dtype), trainable=False),
+            weight=Parameter(f"{prefix}.weight", uniform_init(rng, (out_dim, in_dim), in_dim), trainable=False),
+            bias=Parameter(f"{prefix}.bias", uniform_init(rng, (out_dim,), in_dim), trainable=False),
         )
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -61,11 +61,11 @@ class LoRALinear(Module):
     scale: float
 
     @classmethod
-    def init(cls, rng, prefix, out_dim, in_dim, rank, alpha, dtype=np.float32):
+    def init(cls, rng, prefix, out_dim, in_dim, rank, alpha):
         return cls(
-            base=FrozenLinear.init(rng, prefix, out_dim, in_dim, dtype),
-            a_lora=Parameter(f"{prefix}.lora_a", uniform_init(rng, (rank, in_dim), in_dim, dtype)),
-            b_lora=Parameter(f"{prefix}.lora_b", np.zeros((out_dim, rank), dtype=dtype)),
+            base=FrozenLinear.init(rng, prefix, out_dim, in_dim),
+            a_lora=Parameter(f"{prefix}.lora_a", uniform_init(rng, (rank, in_dim), in_dim)),
+            b_lora=Parameter(f"{prefix}.lora_b", np.zeros((out_dim, rank))),
             scale=alpha / rank,
         )
 
@@ -91,25 +91,25 @@ class ViTBlock(Module):
     adapter: TPMambaAdapter
 
     @classmethod
-    def init(cls, cfg: TrainConfig, rng, prefix, dtype=np.float32):
+    def init(cls, cfg: TrainConfig, rng, prefix):
         C = cfg.C
 
         def frozen(name, data):
-            return Parameter(f"{prefix}.{name}", data, trainable=False, dtype=dtype)
+            return Parameter(f"{prefix}.{name}", data, trainable=False)
 
         return cls(
             cfg=cfg,
-            ln1_g=frozen("ln1.gamma", np.ones(C, dtype=dtype)),
-            ln1_b=frozen("ln1.beta", np.zeros(C, dtype=dtype)),
-            q=LoRALinear.init(rng, f"{prefix}.attn.q", C, C, cfg.lora_rank, cfg.lora_alpha, dtype),
-            k=FrozenLinear.init(rng, f"{prefix}.attn.k", C, C, dtype),
-            v=LoRALinear.init(rng, f"{prefix}.attn.v", C, C, cfg.lora_rank, cfg.lora_alpha, dtype),
-            out=FrozenLinear.init(rng, f"{prefix}.attn.out", C, C, dtype),
-            ln2_g=frozen("ln2.gamma", np.ones(C, dtype=dtype)),
-            ln2_b=frozen("ln2.beta", np.zeros(C, dtype=dtype)),
-            mlp1=FrozenLinear.init(rng, f"{prefix}.mlp.fc1", MLP_RATIO * C, C, dtype),
-            mlp2=FrozenLinear.init(rng, f"{prefix}.mlp.fc2", C, MLP_RATIO * C, dtype),
-            adapter=TPMambaAdapter.init(cfg, rng, f"{prefix}.tpmamba", dtype),
+            ln1_g=frozen("ln1.gamma", np.ones(C)),
+            ln1_b=frozen("ln1.beta", np.zeros(C)),
+            q=LoRALinear.init(rng, f"{prefix}.attn.q", C, C, cfg.lora_rank, cfg.lora_alpha),
+            k=FrozenLinear.init(rng, f"{prefix}.attn.k", C, C),
+            v=LoRALinear.init(rng, f"{prefix}.attn.v", C, C, cfg.lora_rank, cfg.lora_alpha),
+            out=FrozenLinear.init(rng, f"{prefix}.attn.out", C, C),
+            ln2_g=frozen("ln2.gamma", np.ones(C)),
+            ln2_b=frozen("ln2.beta", np.zeros(C)),
+            mlp1=FrozenLinear.init(rng, f"{prefix}.mlp.fc1", MLP_RATIO * C, C),
+            mlp2=FrozenLinear.init(rng, f"{prefix}.mlp.fc2", C, MLP_RATIO * C),
+            adapter=TPMambaAdapter.init(cfg, rng, f"{prefix}.tpmamba"),
         )
 
 
@@ -121,15 +121,15 @@ class Encoder(Module):
     blocks: list
 
     @classmethod
-    def init(cls, cfg: TrainConfig, rng: np.random.Generator, dtype=np.float32) -> "Encoder":
+    def init(cls, cfg: TrainConfig, rng: np.random.Generator) -> "Encoder":
         """Positional embedding on the patch grid of the crop's H and W."""
         p, C = PATCH, cfg.C
         h0, w0 = cfg.crop[1] // p, cfg.crop[2] // p
         return cls(
-            patch_w=Parameter("patch_embed.weight", uniform_init(rng, (C, p * p), p * p, dtype), trainable=False),
-            patch_b=Parameter("patch_embed.bias", uniform_init(rng, (C,), p * p, dtype), trainable=False),
-            pos=Parameter("pos_embed", (0.02 * rng.standard_normal((1, C, h0, w0))).astype(dtype), trainable=False),
-            blocks=[ViTBlock.init(cfg, rng, f"block{i}", dtype) for i in range(cfg.n_blocks)],
+            patch_w=Parameter("patch_embed.weight", uniform_init(rng, (C, p * p), p * p), trainable=False),
+            patch_b=Parameter("patch_embed.bias", uniform_init(rng, (C,), p * p), trainable=False),
+            pos=Parameter("pos_embed", 0.02 * rng.standard_normal((1, C, h0, w0)), trainable=False),
+            blocks=[ViTBlock.init(cfg, rng, f"block{i}") for i in range(cfg.n_blocks)],
         )
 
 

@@ -19,10 +19,11 @@ class SegModel(Module):
 
     @classmethod
     def init(cls, cfg: TrainConfig) -> "SegModel":
-        """Encoder, then decoder, from one generator seeded with `cfg.seed`."""
+        """Encoder, then decoder, from one generator seeded with `cfg.seed`,
+        cast from their f64 draws to f32."""
         rng = np.random.default_rng(cfg.seed)
         encoder = Encoder.init(cfg, rng)
-        return cls(encoder=encoder, decoder=Decoder.init(cfg, rng))
+        return cls(encoder=encoder, decoder=Decoder.init(cfg, rng)).astype(np.float32)
 
     def forward(self, X: Tensor) -> Tensor:
         """(B,1,D,H,W) volume -> (B,K,D,H,W) logits."""

@@ -45,33 +45,33 @@ class Decoder(Module):
     head_b: Parameter
 
     @classmethod
-    def init(cls, cfg: TrainConfig, rng, dtype=np.float32):
+    def init(cls, cfg: TrainConfig, rng):
         C, K = cfg.C, cfg.n_classes
         # floor of 4 keeps tiny toy widths from collapsing to 1 channel
         widths = [max(C // 2 ** (i + 1), 4) for i in range(DECODER_STAGES)]
 
         def par(name, data):
-            return Parameter(f"decoder.{name}", data, dtype=dtype)
+            return Parameter(f"decoder.{name}", data)
 
-        reduce_w = par("reduce.weight", uniform_init(rng, (widths[0], 4 * C, 1, 1, 1), 4 * C, dtype))
-        reduce_b = par("reduce.bias", uniform_init(rng, (widths[0],), 4 * C, dtype))
+        reduce_w = par("reduce.weight", uniform_init(rng, (widths[0], 4 * C, 1, 1, 1), 4 * C))
+        reduce_b = par("reduce.bias", uniform_init(rng, (widths[0],), 4 * C))
         stages = []
         for i, cin in enumerate(widths):
             cout = widths[min(i + 1, DECODER_STAGES - 1)]
             fan = cin * 27
             stages.append(DecoderStage(
-                conv_w=par(f"stage{i}.conv.weight", uniform_init(rng, (cout, cin, 3, 3, 3), fan, dtype)),
-                conv_b=par(f"stage{i}.conv.bias", uniform_init(rng, (cout,), fan, dtype)),
-                norm_g=par(f"stage{i}.norm.gamma", np.ones(cout, dtype=dtype)),
-                norm_b=par(f"stage{i}.norm.beta", np.zeros(cout, dtype=dtype)),
+                conv_w=par(f"stage{i}.conv.weight", uniform_init(rng, (cout, cin, 3, 3, 3), fan)),
+                conv_b=par(f"stage{i}.conv.bias", uniform_init(rng, (cout,), fan)),
+                norm_g=par(f"stage{i}.norm.gamma", np.ones(cout)),
+                norm_b=par(f"stage{i}.norm.beta", np.zeros(cout)),
             ))
         last = widths[-1]
         return cls(
             reduce_w=reduce_w,
             reduce_b=reduce_b,
             stages=stages,
-            head_w=par("head.weight", uniform_init(rng, (K, last, 1, 1, 1), last, dtype)),
-            head_b=par("head.bias", uniform_init(rng, (K,), last, dtype)),
+            head_w=par("head.weight", uniform_init(rng, (K, last, 1, 1, 1), last)),
+            head_b=par("head.bias", uniform_init(rng, (K,), last)),
         )
 
 
@@ -181,6 +181,16 @@ def dice_score(pred: np.ndarray, gt: np.ndarray, K: int) -> tuple[np.ndarray, fl
     return scores, float(scores.mean())
 
 
+def argmax_labels(logits: np.ndarray) -> np.ndarray:
+    """(B, K, D, H, W) scores, K <= 256 -> (B, D, H, W) u8 argmax over K,
+    taken one depth slice at a time so no full-volume intp array is formed."""
+    B, _, D, H, W = logits.shape
+    labels = np.empty((B, D, H, W), dtype=np.uint8)
+    for z in range(D):
+        labels[:, z] = logits[:, :, z].argmax(axis=1)
+    return labels
+
+
 @dataclass
 class SegmentationOutput:
     logits: np.ndarray  # (1, K, D, H, W)
@@ -264,8 +274,4 @@ def sliding_window_infer(
                 norm[region] += weight
     blended = np.divide(acc, norm, out=acc)
     blended = blended[None, :, pads[0][0] : pads[0][0] + D, pads[1][0] : pads[1][0] + H, pads[2][0] : pads[2][0] + W]
-    # one depth slice at a time, so no full-volume intp argmax is formed
-    labels = np.empty((1, D, H, W), dtype=np.uint8)
-    for z in range(D):
-        labels[0, z] = blended[0, :, z].argmax(axis=0)
-    return SegmentationOutput(logits=blended, labels=labels)
+    return SegmentationOutput(logits=blended, labels=argmax_labels(blended))

@@ -134,20 +134,20 @@ def _selective_scan(rng):
 
 
 def _mamba_block(rng):
-    params = SSMParams.init(TOY, rng, "blk", dtype=np.float64)
+    params = SSMParams.init(TOY, rng, "blk")
     params.w_out.data = 0.1 * rng.standard_normal(params.w_out.shape)
     seq = Tensor(rng.standard_normal((1, 8, 4)), dtype=np.float64)
     return _loss(rng, lambda: mamba_block_forward(seq, params), "square"), params.parameters()
 
 
 def _reduce_dim(rng):
-    adapter = TPMambaAdapter.init(TOY, rng, "tp", dtype=np.float64)
+    adapter = TPMambaAdapter.init(TOY, rng, "tp")
     F = Tensor(rng.standard_normal((1, 8, 3, 2, 2)), dtype=np.float64)
     return _loss(rng, lambda: reduce_dim(F, adapter), "square"), [adapter.reduce_w, adapter.reduce_b]
 
 
 def _tp_mamba_adapter(rng, cfg, depth, signal):
-    adapter = TPMambaAdapter.init(cfg, rng, "tp", dtype=np.float64)
+    adapter = TPMambaAdapter.init(cfg, rng, "tp")
     for p in (adapter.raise_w, adapter.phi_hw.w_out, adapter.phi_dw.w_out, adapter.phi_dh.w_out):
         p.data = signal * rng.standard_normal(p.shape)
     F = Tensor(rng.standard_normal((1, depth, cfg.C, 2, 2)), dtype=np.float64)
@@ -155,7 +155,7 @@ def _tp_mamba_adapter(rng, cfg, depth, signal):
 
 
 def _vit_block(rng):
-    blk = Encoder.init(TOY, rng, dtype=np.float64).blocks[0]
+    blk = Encoder.init(TOY, rng).blocks[0]
     ad = blk.adapter
     for p in (ad.raise_w, blk.q.b_lora, blk.v.b_lora, ad.phi_hw.w_out, ad.phi_dw.w_out, ad.phi_dh.w_out):
         p.data = 0.2 * rng.standard_normal(p.shape)
@@ -164,7 +164,7 @@ def _vit_block(rng):
 
 
 def _decoder(rng):
-    dec = Decoder.init(TOY, rng, dtype=np.float64)
+    dec = Decoder.init(TOY, rng)
     taps = [Tensor(rng.standard_normal((1, 2, 8, 1, 1)), dtype=np.float64) for _ in range(4)]
     return _loss(rng, lambda: decoder_forward(taps, dec), "weighted"), dec.parameters()
 

@@ -65,29 +65,29 @@ class SSMParams(Module):
     w_out: Parameter
 
     @classmethod
-    def init(cls, cfg: TrainConfig, rng: np.random.Generator, prefix: str, dtype=np.float32) -> "SSMParams":
+    def init(cls, cfg: TrainConfig, rng: np.random.Generator, prefix: str) -> "SSMParams":
         """A scanner of width `adapter.r` with `SSM_EXPAND` times as many channels."""
         r, N, k, dtr = cfg.adapter_r, cfg.adapter_d_state, SSM_D_CONV, auto_dt_rank(cfg.adapter_r)
         E = SSM_EXPAND * r
 
         def par(name, data):
-            return Parameter(f"{prefix}.{name}", data, dtype=dtype)
+            return Parameter(f"{prefix}.{name}", data)
 
         # delta bias chosen so softplus(bias) is log-uniform in [1e-3, 0.1]
         dt = np.exp(rng.uniform(math.log(1e-3), math.log(0.1), size=E))
         dt_bias = dt + np.log(-np.expm1(-dt))
-        a_init = np.tile(np.log(np.arange(1, N + 1, dtype=np.float64)), (E, 1))
+        a_init = np.tile(np.log(np.arange(1, N + 1)), (E, 1))
         return cls(
-            w_in=par("w_in", uniform_init(rng, (2 * E, r), r, dtype)),
-            w_conv=par("w_conv", uniform_init(rng, (E, k), k, dtype)),
-            b_conv=par("b_conv", uniform_init(rng, (E,), k, dtype)),
-            w_x_to_dtbc=par("w_x_to_dtbc", uniform_init(rng, (dtr + 2 * N, E), E, dtype)),
-            w_dt=par("w_dt", uniform_init(rng, (E, dtr), dtr, dtype)),
-            b_dt=par("b_dt", dt_bias.astype(dtype)),
-            a_log=par("a_log", a_init.astype(dtype)),
-            d_skip=par("d_skip", np.ones(E, dtype=dtype)),
+            w_in=par("w_in", uniform_init(rng, (2 * E, r), r)),
+            w_conv=par("w_conv", uniform_init(rng, (E, k), k)),
+            b_conv=par("b_conv", uniform_init(rng, (E,), k)),
+            w_x_to_dtbc=par("w_x_to_dtbc", uniform_init(rng, (dtr + 2 * N, E), E)),
+            w_dt=par("w_dt", uniform_init(rng, (E, dtr), dtr)),
+            b_dt=par("b_dt", dt_bias),
+            a_log=par("a_log", a_init),
+            d_skip=par("d_skip", np.ones(E)),
             # zero-initialised output projection: the block starts as identity
-            w_out=par("w_out", np.zeros((r, E), dtype=dtype)),
+            w_out=par("w_out", np.zeros((r, E))),
         )
 
 

@@ -84,12 +84,19 @@ class Parameter(Tensor):
 class Module:
     """Base of the model's parameter dataclasses.
 
-    `parameters()` walks the dataclass fields in declaration order, taking
-    Parameters, nested Modules and lists of either; that order is the
+    Subclass `init`s draw in f64, and `astype` casts once (`SegModel.init`
+    to f32).  `parameters()` walks the dataclass fields in declaration order,
+    taking Parameters, nested Modules and lists of either; that order is the
     checkpoint order.  Parameter names key the AdamW moments and the
     checkpoint manifest, so `named_parameters()` and `partition()` reject a
     model in which two parameters share a name.
     """
+
+    def astype(self, dtype):
+        """Cast every parameter to `dtype` in place; returns the module."""
+        for p in self.parameters():
+            p.data = p.data.astype(dtype)
+        return self
 
     def parameters(self) -> list[Parameter]:
         out = []
@@ -503,7 +510,7 @@ def _sigmoid_np(x: Array) -> Array:
 # helpers
 
 
-def uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype=np.float32) -> Array:
-    """Fan-in scaled uniform init, U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
+def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Array:
+    """Fan-in scaled uniform init, U(-1/sqrt(fan_in), 1/sqrt(fan_in)), in f64."""
     bound = 1.0 / np.sqrt(max(fan_in, 1))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape)

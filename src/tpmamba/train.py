@@ -24,7 +24,7 @@ from .data import (
 from .errors import InputError
 from .model import SegModel
 from .optim import AdamWState, adamw_step, lr_schedule
-from .seghead import dice_ce_loss, dice_score, sliding_window_infer
+from .seghead import argmax_labels, dice_ce_loss, dice_score, sliding_window_infer
 from .tensor import Tensor, recording
 
 
@@ -43,6 +43,16 @@ def model_from_checkpoint(path) -> tuple[SegModel, TrainConfig]:
     return model, cfg
 
 
+def _labelled_records(data_dir, purpose: str) -> list[tuple[str, VolumeRecord]]:
+    """(file name, preprocessed record) per volume; each must have labels."""
+    records = []
+    for vol, lab in list_dataset(data_dir):
+        if lab is None:
+            raise InputError(f"{vol}: {purpose} requires a label file")
+        records.append((Path(vol).name, preprocess(load_record(vol, lab))))
+    return records
+
+
 def _train_record_step(model, rec, cfg, rng, trainable, opt_state, lr):
     aug_cfg = AugmentConfig(
         crop=tuple(cfg.crop),
@@ -57,8 +67,7 @@ def _train_record_step(model, rec, cfg, rng, trainable, opt_state, lr):
         loss = dice_ce_loss(logits, sample.labels[None])
     tape.backward(loss)
     adamw_step(trainable, opt_state, lr, weight_decay=cfg.weight_decay)
-    pred = logits.data.argmax(axis=1)
-    _, mean_dice = dice_score(pred, sample.labels[None], cfg.n_classes)
+    _, mean_dice = dice_score(argmax_labels(logits.data), sample.labels[None], cfg.n_classes)
     return float(loss.data), mean_dice
 
 
@@ -75,12 +84,7 @@ def train(
     Fully reproducible: the model init derives from cfg.seed and each
     (epoch, record) pair gets its own pre-assigned RNG stream.
     """
-    pairs = list_dataset(data_dir)
-    records = []
-    for vol, lab in pairs:
-        if lab is None:
-            raise InputError(f"{vol}: training requires a label file")
-        records.append(preprocess(load_record(vol, lab)))
+    records = [rec for _, rec in _labelled_records(data_dir, "training")]
 
     model = build_model(cfg)
     trainable, _ = model.partition()
@@ -167,11 +171,7 @@ def write_eval_csv(path, rows: list[dict], K: int) -> None:
 def evaluate(ckpt_path, data_dir, out_csv) -> list[dict]:
     """Sliding-window Dice with windows of the training crop."""
     model, cfg = model_from_checkpoint(ckpt_path)
-    records = []
-    for vol, lab in list_dataset(data_dir):
-        if lab is None:
-            raise InputError(f"{vol}: evaluation requires a label file")
-        records.append((Path(vol).name, preprocess(load_record(vol, lab))))
+    records = _labelled_records(data_dir, "evaluation")
     rows = evaluate_model(model.predict_logits, records, cfg.n_classes, window=tuple(cfg.crop))
     write_eval_csv(out_csv, rows, cfg.n_classes)
     return rows

@@ -38,32 +38,30 @@ class TPMambaAdapter(Module):
     raise_b: Parameter
 
     @classmethod
-    def init(
-        cls, cfg: TrainConfig, rng: np.random.Generator, prefix: str, dtype=np.float32
-    ) -> "TPMambaAdapter":
+    def init(cls, cfg: TrainConfig, rng: np.random.Generator, prefix: str) -> "TPMambaAdapter":
         C, r, k = cfg.C, cfg.adapter_r, DEPTH_KERNEL
 
         def par(name, data):
-            return Parameter(f"{prefix}.{name}", data, dtype=dtype)
+            return Parameter(f"{prefix}.{name}", data)
 
         branch_ws, branch_bs = [], []
         rb = r // len(cfg.adapter_dilations)
         for i, d in enumerate(cfg.adapter_dilations):
-            branch_ws.append(par(f"branch{i}_d{d}.weight", uniform_init(rng, (rb, r, k, 1, 1), r * k, dtype)))
-            branch_bs.append(par(f"branch{i}_d{d}.bias", uniform_init(rng, (rb,), r * k, dtype)))
+            branch_ws.append(par(f"branch{i}_d{d}.weight", uniform_init(rng, (rb, r, k, 1, 1), r * k)))
+            branch_bs.append(par(f"branch{i}_d{d}.bias", uniform_init(rng, (rb,), r * k)))
 
         return cls(
             cfg=cfg,
-            reduce_w=par("reduce.weight", uniform_init(rng, (r, C, k, 1, 1), C * k, dtype)),
-            reduce_b=par("reduce.bias", uniform_init(rng, (r,), C * k, dtype)),
+            reduce_w=par("reduce.weight", uniform_init(rng, (r, C, k, 1, 1), C * k)),
+            reduce_b=par("reduce.bias", uniform_init(rng, (r,), C * k)),
             branch_ws=branch_ws,
             branch_bs=branch_bs,
-            phi_hw=SSMParams.init(cfg, rng, f"{prefix}.phi_hw", dtype=dtype),
-            phi_dw=SSMParams.init(cfg, rng, f"{prefix}.phi_dw", dtype=dtype),
-            phi_dh=SSMParams.init(cfg, rng, f"{prefix}.phi_dh", dtype=dtype),
+            phi_hw=SSMParams.init(cfg, rng, f"{prefix}.phi_hw"),
+            phi_dw=SSMParams.init(cfg, rng, f"{prefix}.phi_dw"),
+            phi_dh=SSMParams.init(cfg, rng, f"{prefix}.phi_dh"),
             # zero raise conv: a fresh adapter leaves the backbone untouched
-            raise_w=par("raise.weight", np.zeros((C, r, k, 1, 1), dtype=dtype)),
-            raise_b=par("raise.bias", np.zeros((C,), dtype=dtype)),
+            raise_w=par("raise.weight", np.zeros((C, r, k, 1, 1))),
+            raise_b=par("raise.bias", np.zeros((C,))),
         )
 
 

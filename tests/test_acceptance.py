@@ -64,7 +64,7 @@ def test_criterion_3_init_transparency():
         C=8, n_heads=2, n_blocks=4, lora_rank=2, lora_alpha=2.0,
         adapter_r=4, adapter_d_state=2, crop=(3, 32, 32),
     )
-    enc = Encoder.init(cfg, rng)
+    enc = Encoder.init(cfg, rng).astype(np.float32)
     for i in range(5):
         X = Tensor(rng.standard_normal((1, 1, 3, 32, 32)).astype(np.float32))
         on = encoder_forward(X, enc)
@@ -79,7 +79,7 @@ def test_criterion_4_triplane_bijectivity_and_sum():
 
     rng = np.random.default_rng(5)
     acfg = TrainConfig(C=8, n_heads=2, adapter_r=4, adapter_d_state=2)
-    adapter = TPMambaAdapter.init(acfg, rng, "tp", dtype=np.float64)
+    adapter = TPMambaAdapter.init(acfg, rng, "tp")
     for phi in (adapter.phi_hw, adapter.phi_dw, adapter.phi_dh):
         phi.w_out.data = 0.5 * rng.standard_normal(phi.w_out.shape)
     G = Tensor(rng.standard_normal((2, 4, 3, 2, 3)), dtype=np.float64)
@@ -162,14 +162,14 @@ def test_criterion_7_flops_anchors():
 def test_criterion_8_rank_sweep(r):
     rng = np.random.default_rng(100 + r)
     cfg = TrainConfig(C=16, n_heads=2, adapter_r=r, adapter_d_state=4)
-    adapter = TPMambaAdapter.init(cfg, rng, "tp", dtype=np.float64)
+    adapter = TPMambaAdapter.init(cfg, rng, "tp")
 
     # exact closed-form parameter count
     counted = sum(p.size for p in adapter.parameters())
     assert counted == param_count_adapter(cfg)
 
     # criterion 1 at this width: block-level fast/sequential agreement
-    params = SSMParams.init(cfg, rng, "blk", dtype=np.float64)
+    params = SSMParams.init(cfg, rng, "blk")
     params.w_out.data = 0.2 * rng.standard_normal(params.w_out.shape)
     seq = Tensor(rng.standard_normal((1, 7, r)), dtype=np.float64)
     fast = mamba_block_forward(seq, params).data
@@ -181,7 +181,7 @@ def test_criterion_8_rank_sweep(r):
     assert run_grad_case(case) < case.tolerance
 
     # criterion 3 at this width: fresh adapter is the identity
-    fresh = TPMambaAdapter.init(cfg, rng, "tp2", dtype=np.float32)
+    fresh = TPMambaAdapter.init(cfg, rng, "tp2").astype(np.float32)
     Ff = Tensor(rng.standard_normal((1, 2, 16, 2, 2)).astype(np.float32))
     assert np.array_equal(tp_mamba_forward(Ff, fresh).data, Ff.data)
 

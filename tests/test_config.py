@@ -137,6 +137,7 @@ MODEL_CHECKS = {
     "n_blocks_below_4": ({"n_blocks": 3}, "at least 4 blocks"),
     "heads_not_dividing_C": ({"C": 10, "n_heads": 4}, "C=10 not divisible by n_heads=4"),
     "n_classes_below_2": ({"n_classes": 1}, "at least 2 classes"),
+    "n_classes_above_256": ({"n_classes": 257}, "labels are u8, so at most 256 classes, got n_classes=257"),
     "rank_not_dividing_into_branches": ({"adapter_r": 6}, "adapter.r=6 not divisible by the 4 dilated branches"),
     "no_dilations": ({"adapter_dilations": ()}, "not divisible by the 0 dilated branches"),
     "dilation_zero": ({"adapter_dilations": (0, 1, 2, 4)}, r"adapter.dilations must be at least 1, got \(0, 1, 2, 4\)"),

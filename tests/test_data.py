@@ -248,6 +248,13 @@ def test_augment_labels_follow_voxels(rng):
     np.testing.assert_array_equal(out.labels == 1, out.voxels > 0.5)
 
 
+def test_augment_refuses_unlabelled_record(rng):
+    rec = VolumeRecord(voxels=rng.uniform(0, 1, (8, 8, 8)).astype(np.float32), spacing=(1, 1, 1))
+    cfg = AugmentConfig(crop=(8, 8, 8), flip=False, contrast=False, scale_jitter=False)
+    with pytest.raises(InputError, match="labelled record"):
+        augment(rec, np.random.default_rng(0), cfg)
+
+
 # ---------------------------------------------------------------------------
 # synthetic data
 

@@ -25,7 +25,7 @@ def toy_config(C=8, heads=2, n_blocks=4, r=4, img=(32, 32)):
 
 
 def toy_encoder(rng, dtype=np.float32, **kw):
-    return Encoder.init(toy_config(**kw), rng, dtype=dtype)
+    return Encoder.init(toy_config(**kw), rng).astype(dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +231,33 @@ def test_batch_entries_are_independent(rng):
     for b in range(2):
         alone = model.forward(Tensor(X[b : b + 1])).data[0]
         assert np.abs(both[b] - alone).max() <= 1e-5 * np.abs(alone).max()
+
+
+def test_float_type_is_decided_once():
+    """Each sub-module draws its parameters in f64; `SegModel.init` alone
+    casts, to f32, bytes equal to the encoder then the decoder drawn from
+    one generator and each cast with `astype`."""
+    from tpmamba.model import SegModel
+    from tpmamba.seghead import Decoder
+    from tpmamba.ssm import SSMParams
+    from tpmamba.triplane import TPMambaAdapter
+
+    cfg = dataclasses.replace(toy_config(), n_classes=3, seed=4)
+    rng = np.random.default_rng(0)
+    for module in (Encoder.init(cfg, rng), Decoder.init(cfg, rng),
+                   TPMambaAdapter.init(cfg, rng, "tp"), SSMParams.init(cfg, rng, "blk")):
+        assert {p.data.dtype for p in module.parameters()} == {np.dtype(np.float64)}
+
+    model = SegModel.init(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    encoder = Encoder.init(cfg, rng)
+    assert encoder.astype(np.float32) is encoder
+    expected = encoder.parameters() + Decoder.init(cfg, rng).astype(np.float32).parameters()
+    got = model.parameters()
+    assert [p.name for p in got] == [p.name for p in expected]
+    for a, b in zip(got, expected):
+        assert a.data.dtype == b.data.dtype == np.float32, a.name
+        assert a.data.tobytes() == b.data.tobytes(), a.name
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from tpmamba.tensor import Tensor
 
 
 def toy_decoder(rng, C=8, K=2, dtype=np.float32):
-    return Decoder.init(TrainConfig(C=C, n_classes=K), rng, dtype=dtype)
+    return Decoder.init(TrainConfig(C=C, n_classes=K), rng).astype(dtype)
 
 
 def make_taps(rng, D=4, C=8, h=2, w=2, dtype=np.float32):

@@ -384,7 +384,7 @@ def scanner_config(r, N=16):
 
 
 def make_block(rng, r=16, N=16, dtype=np.float32, prefix="blk"):
-    return SSMParams.init(scanner_config(r, N), rng, prefix, dtype=dtype)
+    return SSMParams.init(scanner_config(r, N), rng, prefix).astype(dtype)
 
 
 def test_block_shape_preservation(rng):

@@ -24,7 +24,7 @@ def toy_config(C=8, r=4, d_state=2, **kw):
 
 
 def make_adapter(rng, C=8, r=4, dtype=np.float32, **kw):
-    return TPMambaAdapter.init(toy_config(C, r, **kw), rng, "tp", dtype=dtype)
+    return TPMambaAdapter.init(toy_config(C, r, **kw), rng, "tp").astype(dtype)
 
 
 # ---------------------------------------------------------------------------
