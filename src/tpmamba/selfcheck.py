@@ -16,6 +16,7 @@ import tempfile
 import zlib
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -49,22 +50,28 @@ def _scan_case(rng, b, L, E, N, dtype):
     return u, delta, A, B, C, D
 
 
-def scan_oracle_errors(seed: int, n_configs: int) -> tuple[dict[str, float], bool]:
-    """`selective_scan` against the sequential oracle on random configs.
+# (b, L, E, N) run after the random configs: four tiles of 682, 682, 682 and
+# 3 steps at the shipped SCAN_TILE_STATES, where every random config fits in one
+SCAN_MULTI_TILE = (3, 2049, 8, 8)
 
-    Config i has length (1, 2, 7, 64, 513)[i % 5], batch 1-3 and E, N in 2-8,
-    run at f32 and f64.  Returns the worst relative error per dtype and
-    whether every forward was byte-identical, so -0 against +0 counts.
+
+def scan_oracle_errors(seed: int, n_configs: int) -> tuple[dict[str, float], bool]:
+    """`selective_scan` against the sequential oracle on random configs, then
+    on SCAN_MULTI_TILE.
+
+    Random config i has length (1, 2, 7, 64, 513)[i % 5], batch 1-3 and E, N
+    in 2-8.  Each config runs at f32 and f64.  Returns the worst relative
+    error per dtype and whether every forward was byte-identical, so -0
+    against +0 counts.
     """
     rng = np.random.default_rng(seed)
     lengths = [1, 2, 7, 64, 513]
     worst = {"f32": 0.0, "f64": 0.0}
     exact = True
-    for i in range(n_configs):
-        L = lengths[i % len(lengths)]
-        b = int(rng.integers(1, 4))
-        E = int(rng.integers(2, 9))
-        N = int(rng.integers(2, 9))
+    # lazy, so each config draws its sizes just before its data
+    configs = ((int(rng.integers(1, 4)), lengths[i % 5], int(rng.integers(2, 9)), int(rng.integers(2, 9)))
+               for i in range(n_configs))
+    for b, L, E, N in chain(configs, [SCAN_MULTI_TILE]):
         for dtype, key in ((np.float32, "f32"), (np.float64, "f64")):
             args = _scan_case(rng, b, L, E, N, dtype)
             fast = selective_scan(*args).data
@@ -235,8 +242,10 @@ def plane_roundtrip_exact(seed: int) -> bool:
 
 
 def check_scan() -> list[Check]:
-    worst, exact = scan_oracle_errors(42, 24)
-    return [("scan forward bit-identical to oracle", exact, "48 configs, f32 and f64")] + [
+    n = 24
+    worst, exact = scan_oracle_errors(42, n)
+    detail = f"{n + 1} configs at f32 and f64, the last of {SCAN_MULTI_TILE[1]} steps"
+    return [("scan forward bit-identical to oracle", exact, detail)] + [
         (f"scan equivalence {key} < {tol:.0e}", worst[key] < tol, f"max rel err {worst[key]:.3e}")
         for key, tol in SCAN_TOLERANCE.items()
     ]

@@ -1,4 +1,5 @@
-"""Closed-form parameter counts, and the model run with one piece swapped.
+"""Closed-form parameter counts, the model run with one piece swapped, and
+the functions that record tape nodes.
 
 The swaps go through module attributes the package already calls, so the
 package needs no switch for them: the encoder calls `tp_mamba_forward` from
@@ -6,7 +7,9 @@ its own namespace, the scanner block calls `ssm.selective_scan`, and the
 scan stage reads the adapter's config for its mode.
 """
 
+import ast
 import dataclasses
+import inspect
 
 import pytest
 
@@ -48,3 +51,22 @@ def scan_in_mode(G, adapter, mode):
     """The adapter's scan stage in another scan mode, on the same parameters."""
     cfg = dataclasses.replace(adapter.cfg, adapter_scan_mode=mode)
     return scan_stage(G, dataclasses.replace(adapter, cfg=cfg))
+
+
+def recording_functions(*modules) -> set[str]:
+    """`module.name` of each top-level function of these modules whose body calls `_record`."""
+    return {
+        f"{module.__name__}.{fn.name}"
+        for module in modules
+        for fn in ast.parse(inspect.getsource(module)).body
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(n, ast.Call) and "_record" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+            for n in ast.walk(fn)
+        )
+    }
+
+
+def recorders_of(tape) -> set[str]:
+    """`module.name` of the function that recorded each of the tape's nodes."""
+    return {f"{n.backward.__module__}.{n.backward.__qualname__.split('.')[0]}" for n in tape.nodes}

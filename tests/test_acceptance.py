@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the overfit criterion dominates the runtime (a few minutes).
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -16,13 +17,15 @@ from tpmamba.encoder import Encoder, encoder_forward
 from tpmamba.flops import gflops_estimate
 from tpmamba.selfcheck import (
     GRAD_CASES,
+    SCAN_MULTI_TILE,
     SCAN_TOLERANCE,
+    TOY,
     adapter_case,
     plane_roundtrip_exact,
     run_grad_case,
     scan_oracle_errors,
 )
-from tpmamba.ssm import SSMParams, mamba_block_forward
+from tpmamba.ssm import SSMParams, mamba_block_forward, scan_tile_steps
 from tpmamba.tensor import Tensor
 from tpmamba.train import train
 from tpmamba.triplane import TPMambaAdapter, plane_flatten, plane_unflatten, tp_mamba_forward
@@ -33,6 +36,9 @@ def _report(n, text):
 
 
 def test_criterion_1_scan_oracle_equivalence():
+    b, L, E, N = SCAN_MULTI_TILE
+    tiles = -(-L // scan_tile_steps(b, L, E, N))
+    assert tiles >= 3
     start = time.perf_counter()
     worst, exact = scan_oracle_errors(2024, 100)
     elapsed = time.perf_counter() - start
@@ -42,8 +48,8 @@ def test_criterion_1_scan_oracle_equivalence():
     assert elapsed < 30.0
     _report(
         1,
-        f"scan equivalence on 100 configs: forward bit-identical, f32 err {worst['f32']:.2e}, "
-        f"f64 err {worst['f64']:.2e}, {elapsed:.1f}s",
+        f"scan equivalence on 100 random configs and one of {tiles} tiles: forward bit-identical, "
+        f"f32 err {worst['f32']:.2e}, f64 err {worst['f64']:.2e}, {elapsed:.1f}s",
     )
 
 
@@ -60,11 +66,7 @@ def test_criterion_2_gradient_suite():
 
 def test_criterion_3_init_transparency():
     rng = np.random.default_rng(11)
-    cfg = TrainConfig(
-        C=8, n_heads=2, n_blocks=4, lora_rank=2, lora_alpha=2.0,
-        adapter_r=4, adapter_d_state=2, crop=(3, 32, 32),
-    )
-    enc = Encoder.init(cfg, rng).astype(np.float32)
+    enc = Encoder.init(dataclasses.replace(TOY, crop=(3, 32, 32)), rng).astype(np.float32)
     for i in range(5):
         X = Tensor(rng.standard_normal((1, 1, 3, 32, 32)).astype(np.float32))
         on = encoder_forward(X, enc)
@@ -111,11 +113,8 @@ def test_criterion_5_overfit_oracle(tmp_path):
 def test_criterion_6_freeze_contract(tmp_path):
     data_dir = tmp_path / "freeze_data"
     gen_synth(1, (32, 32, 32), 2, seed=3, out_dir=data_dir)
-    cfg = TrainConfig(
-        C=8, n_heads=2, n_blocks=4, adapter_r=4, adapter_d_state=2,
-        lora_rank=2, lora_alpha=2.0, crop=(16, 32, 32), n_classes=2,
-        seed=2, lr_start=3e-3, weight_decay=1e-2,
-        flip=False, contrast=False, scale_jitter=False,
+    cfg = dataclasses.replace(
+        TOY, crop=(16, 32, 32), seed=2, lr_start=3e-3, flip=False, contrast=False, scale_jitter=False
     )
     from tpmamba.data import list_dataset, load_record
     from tpmamba.optim import AdamWState, lr_schedule

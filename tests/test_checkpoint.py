@@ -14,37 +14,12 @@ from tpmamba.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, load_into
 from tpmamba.config import TrainConfig, to_flat_dict
 from tpmamba.errors import CheckpointError, ConfigError
 from tpmamba.model import SegModel
+from tpmamba.selfcheck import TOY
 from tpmamba.train import model_from_checkpoint
 
 
 def small_cfg():
-    return TrainConfig(
-        C=8, n_heads=2, n_blocks=4, adapter_r=4, adapter_d_state=2,
-        crop=(8, 32, 32), n_classes=2, lora_rank=2, lora_alpha=2.0,
-    )
-
-
-def test_round_trip_bit_exact(tmp_path, rng):
-    arrays = {
-        "a.weight": rng.standard_normal((3, 4)).astype(np.float32),
-        "b.bias": rng.standard_normal(7).astype(np.float64),
-    }
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, arrays, {"epochs": 3}, seed=9)
-    loaded, cfg, seed = load_checkpoint(path)
-    assert seed == 9 and cfg == {"epochs": 3}
-    for k in arrays:
-        np.testing.assert_array_equal(loaded[k], arrays[k])
-        assert loaded[k].dtype == arrays[k].dtype
-
-
-def test_save_load_save_byte_identical(tmp_path, rng):
-    arrays = {"w": rng.standard_normal((5, 5)).astype(np.float32)}
-    p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(p1, arrays, {"seed": 0}, 0)
-    loaded, cfg, seed = load_checkpoint(p1)
-    save_checkpoint(p2, loaded, cfg, seed)
-    assert p1.read_bytes() == p2.read_bytes()
+    return dataclasses.replace(TOY, crop=(8, 32, 32))
 
 
 def test_corrupted_payload_detected(tmp_path, rng):
@@ -88,11 +63,7 @@ def test_model_round_trip_and_mismatch(tmp_path):
         np.testing.assert_array_equal(p.data, named[name])
 
     # a different rank changes tensor shapes: the load must name the tensor
-    bad = TrainConfig(
-        C=8, n_heads=2, n_blocks=4, adapter_r=8, adapter_d_state=2,
-        crop=(8, 32, 32), n_classes=2, lora_rank=2, lora_alpha=2.0, seed=1,
-    )
-    other = SegModel.init(bad)
+    other = SegModel.init(dataclasses.replace(cfg, adapter_r=8, seed=1))
     with pytest.raises(CheckpointError, match=r"tpmamba"):
         load_into_model(other, arrays, path)
 

@@ -13,6 +13,7 @@ from tpmamba.config import (
     to_flat_dict,
 )
 from tpmamba.errors import ConfigError
+from tpmamba.selfcheck import TOY
 from tpmamba.train import build_model
 
 
@@ -100,8 +101,7 @@ def test_crop_divisibility_enforced():
         TrainConfig(crop=(96, 50, 96))
 
 
-# A toy config and, for each field the model reads, a value other than the toy's.
-TOY = dict(C=8, n_heads=2, lora_rank=2, lora_alpha=2.0, adapter_r=4, adapter_d_state=2, crop=(4, 32, 32))
+# For each field the model reads, a value other than the toy config's.
 MODEL_VALUES = {
     "crop": (4, 32, 48), "seed": 1, "n_classes": 3, "C": 12, "n_blocks": 5, "n_heads": 4,
     "lora_rank": 3, "lora_alpha": 1.5, "adapter_r": 8, "adapter_dilations": (1, 3),
@@ -125,10 +125,9 @@ def _model_fingerprint(cfg):
 @pytest.mark.parametrize("field", MODEL_VALUES)
 def test_every_model_field_reaches_the_model(field):
     assert set(MODEL_VALUES) | TRAINING_FIELDS == {f.name for f in dataclasses.fields(TrainConfig)}
-    base = TrainConfig(**TOY)
-    assert getattr(base, field) != MODEL_VALUES[field]
-    shapes, logits = _model_fingerprint(base)
-    other_shapes, other_logits = _model_fingerprint(dataclasses.replace(base, **{field: MODEL_VALUES[field]}))
+    assert getattr(TOY, field) != MODEL_VALUES[field]
+    shapes, logits = _model_fingerprint(TOY)
+    other_shapes, other_logits = _model_fingerprint(dataclasses.replace(TOY, **{field: MODEL_VALUES[field]}))
     assert other_shapes != shapes or not np.array_equal(other_logits, logits)
 
 

@@ -14,18 +14,13 @@ from tpmamba.encoder import (
     vit_block_forward,
 )
 from tpmamba.errors import ShapeError
+from tpmamba.selfcheck import TOY
 from tpmamba.tensor import Tensor, recording
 
 
-def toy_config(C=8, heads=2, n_blocks=4, r=4, img=(32, 32)):
-    return TrainConfig(
-        C=C, n_heads=heads, n_blocks=n_blocks, lora_rank=2, lora_alpha=2.0,
-        adapter_r=r, adapter_d_state=2, crop=(4,) + img,
-    )
-
-
 def toy_encoder(rng, dtype=np.float32, **kw):
-    return Encoder.init(toy_config(**kw), rng).astype(dtype)
+    """The toy config's encoder, with the config fields in kw changed."""
+    return Encoder.init(dataclasses.replace(TOY, **kw), rng).astype(dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +34,7 @@ def test_patch_embed_shapes(rng):
 
 
 def test_patch_embed_full_scale_shape(rng):
-    enc = toy_encoder(rng, img=(96, 96))
+    enc = toy_encoder(rng, crop=(4, 96, 96))
     X = Tensor(rng.standard_normal((1, 1, 96, 96, 96)).astype(np.float32))
     assert patch_embed_slices(X, enc).shape == (1, 96, 8, 6, 6)
 
@@ -108,14 +103,6 @@ def test_block_shape_preservation(rng):
     assert out.shape == (2, 3, 8, 2, 2)
 
 
-def test_block_init_transparency(rng):
-    enc = toy_encoder(rng)
-    F = Tensor(rng.standard_normal((2, 3, 8, 2, 2)).astype(np.float32))
-    with_adapters = vit_block_forward(F, enc.blocks[0])
-    plain = without_adapters(vit_block_forward, F, enc.blocks[0])
-    assert np.array_equal(with_adapters.data, plain.data)
-
-
 def test_encoder_tap_count_and_shapes(rng):
     enc = toy_encoder(rng)
     X = Tensor(rng.standard_normal((1, 1, 3, 32, 32)).astype(np.float32))
@@ -123,26 +110,6 @@ def test_encoder_tap_count_and_shapes(rng):
     assert len(taps) == 4
     for t in taps:
         assert t.shape == (1, 3, 8, 2, 2)
-
-
-def test_encoder_taps_are_last_four(rng):
-    enc = toy_encoder(rng, n_blocks=6)
-    X = Tensor(rng.standard_normal((1, 1, 2, 32, 32)).astype(np.float32))
-    captured = []
-    orig = enc.blocks[2:]
-    taps = encoder_forward(X, enc)
-    # recompute manually: running the first two blocks then the last four must
-    # reproduce the returned taps
-    from tpmamba.encoder import vit_block_forward as fwd
-
-    F = patch_embed_slices(X, enc)
-    F = T.add(F, enc.pos)
-    for i, blk in enumerate(enc.blocks):
-        F = fwd(F, blk)
-        if i >= 2:
-            captured.append(F.data)
-    for got, want in zip(taps, captured):
-        np.testing.assert_array_equal(got.data, want)
 
 
 def test_encoder_twelve_blocks_taps_last_four(rng):
@@ -190,16 +157,6 @@ def test_trainable_fraction_below_35_percent():
     assert n_train / n_total < 0.35
 
 
-def test_init_transparency_end_to_end(rng):
-    enc = toy_encoder(rng)
-    for _ in range(3):
-        X = Tensor(rng.standard_normal((1, 1, 3, 32, 32)).astype(np.float32))
-        on = encoder_forward(X, enc)
-        off = without_adapters(encoder_forward, X, enc)
-        for a, b in zip(on, off):
-            assert np.array_equal(a.data, b.data)
-
-
 def test_slice_permutation_consistency(rng):
     enc = toy_encoder(rng)
     X = rng.standard_normal((1, 1, 4, 32, 32)).astype(np.float32)
@@ -221,7 +178,7 @@ def test_batch_entries_are_independent(rng):
     change in the encoder, its adapters or the decoder mixes B with D."""
     from tpmamba.model import SegModel
 
-    cfg = dataclasses.replace(toy_config(), n_classes=3)
+    cfg = dataclasses.replace(TOY, n_classes=3)
     model = SegModel.init(cfg)
     for p in model.parameters():
         if not p.data.any():
@@ -242,7 +199,7 @@ def test_float_type_is_decided_once():
     from tpmamba.ssm import SSMParams
     from tpmamba.triplane import TPMambaAdapter
 
-    cfg = dataclasses.replace(toy_config(), n_classes=3, seed=4)
+    cfg = dataclasses.replace(TOY, n_classes=3, seed=4)
     rng = np.random.default_rng(0)
     for module in (Encoder.init(cfg, rng), Decoder.init(cfg, rng),
                    TPMambaAdapter.init(cfg, rng, "tp"), SSMParams.init(cfg, rng, "blk")):

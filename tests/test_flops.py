@@ -6,19 +6,9 @@ from tpmamba.flops import ADAPTER_KINDS, SWEEP_DOUBLINGS, flops_sweep, gflops_es
 ANCHOR = dict(input_dhw=(96, 96, 96), C=768, r=96)
 
 
-def test_sa_adapter_anchor_band():
-    g = gflops_estimate("sa_adapter", **ANCHOR)
-    assert 14.1 <= g <= 23.6  # 18.86 +/- 25%
-
-
 def test_lora_anchor_band():
     g = gflops_estimate("lora", **ANCHOR)
     assert 18.86 / 145 * 0.75 <= g <= 18.86 / 145 * 1.25
-
-
-def test_sa_over_lora_ratio():
-    ratio = gflops_estimate("sa_adapter", **ANCHOR) / gflops_estimate("lora", **ANCHOR)
-    assert 100 <= ratio <= 200
 
 
 def test_sa_over_tp_ratio_grows_with_depth():

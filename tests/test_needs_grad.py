@@ -8,7 +8,8 @@ returns when every input requires one.
 import numpy as np
 import pytest
 
-from tpmamba import ops, ssm
+from model_helpers import recorders_of, recording_functions
+from tpmamba import ops, seghead, ssm
 from tpmamba import tensor as T
 from tpmamba.seghead import dice_ce_loss
 from tpmamba.tensor import Tensor, recording
@@ -18,7 +19,9 @@ def _normal(*shape):
     return lambda rng: rng.standard_normal(shape)
 
 
-# name -> (primitive applied to the input tensors, input array makers)
+# name -> (primitive applied to the input tensors, input array makers).  Every
+# function that records a tape node appears in at least one case, and a test
+# below holds the table to that.
 CASES = {
     "add": (T.add, [_normal(2, 3, 4), _normal(3, 1)]),
     "mul": (T.mul, [_normal(2, 3, 4), _normal(1, 3, 4)]),
@@ -82,6 +85,17 @@ def _node_grads(fn, arrays, trainable):
     assert len(tape.nodes) == 1
     g = np.random.default_rng(7).standard_normal(out.shape)
     return tape.nodes[0], tape.nodes[0].backward(g)
+
+
+def test_cases_cover_every_recording_function():
+    covered = set()
+    for fn, makers in CASES.values():
+        rng = np.random.default_rng(0)
+        with recording() as tape:
+            fn(*[Tensor(make(rng), dtype=np.float64, requires_grad=True) for make in makers])
+        covered |= recorders_of(tape)
+    recorders = recording_functions(T, ops, ssm, seghead)
+    assert recorders <= covered, f"no needs-grad case records: {sorted(recorders - covered)}"
 
 
 SCAN_TILE_STATES = 2 * 3 * 2 * 3  # b*E*N of the scan case times 3 steps

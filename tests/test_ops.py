@@ -1,8 +1,6 @@
-import ast
-import inspect
-
 import numpy as np
 import pytest
+from model_helpers import recorders_of, recording_functions
 from reference_ops import log
 
 from tpmamba import ops, seghead, ssm
@@ -278,27 +276,14 @@ def test_gradient_case(case):
     assert run_grad_case(case) < case.tolerance
 
 
-def _recording_functions(module):
-    """`module.name` of each top-level function whose body calls `_record`."""
-    return {
-        f"{module.__name__}.{fn.name}"
-        for fn in ast.parse(inspect.getsource(module)).body
-        if isinstance(fn, ast.FunctionDef)
-        and any(
-            isinstance(n, ast.Call) and "_record" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
-            for n in ast.walk(fn)
-        )
-    }
-
-
 def test_gradient_cases_cover_every_recording_function():
     covered = set()
     for case in GRAD_CASES:
         loss, _ = case.build(np.random.default_rng(0))
         with recording() as tape:
             loss()
-        covered |= {f"{n.backward.__module__}.{n.backward.__qualname__.split('.')[0]}" for n in tape.nodes}
-    recorders = set().union(*(_recording_functions(m) for m in (T, ops, ssm, seghead)))
+        covered |= recorders_of(tape)
+    recorders = recording_functions(T, ops, ssm, seghead)
     assert "tpmamba.ssm.selective_scan" in recorders and "tpmamba.seghead.dice_ce_loss" in recorders
     assert recorders <= covered, f"no gradient case records: {sorted(recorders - covered)}"
 

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from model_helpers import param_count_ssm, with_sequential_scan
+from model_helpers import param_count_ssm
 from tpmamba import ssm
 from tpmamba import tensor as T
 from tpmamba.config import TrainConfig
 from tpmamba.errors import NumericError, ShapeError
+from tpmamba.selfcheck import _scan_case
 from tpmamba.ssm import (
     SSMParams,
     mamba_block_forward,
@@ -17,16 +18,6 @@ from tpmamba.ssm import (
     selective_scan_sequential,
 )
 from tpmamba.tensor import Parameter, Tensor, recording
-
-
-def random_scan_inputs(rng, b, L, E, N, dtype=np.float64):
-    u = rng.standard_normal((b, L, E)).astype(dtype)
-    delta = np.log1p(np.exp(rng.standard_normal((b, L, E)))).astype(dtype)  # positive
-    A = -np.exp(rng.standard_normal((E, N)) * 0.5).astype(dtype)
-    B = rng.standard_normal((b, L, N)).astype(dtype)
-    C = rng.standard_normal((b, L, N)).astype(dtype)
-    D = rng.standard_normal(E).astype(dtype)
-    return tuple(Tensor(x, dtype=dtype) for x in (u, delta, A, B, C, D))
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +65,7 @@ def test_scan_rejects_nonfinite_delta(bad):
 
 
 def test_scan_rejects_mixed_dtypes(rng):
-    u, delta, A, B, C, D = random_scan_inputs(rng, 2, 5, 3, 4, dtype=np.float32)
+    u, delta, A, B, C, D = _scan_case(rng, 2, 5, 3, 4, np.float32)
     A64 = Tensor(A.data, dtype=np.float64)
     with pytest.raises(ShapeError, match="float64.*float32|float32.*float64"):
         selective_scan(u, delta, A64, B, C, D)
@@ -83,7 +74,7 @@ def test_scan_rejects_mixed_dtypes(rng):
 @pytest.mark.parametrize("impl", [selective_scan, selective_scan_sequential], ids=["tiled", "oracle"])
 @pytest.mark.parametrize("bad", range(6), ids=["u", "delta", "A", "B", "C", "D"])
 def test_scan_rejects_mismatched_shapes(rng, impl, bad):
-    arrays = list(random_scan_inputs(rng, 2, 5, 3, 4))
+    arrays = list(_scan_case(rng, 2, 5, 3, 4, np.float64))
     x = arrays[bad].data
     arrays[bad] = Tensor(x[..., None] if bad == 0 else x[:-1], dtype=np.float64)
     with pytest.raises(ShapeError, match="scan"):
@@ -95,7 +86,7 @@ def test_scan_rejects_mismatched_shapes(rng, impl, bad):
 
 
 def test_oracle_single_step_closed_form(rng):
-    u, delta, A, B, C, D = random_scan_inputs(rng, 2, 1, 3, 4)
+    u, delta, A, B, C, D = _scan_case(rng, 2, 1, 3, 4, np.float64)
     y = selective_scan_sequential(u, delta, A, B, C, D).data
     dA = np.exp(delta.data[:, 0, :, None] * A.data)
     h1 = (delta.data[:, 0] * u.data[:, 0])[:, :, None] * B.data[:, 0, None, :]
@@ -107,7 +98,7 @@ def test_oracle_single_step_closed_form(rng):
 def test_oracle_memoryless_with_large_delta(rng):
     # huge delta pushes exp(delta*A) to ~0: y_t depends only on x_t
     b, L, E, N = 1, 6, 2, 3
-    u, delta, A, B, C, D = random_scan_inputs(rng, b, L, E, N)
+    u, delta, A, B, C, D = _scan_case(rng, b, L, E, N, np.float64)
     delta = Tensor(np.full((b, L, E), 80.0), dtype=np.float64)
     y1 = selective_scan_sequential(u, delta, A, B, C, D).data.copy()
     u2 = u.data.copy()
@@ -121,7 +112,7 @@ def test_oracle_memoryless_with_large_delta(rng):
 
 def test_oracle_causality_bit_exact(rng):
     b, L, E, N = 2, 9, 3, 2
-    u, delta, A, B, C, D = random_scan_inputs(rng, b, L, E, N)
+    u, delta, A, B, C, D = _scan_case(rng, b, L, E, N, np.float64)
     y1 = selective_scan_sequential(u, delta, A, B, C, D).data.copy()
     u2 = u.data.copy()
     u2[:, -1] *= -1.0
@@ -130,37 +121,13 @@ def test_oracle_causality_bit_exact(rng):
 
 
 def test_scan_empty_sequence(rng):
-    u, delta, A, B, C, D = random_scan_inputs(rng, 2, 0, 3, 2)
+    u, delta, A, B, C, D = _scan_case(rng, 2, 0, 3, 2, np.float64)
     assert selective_scan(u, delta, A, B, C, D).shape == (2, 0, 3)
     assert selective_scan_sequential(u, delta, A, B, C, D).shape == (2, 0, 3)
 
 
 # ---------------------------------------------------------------------------
 # production scan vs oracle
-
-
-@pytest.mark.parametrize("L", [1, 2, 7, 64, 513])
-def test_scan_equivalence_f64(rng, L):
-    u, delta, A, B, C, D = random_scan_inputs(rng, 2, L, 8, 4)
-    fast = selective_scan(u, delta, A, B, C, D).data
-    slow = selective_scan_sequential(u, delta, A, B, C, D).data
-    denom = max(1.0, np.abs(slow).max())
-    assert np.abs(fast - slow).max() / denom < 1e-10
-
-
-def test_scan_equivalence_f32(rng):
-    u, delta, A, B, C, D = random_scan_inputs(rng, 2, 64, 8, 4, dtype=np.float32)
-    fast = selective_scan(u, delta, A, B, C, D).data
-    slow = selective_scan_sequential(u, delta, A, B, C, D).data
-    denom = max(1.0, np.abs(slow).max())
-    assert np.abs(fast - slow).max() / denom < 1e-5
-
-
-def test_scan_single_step_bit_exact(rng):
-    u, delta, A, B, C, D = random_scan_inputs(rng, 3, 1, 5, 4)
-    fast = selective_scan(u, delta, A, B, C, D).data
-    slow = selective_scan_sequential(u, delta, A, B, C, D).data
-    assert np.array_equal(fast, slow)
 
 
 # (b, E, N) for each branch of the lane-sum tree that the output contraction
@@ -193,16 +160,9 @@ def recorded_scan(arrays):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_scan_forward_bit_identical_to_oracle(rng, dtype, taped, monkeypatch):
     for b, L, E, N in tiled_cases(monkeypatch):
-        arrays = random_scan_inputs(rng, b, L, E, N, dtype=dtype)
+        arrays = _scan_case(rng, b, L, E, N, dtype)
         fast = recorded_scan(arrays) if taped else selective_scan(*arrays).data
         assert fast.tobytes() == selective_scan_sequential(*arrays).data.tobytes(), (L, N)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_scan_taped_and_plain_forward_same_bits(rng, dtype, monkeypatch):
-    for b, L, E, N in tiled_cases(monkeypatch):
-        arrays = random_scan_inputs(rng, b, L, E, N, dtype=dtype)
-        assert recorded_scan(arrays).tobytes() == selective_scan(*arrays).data.tobytes(), (L, N)
 
 
 @pytest.mark.parametrize("taped", [False, True], ids=["plain", "taped"])
@@ -254,7 +214,7 @@ def test_recorded_scan_holds_one_state_array(rng):
     # The tape holds less than one (b, L, E, N) state history: no full
     # history array is kept, only tile-start states and per-step inputs.
     b, L, E, N = 6, 100, 48, 16
-    arrays = random_scan_inputs(rng, b, L, E, N, dtype=np.float32)
+    arrays = _scan_case(rng, b, L, E, N, np.float32)
     params = [Parameter(n, a.data, dtype=np.float32) for n, a in zip("udABCD", arrays)]
     state = b * L * E * N * 4
     with recording():
@@ -269,7 +229,7 @@ def test_recorded_scan_keeps_only_tile_start_states(rng, b, L):
     # of 6 steps; (6, 576): the dw/dh planes' shape, a long sequence of
     # multi-step tiles
     E, N = 48, 16
-    arrays = random_scan_inputs(rng, b, L, E, N, dtype=np.float32)
+    arrays = _scan_case(rng, b, L, E, N, np.float32)
     params = [Parameter(n, a.data, dtype=np.float32) for n, a in zip("udABCD", arrays)]
     tiles = -(-L // scan_tile_steps(b, L, E, N))
     assert tiles >= 4
@@ -291,7 +251,7 @@ def _scan_grads(arrays, seed):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_scan_gradients_same_bits_for_every_tile_size(rng, dtype, monkeypatch):
     b, L, E, N = 2, 16, 3, 2
-    arrays = random_scan_inputs(rng, b, L, E, N, dtype=dtype)
+    arrays = _scan_case(rng, b, L, E, N, dtype)
     seed = np.random.default_rng(7).standard_normal((b, L, E)).astype(dtype)
     assert scan_tile_steps(b, L, E, N) == L
     reference = _scan_grads(arrays, seed)  # a single tile
@@ -314,7 +274,7 @@ def test_scan_gradients_same_bits_for_every_tile_size(rng, dtype, monkeypatch):
 
 def test_plain_scan_keeps_no_state_history(rng):
     b, L, E, N = 6, 300, 48, 16
-    arrays = random_scan_inputs(rng, b, L, E, N, dtype=np.float32)
+    arrays = _scan_case(rng, b, L, E, N, np.float32)
     tiles = 2 * scan_tile_steps(b, L, E, N) * b * E * N * 4
     held, peak = traced_bytes(lambda: selective_scan(*arrays))
     assert held <= 2 * b * L * E * 4
@@ -324,7 +284,7 @@ def test_plain_scan_keeps_no_state_history(rng):
 def test_scan_gradient_matches_oracle_gradient(rng):
     """The fused adjoint must agree with the tape-derived oracle gradient."""
     b, L, E, N = 2, 17, 3, 4
-    arrays = random_scan_inputs(rng, b, L, E, N)
+    arrays = _scan_case(rng, b, L, E, N, np.float64)
     params = [Parameter(n, a.data, dtype=np.float64) for n, a in zip("udABCD", arrays)]
     seed = np.random.default_rng(7).standard_normal((b, L, E))
 
@@ -347,7 +307,7 @@ def test_scan_runtime_linear_in_length():
     one, and the median round is taken, so load from other processes that
     slows a few rounds does not move the result."""
     rng = np.random.default_rng(0)
-    short, long = (random_scan_inputs(rng, 1, L, 4, 4, dtype=np.float32) for L in (512, 4096))
+    short, long = (_scan_case(rng, 1, L, 4, 4, np.float32) for L in (512, 4096))
     ratios = []
     for _ in range(21):
         t0 = time.perf_counter()
@@ -383,8 +343,8 @@ def scanner_config(r, N=16):
     return TrainConfig(adapter_r=r, adapter_d_state=N, adapter_dilations=(1,))
 
 
-def make_block(rng, r=16, N=16, dtype=np.float32, prefix="blk"):
-    return SSMParams.init(scanner_config(r, N), rng, prefix).astype(dtype)
+def make_block(rng, r):
+    return SSMParams.init(scanner_config(r), rng, "blk").astype(np.float32)
 
 
 def test_block_shape_preservation(rng):
@@ -399,15 +359,6 @@ def test_block_identity_at_init(rng):
     seq = Tensor(rng.standard_normal((2, 12, 8)).astype(np.float32))
     out = mamba_block_forward(seq, params)
     assert np.array_equal(out.data, seq.data)
-
-
-def test_block_sequential_matches_fast(rng):
-    params = make_block(rng, r=6, N=4, dtype=np.float64)
-    params.w_out.data = rng.standard_normal(params.w_out.shape)
-    seq = Tensor(rng.standard_normal((2, 20, 6)), dtype=np.float64)
-    fast = mamba_block_forward(seq, params).data
-    slow = with_sequential_scan(mamba_block_forward, seq, params).data
-    np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
 
 
 def test_param_count_formula(rng):

@@ -1,23 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tpmamba import checkpoint
 from tpmamba.checkpoint import save_checkpoint
-from tpmamba.config import TrainConfig, to_flat_dict
+from tpmamba.config import to_flat_dict
 from tpmamba.data import gen_synth, load_record, preprocess
 from tpmamba.errors import ConfigError, InputError
+from tpmamba.selfcheck import TOY
 from tpmamba.train import build_model, evaluate_model, model_from_checkpoint, train
 
 
 def tiny_cfg(**kw):
-    base = dict(
-        C=8, n_heads=2, n_blocks=4, adapter_r=4, adapter_d_state=2,
-        lora_rank=2, lora_alpha=2.0, crop=(16, 32, 32), n_classes=3,
-        seed=11, lr_start=3e-3, weight_decay=1e-2,
-        flip=False, contrast=False, scale_jitter=False,
+    return dataclasses.replace(
+        TOY, crop=(16, 32, 32), n_classes=3, seed=11, lr_start=3e-3, flip=False, contrast=False, scale_jitter=False, **kw
     )
-    base.update(kw)
-    return TrainConfig(**base)
 
 
 @pytest.fixture(scope="module")
