@@ -4,6 +4,7 @@ ones, never a partial write."""
 from __future__ import annotations
 
 import contextlib
+import csv
 import os
 
 
@@ -20,3 +21,11 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Write the header row, then each of `rows`, as one atomic CSV write."""
+    with atomic_write(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 
-from .atomic import atomic_write
+from .atomic import write_csv
 from .config import TrainConfig, load_config
 from .data import gen_synth
 from .errors import CheckpointError, ConfigError, InputError, NumericError, ShapeError
@@ -135,15 +134,10 @@ def _run(args) -> int:
             val = gflops_estimate(kind, args.input, args.dim, args.rank)
             print(f"{kind:>15}: {val:10.4f} GFlops per block")
         if args.out:
-            rows = flops_sweep(args.input, args.dim, args.rank)
-            with atomic_write(args.out, "w", newline="") as f:
-                writer = csv.writer(f)
-                writer.writerow(["D", "H", "W", "tokens"] + list(ADAPTER_KINDS))
-                for row in rows:
-                    writer.writerow(
-                        [row["D"], row["H"], row["W"], row["tokens"]]
-                        + [f"{row[k]:.6f}" for k in ADAPTER_KINDS]
-                    )
+            sweep = flops_sweep(args.input, args.dim, args.rank)
+            sizes = ["D", "H", "W", "tokens"]
+            rows = ([*(row[k] for k in sizes), *(f"{row[k]:.6f}" for k in ADAPTER_KINDS)] for row in sweep)
+            write_csv(args.out, sizes + list(ADAPTER_KINDS), rows)
             print(f"sweep CSV: {args.out}")
         return 0
 

@@ -24,6 +24,7 @@ DEPTH_KERNEL = 3  # depth extent of the adapter's reduce, dilated and raise conv
 SSM_EXPAND = 2  # scanner channels over adapter.r
 SSM_D_CONV = 4  # width of the scanner's causal depthwise conv
 LR_END = 0.0  # the linear schedule decays lr_start toward this
+MAX_CLASSES = 256  # label volumes and predictions are u8
 
 # scan mode -> the planes it scans, summed in this order
 SCAN_MODES = {
@@ -86,8 +87,8 @@ class TrainConfig:
             raise ConfigError(f"need at least 4 blocks for the output taps, got n_blocks={self.n_blocks}")
         if self.n_classes < 2:
             raise ConfigError(f"need at least 2 classes, got n_classes={self.n_classes}")
-        if self.n_classes > 256:
-            raise ConfigError(f"labels are u8, so at most 256 classes, got n_classes={self.n_classes}")
+        if self.n_classes > MAX_CLASSES:
+            raise ConfigError(f"labels are u8, so at most {MAX_CLASSES} classes, got n_classes={self.n_classes}")
         if self.adapter_scan_mode not in SCAN_MODES:
             raise ConfigError(f"unknown adapter.scan_mode {self.adapter_scan_mode!r}; choose from {tuple(SCAN_MODES)}")
         n = len(self.adapter_dilations)
@@ -119,7 +120,7 @@ def _parse_value(raw: str, default):
     if isinstance(default, float):
         return float(raw)
     if isinstance(default, tuple):
-        return tuple(int(t) for t in raw.split(",") if t.strip())
+        return [int(t) for t in raw.split(",") if t.strip()]
     return raw
 
 
@@ -160,7 +161,7 @@ def from_flat_dict(flat: dict) -> TrainConfig:
 
 def parse_config_text(text: str) -> TrainConfig:
     """key=value lines over the defaults; '#' starts a comment; later keys win."""
-    flat = to_flat_dict(TrainConfig())
+    flat = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -171,13 +172,10 @@ def parse_config_text(text: str) -> TrainConfig:
         key = key.strip()
         if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        current = flat[key]
-        ref = tuple(current) if isinstance(current, list) else current
         try:
-            parsed = _parse_value(raw, ref)
+            flat[key] = _parse_value(raw, _FIELDS[key].default)
         except ValueError as e:
             raise ConfigError(f"line {lineno}: {key}={raw.strip()!r} does not parse: {e}") from None
-        flat[key] = list(parsed) if isinstance(parsed, tuple) else parsed
     return from_flat_dict(flat)
 
 

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .atomic import atomic_write
+from .config import MAX_CLASSES
 from .errors import InputError
 
 RVOL_MAGIC = b"RVOL"
@@ -293,8 +294,8 @@ def gen_synth(n: int, size: tuple, K: int, seed: int, out_dir) -> list[str]:
     """Write n deterministic synthetic volume/label RVOL pairs."""
     if min(size) < 32:
         raise InputError(f"synthetic volumes need extents >= 32, got {size}")
-    if not 2 <= K <= 256:
-        raise InputError(f"need 2 to 256 classes (labels are u8), got K={K}")
+    if not 2 <= K <= MAX_CLASSES:
+        raise InputError(f"need 2 to {MAX_CLASSES} classes (labels are u8), got K={K}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = []

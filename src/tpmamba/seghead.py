@@ -8,7 +8,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import tensor
-from .config import TrainConfig
+from .config import MAX_CLASSES, TrainConfig
 from .errors import InputError, ShapeError
 from .ops import conv3d, normalize, upsample_hw
 from .tensor import Module, Parameter, Tensor, concat, gelu, permute, uniform_init
@@ -258,8 +258,10 @@ def sliding_window_infer(
                 patch = padded[:, :, zs : zs + window[0], ys : ys + window[1], xs : xs + window[2]]
                 logits = np.asarray(model(patch))
                 if acc is None:
-                    if logits.shape[1] > 256:
-                        raise ShapeError(f"labels are u8, so at most 256 classes; the model gave {logits.shape[1]}")
+                    if logits.shape[1] > MAX_CLASSES:
+                        raise ShapeError(
+                            f"labels are u8, so at most {MAX_CLASSES} classes; the model gave {logits.shape[1]}"
+                        )
                     dtype = np.result_type(logits.dtype, np.float32)
                     weight = weight.astype(dtype)
                     acc = np.zeros((logits.shape[1], pD, pH, pW), dtype=dtype)

@@ -1,11 +1,12 @@
 """Built-in verification suites behind `tpmamba check` and the acceptance tests.
 
 `scan_oracle_errors` and `plane_roundtrip_exact` measure.  `GRAD_CASES` is
-the one table of finite-difference gradient checks: each case names what it
-checks, builds its f64 loss and parameters from its own generator, and
-carries its `max_coords` and tolerance; `run_grad_case` turns a case into an
+the one table of gradient checks: each case names what it checks, builds its
+f64 loss and parameters from its own generator (`case_rng`), and carries its
+`max_coords` and tolerance; `run_grad_case` turns a case into an
 `ops.grad_check` error.  The `grad` suite, a tier-1 test parametrized over
-the table and acceptance criteria 2 and 8 all run cases through it.  The
+the table and acceptance criteria 2 and 8 all run cases through it, and the
+tier-1 needs-grad contract test records every case under its masks.  The
 suites turn results into (name, passed, detail) triples, and the CLI prints
 one line per check and exits non-zero when anything fails.
 """
@@ -94,10 +95,14 @@ class GradCase:
     tolerance: float
 
 
+def case_rng(case: GradCase) -> np.random.Generator:
+    """A case's generator, seeded by its name, so cases that differ only in shape draw different data."""
+    return np.random.default_rng(zlib.crc32(case.name.encode()))
+
+
 def run_grad_case(case: GradCase) -> float:
-    """The case's worst relative error, on data from a generator seeded by
-    the case's name, so cases that differ only in shape draw different data."""
-    loss, params = case.build(np.random.default_rng(zlib.crc32(case.name.encode())))
+    """The case's worst relative error."""
+    loss, params = case.build(case_rng(case))
     return grad_check(loss, params, max_coords=case.max_coords)
 
 
@@ -189,11 +194,14 @@ def adapter_case(name: str, cfg: TrainConfig, depth: int, signal: float, max_coo
     return GradCase(name, partial(_tp_mamba_adapter, cfg=cfg, depth=depth, signal=signal), max_coords, 1e-3)
 
 
-# Every function that records a tape node appears in at least one case, and a
-# tier-1 test holds the table to that.
+# Every function that records a tape node appears in at least one case (a tier-1
+# test holds the table to that), and each primitive of several inputs in its own.
 GRAD_CASES = [
     _op_case("matmul", T.matmul, [(3, 4), (4, 2)], 64, 1e-6, loss="sum"),
     _op_case("matmul_batched", T.matmul, [(2, 3, 4), (4, 5)], 40, 1e-6, loss="square"),
+    _op_case("matmul_both_batched", T.matmul, [(2, 3, 4), (2, 4, 5)], 40, 1e-6, loss="square"),
+    _op_case("add_broadcast", T.add, [(2, 3, 4), (3, 1)], 16, 1e-7),
+    _op_case("mul_broadcast", T.mul, [(2, 3, 4), (1, 3, 4)], 16, 1e-7),
     *(
         _op_case(f"linear_{len(x)}d{'_bias' * bias}", T.linear, [x, (4, 5), 4][: 2 + bias], 24, 1e-7)
         for x in ((7, 5), (3, 6, 5), (4, 2, 3, 5))
@@ -207,6 +215,7 @@ GRAD_CASES = [
     _op_case("softmax_2d", partial(T.softmax, axis=1), [(3, 5)], 16, 1e-7),
     _op_case("softmax_3d", partial(T.softmax, axis=2), [(2, 3, 4)], 16, 1e-7),
     _op_case("concat_narrow_stack", _concat_narrow_stack, [(2, 3), (2, 4)], 16, 1e-7, loss="square"),
+    _op_case("stack", lambda a, b: T.stack([a, b], axis=0), [(3, 4), (3, 4)], 16, 1e-7, loss="square"),
     _op_case("conv3d_k333_d211", partial(conv3d, dilation=(2, 1, 1)), [(2, 2, 5, 4, 3), (3, 2, 3, 3, 3), 3], 24, 1e-7),
     _op_case("conv3d_k111", conv3d, [(2, 4, 3, 2, 5), (3, 4, 1, 1, 1), 3], 24, 1e-7),
     _op_case("conv3d_k111_b1", conv3d, [(1, 4, 3, 2, 5), (3, 4, 1, 1, 1), 3], 24, 1e-7),

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import checkpoint
-from .atomic import atomic_write
+from .atomic import write_csv
 from .checkpoint import load_into_model, save_checkpoint
 from .config import TrainConfig, from_flat_dict, to_flat_dict
 from .data import (
@@ -122,13 +121,8 @@ def train(
 
 
 def write_metrics_csv(path, rows: list[dict]) -> None:
-    with atomic_write(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "lr", "loss", "mean_dice"])
-        for row in rows:
-            writer.writerow(
-                [row["epoch"], f"{row['lr']:.10g}", f"{row['loss']:.10g}", f"{row['mean_dice']:.10g}"]
-            )
+    header = ["epoch", "lr", "loss", "mean_dice"]
+    write_csv(path, header, ([row["epoch"], *(f"{row[k]:.10g}" for k in header[1:])] for row in rows))
 
 
 def evaluate_model(
@@ -157,15 +151,8 @@ def evaluate_model(
 
 
 def write_eval_csv(path, rows: list[dict], K: int) -> None:
-    with atomic_write(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["volume"] + [f"class{k}" for k in range(1, K)] + ["mean"])
-        for row in rows:
-            writer.writerow(
-                [row["volume"]]
-                + [f"{s:.6f}" for s in row["scores"]]
-                + [f"{row['mean']:.6f}"]
-            )
+    header = ["volume", *(f"class{k}" for k in range(1, K)), "mean"]
+    write_csv(path, header, ([row["volume"], *(f"{s:.6f}" for s in [*row["scores"], row["mean"]])] for row in rows))
 
 
 def evaluate(ckpt_path, data_dir, out_csv) -> list[dict]:
