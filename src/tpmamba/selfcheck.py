@@ -200,6 +200,7 @@ GRAD_CASES = [
     _op_case("matmul", T.matmul, [(3, 4), (4, 2)], 64, 1e-6, loss="sum"),
     _op_case("matmul_batched", T.matmul, [(2, 3, 4), (4, 5)], 40, 1e-6, loss="square"),
     _op_case("matmul_both_batched", T.matmul, [(2, 3, 4), (2, 4, 5)], 40, 1e-6, loss="square"),
+    _op_case("matmul_shared", T.matmul, [(3, 4), (2, 4, 5)], 40, 1e-6, loss="square"),
     _op_case("add_broadcast", T.add, [(2, 3, 4), (3, 1)], 16, 1e-7),
     _op_case("mul_broadcast", T.mul, [(2, 3, 4), (1, 3, 4)], 16, 1e-7),
     *(
@@ -215,6 +216,8 @@ GRAD_CASES = [
     _op_case("softmax_2d", partial(T.softmax, axis=1), [(3, 5)], 16, 1e-7),
     _op_case("softmax_3d", partial(T.softmax, axis=2), [(2, 3, 4)], 16, 1e-7),
     _op_case("concat_narrow_stack", _concat_narrow_stack, [(2, 3), (2, 4)], 16, 1e-7, loss="square"),
+    _op_case("concat", lambda *ts: T.concat(ts, axis=1), [(2, 1, 4), (2, 3, 4), (2, 2, 4)], 16, 1e-7),
+    _op_case("narrow", lambda a: T.narrow(a, 1, 1, 2), [(2, 3, 4)], 16, 1e-7),
     _op_case("stack", lambda a, b: T.stack([a, b], axis=0), [(3, 4), (3, 4)], 16, 1e-7, loss="square"),
     _op_case("conv3d_k333_d211", partial(conv3d, dilation=(2, 1, 1)), [(2, 2, 5, 4, 3), (3, 2, 3, 3, 3), 3], 24, 1e-7),
     _op_case("conv3d_k111", conv3d, [(2, 4, 3, 2, 5), (3, 4, 1, 1, 1), 3], 24, 1e-7),

@@ -67,6 +67,11 @@ def recording_functions(*modules) -> set[str]:
     }
 
 
+def recorder_of(node) -> str:
+    """`module.name` of the function that recorded a tape node."""
+    return f"{node.backward.__module__}.{node.backward.__qualname__.split('.')[0]}"
+
+
 def recorders_of(tape) -> set[str]:
     """`module.name` of the function that recorded each of the tape's nodes."""
-    return {f"{n.backward.__module__}.{n.backward.__qualname__.split('.')[0]}" for n in tape.nodes}
+    return {recorder_of(n) for n in tape.nodes}

@@ -8,6 +8,7 @@ bit-identical to the ones they get when every parameter is trainable.
 import numpy as np
 import pytest
 
+from model_helpers import recorder_of
 from tpmamba import ssm
 from tpmamba import tensor as T
 from tpmamba.selfcheck import GRAD_CASES, case_rng
@@ -35,6 +36,25 @@ def test_scan_case_spans_several_tiles_of_several_steps(monkeypatch):
             steps = tile_steps(b, L, E, N)
             tiles = [min(steps, L - t) for t in range(0, L, steps)]
             assert len(tiles) >= 2 and min(tiles) >= 2, f"{name}: tiles of {tiles} steps"
+
+
+def test_cases_cover_every_recording_function():
+    # test_ops holds GRAD_CASES to recording every such function; the masks
+    # also freeze each input of a primitive independently, so each function
+    # that records a node of several inputs takes them, in some case, straight
+    # from distinct parameters
+    several, direct = set(), set()
+    for case in GRAD_CASES:
+        loss_fn, params = case.build(case_rng(case))
+        with recording() as tape:
+            loss_fn()
+        for node in tape.nodes:
+            if sum(ref is not None for ref in node.inputs) >= 2:
+                several.add(recorder_of(node))
+            leaves = {id(ref) for ref in node.inputs}
+            if len(leaves) == len(node.inputs) >= 2 and leaves <= {id(p) for p in params}:
+                direct.add(recorder_of(node))
+    assert several <= direct, f"no case feeds these straight from parameters: {sorted(several - direct)}"
 
 
 def _checked(backward, refs):
