@@ -18,7 +18,8 @@ from .errors import ConfigError
 
 # Values the paper fixes (SAM's ViT-B/16 backbone, Mamba scanner blocks, the
 # learning-rate schedule); no config key sets them.
-PATCH = 16  # patch-embedding side; the decoder's four 2x stages undo it
+PATCH = 16  # patch-embedding side; the decoder's log2(PATCH) 2x stages undo it
+N_TAPS = 4  # the decoder fuses the outputs of the last N_TAPS encoder blocks
 MLP_RATIO = 4  # ViT MLP width over C
 DEPTH_KERNEL = 3  # depth extent of the adapter's reduce, dilated and raise convs
 SSM_EXPAND = 2  # scanner channels over adapter.r
@@ -83,8 +84,8 @@ class TrainConfig:
                 raise ConfigError(f"{_key_of(name)} must be positive, got {val}")
         if self.C % self.n_heads != 0:
             raise ConfigError(f"C={self.C} not divisible by n_heads={self.n_heads}")
-        if self.n_blocks < 4:
-            raise ConfigError(f"need at least 4 blocks for the output taps, got n_blocks={self.n_blocks}")
+        if self.n_blocks < N_TAPS:
+            raise ConfigError(f"need at least {N_TAPS} blocks for the output taps, got n_blocks={self.n_blocks}")
         if self.n_classes < 2:
             raise ConfigError(f"need at least 2 classes, got n_classes={self.n_classes}")
         if self.n_classes > MAX_CLASSES:

@@ -100,10 +100,6 @@ def load_record(volume_path, label_path=None) -> VolumeRecord:
         labels, _ = read_rvol(label_path)
         if labels.dtype != np.uint8:
             raise InputError(f"{label_path}: labels must be stored as u8, got {labels.dtype}")
-        if labels.shape != voxels.shape:
-            raise InputError(
-                f"label grid {labels.shape} does not match volume {voxels.shape}"
-            )
     return VolumeRecord(voxels=voxels.astype(np.float32), spacing=spacing, labels=labels)
 
 

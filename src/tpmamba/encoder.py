@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MLP_RATIO, PATCH, TrainConfig
+from .config import MLP_RATIO, N_TAPS, PATCH, TrainConfig
 from .errors import ShapeError
 from .ops import normalize
 from .tensor import (
@@ -181,7 +181,7 @@ def vit_block_forward(F: Tensor, blk: ViTBlock) -> Tensor:
 
 
 def encoder_forward(X: Tensor, enc: Encoder) -> list[Tensor]:
-    """Chain all blocks; return the feature taps of the last four blocks."""
+    """Chain all blocks; return the feature taps of the last N_TAPS blocks."""
     F = patch_embed_slices(X, enc)
     if F.shape[3:] != enc.pos.shape[2:]:
         raise ShapeError(f"feature grid {F.shape[3:]} does not match positional embedding {enc.pos.shape[2:]}")
@@ -189,6 +189,6 @@ def encoder_forward(X: Tensor, enc: Encoder) -> list[Tensor]:
     taps = []
     for i, blk in enumerate(enc.blocks):
         F = vit_block_forward(F, blk)
-        if i >= len(enc.blocks) - 4:
+        if i >= len(enc.blocks) - N_TAPS:
             taps.append(F)
     return taps

@@ -8,13 +8,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import tensor
-from .config import MAX_CLASSES, TrainConfig
+from .config import MAX_CLASSES, N_TAPS, PATCH, TrainConfig
 from .errors import InputError, ShapeError
 from .ops import conv3d, normalize, upsample_hw
 from .tensor import Module, Parameter, Tensor, concat, gelu, permute, uniform_init
 
 DICE_EPS = 1e-5
-DECODER_STAGES = 4  # 2x upsampling stages: 2**4 recovers the patch side, config.PATCH
+DECODER_STAGES = PATCH.bit_length() - 1  # 2x upsampling stages: 2**DECODER_STAGES recovers PATCH
 WINDOW_OVERLAP = 0.5  # fraction of a sliding window shared with its neighbour
 GAUSSIAN_SIGMA_SCALE = 0.125  # blending weight sigma per window extent
 
@@ -29,8 +29,8 @@ class DecoderStage(Module):
 
 @dataclass
 class Decoder(Module):
-    """Four conv+norm+GELU stages with a 2x upsample between each pair and
-    one after the 1x1x1 head recover the patch-downsampled H,W.
+    """DECODER_STAGES conv+norm+GELU stages with a 2x upsample between each
+    pair and one after the 1x1x1 head recover the patch-downsampled H,W.
 
     Depth is never downsampled by the slice-wise encoder, so only H and W are
     upsampled; the k=3 stage convolutions provide inter-slice mixing.  Stage
@@ -53,8 +53,8 @@ class Decoder(Module):
         def par(name, data):
             return Parameter(f"decoder.{name}", data)
 
-        reduce_w = par("reduce.weight", uniform_init(rng, (widths[0], 4 * C, 1, 1, 1), 4 * C))
-        reduce_b = par("reduce.bias", uniform_init(rng, (widths[0],), 4 * C))
+        reduce_w = par("reduce.weight", uniform_init(rng, (widths[0], N_TAPS * C, 1, 1, 1), N_TAPS * C))
+        reduce_b = par("reduce.bias", uniform_init(rng, (widths[0],), N_TAPS * C))
         stages = []
         for i, cin in enumerate(widths):
             cout = widths[min(i + 1, DECODER_STAGES - 1)]
@@ -76,13 +76,13 @@ class Decoder(Module):
 
 
 def decoder_forward(taps: list[Tensor], dec: Decoder) -> Tensor:
-    """Fuse 4 encoder taps (B, D, C, h, w) into full-resolution logits."""
-    if len(taps) != 4:
-        raise ShapeError(f"decoder expects 4 taps, got {len(taps)}")
+    """Fuse N_TAPS encoder taps (B, D, C, h, w) into full-resolution logits."""
+    if len(taps) != N_TAPS:
+        raise ShapeError(f"decoder expects {N_TAPS} taps, got {len(taps)}")
     shapes = {tuple(t.shape) for t in taps}
     if len(shapes) != 1:
         raise ShapeError(f"tap shapes differ: {sorted(shapes)}")
-    x = permute(concat(taps, axis=2), (0, 2, 1, 3, 4))  # (B, 4C, D, h, w)
+    x = permute(concat(taps, axis=2), (0, 2, 1, 3, 4))  # (B, N_TAPS*C, D, h, w)
     x = conv3d(x, dec.reduce_w, dec.reduce_b)
     for i, stage in enumerate(dec.stages):
         if i:
@@ -258,6 +258,7 @@ def sliding_window_infer(
                 patch = padded[:, :, zs : zs + window[0], ys : ys + window[1], xs : xs + window[2]]
                 logits = np.asarray(model(patch))
                 if acc is None:
+                    # checked on the first window, so it fails before the (K, D, H, W) accumulators exist
                     if logits.shape[1] > MAX_CLASSES:
                         raise ShapeError(
                             f"labels are u8, so at most {MAX_CLASSES} classes; the model gave {logits.shape[1]}"

@@ -3,7 +3,7 @@
 Values are numpy arrays in row-major order (f32 for training, f64 for the
 check suites).  Every differentiable primitive records a node on the active
 tape when one of its inputs requires a gradient; replaying the tape in reverse
-order accumulates gradients into the trainable leaves.  A node's backward
+order writes the gradients of the trainable leaves.  A node's backward
 returns a gradient for exactly the inputs that require one and None for the
 rest, whose work it skips.  Its closure keeps shapes, flags and only the
 arrays its formula reads: a one-input activation keeps one (gelu and silu
@@ -159,10 +159,10 @@ class Tape:
         return t if t.requires_grad else None
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into .grad of every trainable leaf.
-
-        A tape replays once: each node's closure and input references are
-        dropped as soon as its turn comes, so its arrays can be freed."""
+        """Write d(loss)/d(leaf) to .grad of every trainable leaf it reaches,
+        after refusing any whose .grad an earlier backward left set.  A tape
+        replays once, dropping each node's closure and input references as
+        its turn comes, so its arrays can be freed."""
         if self.replayed:
             raise RuntimeError("this tape was already replayed; record a new one")
         self.replayed = True
@@ -184,8 +184,10 @@ class Tape:
                     grads[key] = ig
                     if key is not ref:
                         leaves[key] = ref
+        if stale := [repr(t) for t in leaves.values() if t.grad is not None]:
+            raise RuntimeError(f"clear .grad before a new backward; still set on {', '.join(stale)}")
         for key, t in leaves.items():
-            t.grad = grads[key].copy() if t.grad is None else t.grad + grads[key]
+            t.grad = grads[key].copy()
 
 
 _ACTIVE_TAPE: Optional[Tape] = None

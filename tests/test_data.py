@@ -196,6 +196,33 @@ def _unit_record(rng, shape=(96, 96, 96)):
     return VolumeRecord(voxels=vox, spacing=(1, 1, 1), labels=labels)
 
 
+def _box_record(box):
+    """A 40^3 record, 1.0 and label 1 inside `box`, 0 outside."""
+    vox = np.zeros((40, 40, 40), dtype=np.float32)
+    labels = np.zeros((40, 40, 40), dtype=np.uint8)
+    vox[box], labels[box] = 1.0, 1
+    return VolumeRecord(voxels=vox, spacing=(1, 1, 1), labels=labels)
+
+
+class ScriptedRng:
+    """Stands in for `augment`'s generator: every uniform draw (scale factor,
+    contrast gamma) is `u`, every crop starts at 0, and the flip draws fire
+    on `flip_axes` only."""
+
+    def __init__(self, u=1.0, flip_axes=()):
+        self.u = u
+        self.flips = iter([0.0 if ax in flip_axes else 1.0 for ax in range(3)])
+
+    def uniform(self, lo, hi):
+        return self.u
+
+    def integers(self, lo, hi):
+        return 0
+
+    def random(self):
+        return next(self.flips)
+
+
 def test_augment_disabled_is_identity(rng):
     rec = _unit_record(rng, (96, 96, 96))
     cfg = AugmentConfig(crop=(96, 96, 96), flip=False, contrast=False, scale_jitter=False)
@@ -212,19 +239,8 @@ def test_double_flip_is_identity(rng):
 
 def test_augment_contrast_gamma_one_identity(rng):
     rec = _unit_record(rng, (40, 40, 40))
-
-    class FixedRng:
-        def uniform(self, lo, hi):
-            return 1.0  # gamma = 1
-
-        def integers(self, lo, hi):
-            return 0
-
-        def random(self):
-            return 1.0  # never flip
-
     cfg = AugmentConfig(crop=(40, 40, 40), flip=True, contrast=True, scale_jitter=False)
-    out = augment(rec, FixedRng(), cfg)
+    out = augment(rec, ScriptedRng(u=1.0), cfg)  # gamma = 1, no flip
     np.testing.assert_allclose(out.voxels, rec.voxels, atol=1e-6)
 
 
@@ -236,16 +252,24 @@ def test_augment_crop_and_pad(rng):
     assert out.labels.shape == (32, 32, 32)
 
 
-def test_augment_labels_follow_voxels(rng):
-    vox = np.zeros((40, 40, 40), dtype=np.float32)
-    labels = np.zeros((40, 40, 40), dtype=np.uint8)
-    vox[10:20, 5:15, 25:35] = 1.0
-    labels[10:20, 5:15, 25:35] = 1
-    rec = VolumeRecord(voxels=vox, spacing=(1, 1, 1), labels=labels)
+@pytest.mark.parametrize("flip_axes", [(0,), (1,), (2,), (0, 1, 2)], ids=["d", "h", "w", "dhw"])
+def test_augment_labels_follow_voxels(flip_axes):
+    rec = _box_record(np.s_[10:20, 5:15, 25:35])
     cfg = AugmentConfig(crop=(32, 32, 32), flip=True, contrast=False, scale_jitter=False)
-    out = augment(rec, np.random.default_rng(9), cfg)
-    # label mask must still coincide with the bright voxels
+    out = augment(rec, ScriptedRng(flip_axes=flip_axes), cfg)
+    # the flips fired, and the label mask still coincides with the bright voxels
+    np.testing.assert_array_equal(out.voxels, np.flip(rec.voxels[:32, :32, :32], flip_axes))
     np.testing.assert_array_equal(out.labels == 1, out.voxels > 0.5)
+
+
+@pytest.mark.parametrize("f", [0.9, 1.1])
+def test_augment_scale_jitter_resamples_the_labels(f):
+    rec = _box_record(np.s_[18:28, 6:16, 12:22])
+    cfg = AugmentConfig(crop=(32, 32, 32), flip=False, contrast=False, scale_jitter=True)
+    out = augment(rec, ScriptedRng(u=f), cfg)
+    # linear voxels and nearest labels differ only at the box's edges
+    fg, bright = out.labels == 1, out.voxels > 0.5
+    assert (fg & bright).sum() / (fg | bright).sum() >= 0.95
 
 
 def test_augment_refuses_unlabelled_record(rng):

@@ -14,12 +14,16 @@ def test_first_step_moves_by_lr():
     np.testing.assert_allclose(p.data, -1e-2, rtol=1e-6)
 
 
-def test_decoupled_decay_with_zero_grad():
+@pytest.mark.parametrize("grad", [np.zeros(3), None], ids=["zeros", "None"])
+def test_decoupled_decay_with_zero_grad(grad):
+    # A parameter no node reached (None, as in a single-plane scan mode) steps
+    # exactly as one with a zero gradient: by the decay alone.
     p = Parameter("p", np.full(3, 2.0, dtype=np.float64), dtype=np.float64)
-    p.grad = np.zeros(3)
+    p.grad = grad
     state = AdamWState([p])
     adamw_step([p], state, lr=0.1, weight_decay=0.5)
-    np.testing.assert_allclose(p.data, 2.0 * (1 - 0.1 * 0.5), rtol=1e-12)
+    np.testing.assert_array_equal(p.data, np.full(3, 2.0 - 0.1 * 0.5 * 2.0))
+    assert not state.m["p"].any() and not state.v["p"].any()
 
 
 def test_frozen_untouched():

@@ -262,6 +262,18 @@ def test_gaussian_importance_properties():
     assert g.min() > 0.0
 
 
+def test_gaussian_importance_closed_form():
+    # sigma = extent / 8 per axis, so the weight at distance d from an
+    # extent-n window's centre falls as exp(-32 d^2 / n^2); every extent here
+    # is even, so the peak, scaled to 1, sits at d = 1/2
+    window = (4, 6, 8)
+    expected = np.ones(window)
+    for ax, n in enumerate(window):
+        d = np.arange(n) - (n - 1) / 2
+        expected = expected * np.expand_dims(np.exp(-32 * (d**2 - 0.25) / n**2), [a for a in range(3) if a != ax])
+    np.testing.assert_allclose(gaussian_importance(window), expected, rtol=1e-12)
+
+
 def test_sliding_window_single_window_equals_direct(rng):
     calls = []
 
