@@ -27,7 +27,8 @@ SSM_D_CONV = 4  # width of the scanner's causal depthwise conv
 LR_END = 0.0  # the linear schedule decays lr_start toward this
 MAX_CLASSES = 256  # label volumes and predictions are u8
 
-# scan mode -> the planes it scans, summed in this order
+# scan mode -> the planes it scans, summed in this order; an adapter builds one
+# scanner per plane, in this order, and no other
 SCAN_MODES = {
     "tri_plane": ("hw", "dw", "dh"),
     "hw_only": ("hw",),

@@ -23,6 +23,7 @@ from .errors import InputError
 
 RVOL_MAGIC = b"RVOL"
 RVOL_HEADER_BYTES = 29  # magic, 3 x u32 extents, 3 x f32 spacings, u8 dtype code
+RVOL_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("u1")}  # dtype code -> payload dtype
 HU_LO, HU_HI = -200.0, 250.0
 CONTRAST_RANGE = (0.7, 1.3)  # augmentation gamma about the mean intensity
 SCALE_RANGE = (0.9, 1.1)  # augmentation isotropic resampling factor
@@ -56,11 +57,8 @@ class VolumeRecord:
 
 def write_rvol(path, array: np.ndarray, spacing: tuple) -> None:
     arr = np.ascontiguousarray(array)
-    if arr.dtype == np.float32:
-        code = 0
-    elif arr.dtype == np.uint8:
-        code = 1
-    else:
+    code = {dtype: c for c, dtype in RVOL_DTYPES.items()}.get(arr.dtype)
+    if code is None:
         raise InputError(f"RVOL stores f32 or u8 arrays, got {arr.dtype}")
     with atomic_write(path) as f:
         f.write(RVOL_MAGIC)
@@ -83,7 +81,7 @@ def read_rvol(path) -> tuple[np.ndarray, tuple]:
     d, h, w = struct.unpack_from("<3I", blob, 4)
     spacing = struct.unpack_from("<3f", blob, 16)
     (code,) = struct.unpack_from("<B", blob, 28)
-    dtype = {0: np.dtype("<f4"), 1: np.dtype("u1")}.get(code)
+    dtype = RVOL_DTYPES.get(code)
     if dtype is None:
         raise InputError(f"{path}: unknown dtype code {code}")
     expected = RVOL_HEADER_BYTES + d * h * w * dtype.itemsize
@@ -100,7 +98,11 @@ def load_record(volume_path, label_path=None) -> VolumeRecord:
         labels, _ = read_rvol(label_path)
         if labels.dtype != np.uint8:
             raise InputError(f"{label_path}: labels must be stored as u8, got {labels.dtype}")
-    return VolumeRecord(voxels=voxels.astype(np.float32), spacing=spacing, labels=labels)
+    try:
+        return VolumeRecord(voxels=voxels.astype(np.float32), spacing=spacing, labels=labels)
+    except InputError as e:
+        files = volume_path if label_path is None else f"{volume_path} with {label_path}"
+        raise InputError(f"{files}: {e}") from e
 
 
 def list_dataset(data_dir) -> list[tuple[Path, Optional[Path]]]:

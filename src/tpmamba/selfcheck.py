@@ -160,7 +160,7 @@ def _reduce_dim(rng):
 
 def _tp_mamba_adapter(rng, cfg, depth, signal):
     adapter = TPMambaAdapter.init(cfg, rng, "tp")
-    for p in (adapter.raise_w, adapter.phi_hw.w_out, adapter.phi_dw.w_out, adapter.phi_dh.w_out):
+    for p in (adapter.raise_w, *(phi.w_out for phi in adapter.scanners)):
         p.data = signal * rng.standard_normal(p.shape)
     F = Tensor(rng.standard_normal((1, depth, cfg.C, 2, 2)), dtype=np.float64)
     return _loss(rng, lambda: tp_mamba_forward(F, adapter), "weighted"), adapter.parameters()
@@ -169,7 +169,7 @@ def _tp_mamba_adapter(rng, cfg, depth, signal):
 def _vit_block(rng):
     blk = Encoder.init(TOY, rng).blocks[0]
     ad = blk.adapter
-    for p in (ad.raise_w, blk.q.b_lora, blk.v.b_lora, ad.phi_hw.w_out, ad.phi_dw.w_out, ad.phi_dh.w_out):
+    for p in (ad.raise_w, blk.q.b_lora, blk.v.b_lora, *(phi.w_out for phi in ad.scanners)):
         p.data = 0.2 * rng.standard_normal(p.shape)
     F = Tensor(rng.standard_normal((1, 3, 8, 2, 2)), dtype=np.float64)
     return _loss(rng, lambda: vit_block_forward(F, blk), "weighted"), blk.partition()[0]

@@ -3,11 +3,12 @@
 Takes slice-major feature maps (B, D, C, h, w), reduces the channel
 width to a small rank r with a depth-wise (k,1,1) convolution, widens the
 depth receptive field with four parallel dilated convolutions, scans the
-volume as flattened sequences along the height-width, depth-width and
-depth-height planes with three independent scanner blocks, sums the three
-plane contributions, raises the width back to C and adds the result onto the
-input.  The raise convolution is zero-initialised so a fresh adapter is the
-identity map.
+volume as flattened sequences along the planes of its scan mode (the
+height-width, depth-width and depth-height planes for `tri_plane`) with one
+independent scanner block per plane, sums the plane contributions, raises the
+width back to C and adds the result onto the input.  An adapter holds only
+the scanners its mode runs.  The raise convolution is zero-initialised so a
+fresh adapter is the identity map.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ class TPMambaAdapter(Module):
     reduce_b: Parameter
     branch_ws: list
     branch_bs: list
-    phi_hw: SSMParams
-    phi_dw: SSMParams
-    phi_dh: SSMParams
+    scanners: list  # one SSMParams per plane of SCAN_MODES[cfg.adapter_scan_mode]
     raise_w: Parameter
     raise_b: Parameter
 
@@ -56,9 +55,8 @@ class TPMambaAdapter(Module):
             reduce_b=par("reduce.bias", uniform_init(rng, (r,), C * k)),
             branch_ws=branch_ws,
             branch_bs=branch_bs,
-            phi_hw=SSMParams.init(cfg, rng, f"{prefix}.phi_hw"),
-            phi_dw=SSMParams.init(cfg, rng, f"{prefix}.phi_dw"),
-            phi_dh=SSMParams.init(cfg, rng, f"{prefix}.phi_dh"),
+            scanners=[SSMParams.init(cfg, rng, f"{prefix}.phi_{plane}")
+                      for plane in SCAN_MODES[cfg.adapter_scan_mode]],
             # zero raise conv: a fresh adapter leaves the backbone untouched
             raise_w=par("raise.weight", np.zeros((C, r, k, 1, 1))),
             raise_b=par("raise.bias", np.zeros((C,))),
@@ -116,19 +114,13 @@ def plane_unflatten(seq: Tensor, mode: str, dims: tuple) -> Tensor:
 
 
 def scan_stage(G: Tensor, adapter: TPMambaAdapter) -> Tensor:
-    """Plane scans of (B,r,D,h,w) in the adapter's scan mode; tri_plane sums
-    hw + dw + dh contributions.
-
-    The volume_flatten variant reuses the hw scanner on the fully flattened
-    sequence (it is a single-scan ablation, not a fourth parameter set).
-    """
+    """Plane scans of (B,r,D,h,w) in the adapter's scan mode, each by its own
+    scanner; tri_plane sums hw + dw + dh contributions."""
     dims = tuple(G.shape)
-    scanners = {"hw": adapter.phi_hw, "dw": adapter.phi_dw, "dh": adapter.phi_dh,
-                "volume": adapter.phi_hw}
     out = None
-    for plane in SCAN_MODES[adapter.cfg.adapter_scan_mode]:
+    for plane, phi in zip(SCAN_MODES[adapter.cfg.adapter_scan_mode], adapter.scanners, strict=True):
         seq = plane_flatten(G, plane)
-        scanned = mamba_block_forward(seq, scanners[plane])
+        scanned = mamba_block_forward(seq, phi)
         contrib = plane_unflatten(scanned, plane, dims)
         out = contrib if out is None else add(out, contrib)
     return out

@@ -14,7 +14,7 @@ import inspect
 import pytest
 
 from tpmamba import encoder, ssm
-from tpmamba.config import DEPTH_KERNEL, SSM_D_CONV, SSM_EXPAND, auto_dt_rank
+from tpmamba.config import DEPTH_KERNEL, SCAN_MODES, SSM_D_CONV, SSM_EXPAND, auto_dt_rank
 from tpmamba.triplane import scan_stage
 
 
@@ -26,11 +26,13 @@ def param_count_ssm(cfg) -> int:
 
 
 def param_count_adapter(cfg) -> int:
-    """Parameters of one adapter: reduce + dilated branches + 3 scanners + raise."""
+    """Parameters of one adapter: reduce + dilated branches + one scanner per
+    plane of its scan mode + raise."""
     C, r, k = cfg.C, cfg.adapter_r, DEPTH_KERNEL
     n = len(cfg.adapter_dilations)
     rb = r // n
-    return (k * C * r + r) + n * (k * r * rb + rb) + 3 * param_count_ssm(cfg) + (k * r * C + C)
+    n_scan = len(SCAN_MODES[cfg.adapter_scan_mode])
+    return (k * C * r + r) + n * (k * r * rb + rb) + n_scan * param_count_ssm(cfg) + (k * r * C + C)
 
 
 def without_adapters(fn, *args):
@@ -48,9 +50,12 @@ def with_sequential_scan(fn, *args):
 
 
 def scan_in_mode(G, adapter, mode):
-    """The adapter's scan stage in another scan mode, on the same parameters."""
+    """The adapter's scan stage in another scan mode, on the same parameters:
+    each plane of `mode` is scanned by the adapter's own scanner for it."""
+    by_plane = dict(zip(SCAN_MODES[adapter.cfg.adapter_scan_mode], adapter.scanners))
     cfg = dataclasses.replace(adapter.cfg, adapter_scan_mode=mode)
-    return scan_stage(G, dataclasses.replace(adapter, cfg=cfg))
+    scanners = [by_plane[plane] for plane in SCAN_MODES[mode]]
+    return scan_stage(G, dataclasses.replace(adapter, cfg=cfg, scanners=scanners))
 
 
 def recording_functions(*modules) -> set[str]:

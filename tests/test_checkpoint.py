@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import struct
 import zlib
 
@@ -15,6 +16,7 @@ from tpmamba.config import TrainConfig, to_flat_dict
 from tpmamba.errors import CheckpointError, ConfigError
 from tpmamba.model import SegModel
 from tpmamba.selfcheck import TOY
+from tpmamba.tensor import Module, Parameter
 from tpmamba.train import model_from_checkpoint
 
 
@@ -106,6 +108,38 @@ def _write_raw(path, header: dict, payload: bytes) -> None:
         header["payload_crc32"] = zlib.crc32(payload) & 0xFFFFFFFF
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, len(raw)) + raw + payload)
+
+
+@dataclasses.dataclass
+class _Params(Module):
+    params: list
+
+
+@pytest.mark.parametrize(
+    "header_edit, entry_edit, tail, model_names, message",
+    [
+        pytest.param({"manifest": {}}, {}, b"", ["w"], "manifest is not a list", id="manifest_not_a_list"),
+        pytest.param({}, {"byte_offset": 4}, b"", ["w"], "manifest offsets have gaps at w", id="offset_gap"),
+        pytest.param({}, {"byte_len": 16}, b"", ["w"], "truncated payload at tensor w", id="past_payload"),
+        pytest.param({}, {"dtype": "f16"}, b"", ["w"], "tensor w has unknown dtype f16", id="unknown_dtype"),
+        pytest.param({}, {}, bytes(4), ["w"], "payload has 4 unaccounted bytes", id="unaccounted_bytes"),
+        pytest.param({}, {}, b"", ["w", "v"], "missing tensor v", id="missing_tensor"),
+        pytest.param({}, {}, b"", [], "unknown tensor w", id="unknown_tensor"),
+    ],
+)
+def test_malformed_checkpoint_is_checkpoint_error_naming_the_file(
+    tmp_path, rng, header_edit, entry_edit, tail, model_names, message
+):
+    """Each row breaks one rule of the manifest or of the name match; a row's
+    model takes the unbroken checkpoint."""
+    header, payload = _valid_header(rng)
+    header["manifest"][0].update(entry_edit)
+    header.update(header_edit)
+    path = tmp_path / "b.ckpt"
+    _write_raw(path, header, payload + tail)
+    model = _Params([Parameter(name, np.zeros(3, dtype=np.float32)) for name in model_names])
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
+        load_into_model(model, load_checkpoint(path)[0], path)
 
 
 @pytest.mark.parametrize("length", [4, 8, 11])

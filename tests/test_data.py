@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from strategies import damaged_bytes
 from tpmamba.data import (
+    RVOL_HEADER_BYTES,
     AugmentConfig,
     VolumeRecord,
     augment,
@@ -65,6 +68,30 @@ def test_rvol_short_header_is_input_error(tmp_path, length):
     path.write_bytes(path.read_bytes()[:length])
     with pytest.raises(InputError, match="truncated header"):
         read_rvol(path)
+
+
+def _write_f64(path):
+    write_rvol(path, np.zeros((2, 2, 2)), (1.0, 1.0, 1.0))
+
+
+def _read_code_9(path):
+    write_rvol(path, np.zeros((2, 2, 2), dtype=np.float32), (1.0, 1.0, 1.0))
+    blob = bytearray(path.read_bytes())
+    blob[RVOL_HEADER_BYTES - 1] = 9  # the dtype code
+    path.write_bytes(bytes(blob))
+    read_rvol(path)
+
+
+@pytest.mark.parametrize(
+    "io, message",
+    [
+        pytest.param(_write_f64, "RVOL stores f32 or u8 arrays, got float64", id="write_other_dtype"),
+        pytest.param(_read_code_9, "unknown dtype code 9", id="read_unknown_code"),
+    ],
+)
+def test_rvol_dtype_outside_the_code_table_is_input_error(tmp_path, io, message):
+    with pytest.raises(InputError, match=message):
+        io(tmp_path / "x.img.rvol")
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +177,15 @@ def test_load_record_rejects_labels_not_stored_as_u8(tmp_path):
     write_rvol(vol, np.zeros((1, 1, 2), dtype=np.float32), (1.0, 1.0, 1.0))
     write_rvol(lab, np.array([[[0.7, 1.7]]], dtype=np.float32), (1.0, 1.0, 1.0))
     with pytest.raises(InputError, match="u8"):
+        load_record(vol, lab)
+
+
+def test_load_record_rejects_label_grid_mismatch(tmp_path):
+    """A misaligned label file is refused, naming the pair it came from."""
+    vol, lab = tmp_path / "v.img.rvol", tmp_path / "v.lbl.rvol"
+    write_rvol(vol, np.zeros((2, 2, 2), dtype=np.float32), (1.0, 1.0, 1.0))
+    write_rvol(lab, np.zeros((2, 2, 1), dtype=np.uint8), (1.0, 1.0, 1.0))
+    with pytest.raises(InputError, match=re.escape(f"{vol} with {lab}: labels grid")):
         load_record(vol, lab)
 
 

@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from model_helpers import scan_in_mode
+from model_helpers import param_count_adapter
 from tpmamba.config import DEPTH_KERNEL
 from tpmamba.errors import ConfigError, ShapeError
 from tpmamba.selfcheck import TOY
-from tpmamba.tensor import Tensor
+from tpmamba.tensor import Tensor, recording, tsum
 from tpmamba.triplane import (
     TPMambaAdapter,
     multiscale_depth_conv,
@@ -150,40 +150,23 @@ def test_single_scale_depth_conv(rng):
 
 @pytest.mark.parametrize("mode", ["tri_plane", "hw_only", "dw_only", "dh_only", "volume_flatten"])
 def test_forward_shape_all_modes(rng, mode):
+    """Each mode holds only the scanners it runs: every parameter is counted
+    by the closed form and gets a gradient."""
     adapter = make_adapter(rng, C=8, r=4, scan_mode=mode)
+    assert sum(p.size for p in adapter.parameters()) == param_count_adapter(adapter.cfg)
     F = Tensor(rng.standard_normal((2, 3, 8, 2, 2)).astype(np.float32))
-    out = tp_mamba_forward(F, adapter)
+    with recording() as tape:
+        out = tp_mamba_forward(F, adapter)
+        loss = tsum(out)
     assert out.shape == F.shape
-
-
-def nonzero_adapter(rng, **kw):
-    """Adapter with all zero-inits replaced so every path carries signal."""
-    adapter = make_adapter(rng, **kw)
-    scale = 0.3
-    adapter.raise_w.data = scale * rng.standard_normal(adapter.raise_w.shape).astype(
-        adapter.raise_w.data.dtype
-    )
-    adapter.raise_b.data = scale * rng.standard_normal(adapter.raise_b.shape).astype(
-        adapter.raise_b.data.dtype
-    )
-    for phi in (adapter.phi_hw, adapter.phi_dw, adapter.phi_dh):
-        phi.w_out.data = scale * rng.standard_normal(phi.w_out.shape).astype(
-            phi.w_out.data.dtype
-        )
-    return adapter
-
-
-def test_mode_consistency_eq3(rng):
-    """tri_plane scan stage == hw + dw + dh contributions, same parameters."""
-    adapter = nonzero_adapter(rng, C=8, r=4, dtype=np.float64)
-    G = Tensor(rng.standard_normal((2, 4, 3, 2, 3)), dtype=np.float64)
-    tri = scan_in_mode(G, adapter, "tri_plane").data
-    parts = sum(scan_in_mode(G, adapter, m).data for m in ("hw_only", "dw_only", "dh_only"))
-    np.testing.assert_allclose(tri, parts, rtol=1e-6)
+    tape.backward(loss)
+    assert [p.name for p in adapter.parameters() if p.grad is None] == []
 
 
 def test_distinct_scanner_parameter_sets(rng):
     adapter = make_adapter(rng, C=8, r=4)
-    ids = {id(adapter.phi_hw), id(adapter.phi_dw), id(adapter.phi_dh)}
-    assert len(ids) == 3
-    assert not np.array_equal(adapter.phi_hw.w_in.data, adapter.phi_dw.w_in.data)
+    hw, dw, _ = adapter.scanners
+    assert [phi.w_in.name for phi in adapter.scanners] == ["tp.phi_hw.w_in", "tp.phi_dw.w_in", "tp.phi_dh.w_in"]
+    assert not np.array_equal(hw.w_in.data, dw.w_in.data)
+    flat = make_adapter(rng, C=8, r=4, scan_mode="volume_flatten")
+    assert [phi.w_in.name for phi in flat.scanners] == ["tp.phi_volume.w_in"]
