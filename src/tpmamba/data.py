@@ -136,7 +136,12 @@ def _resample_axis(vol: np.ndarray, axis: int, n_out: int) -> np.ndarray:
     hi = np.minimum(lo + 1, n_in - 1)
     frac = (src - lo).astype(vol.dtype).reshape(-1, *([1] * (vol.ndim - 1)))
     moved = np.moveaxis(vol, axis, 0)
-    return np.moveaxis(moved[lo] * (1 - frac) + moved[hi] * frac, 0, axis)
+    out = moved[lo]  # a fresh array, so the blend is formed in place
+    out *= 1 - frac
+    far = moved[hi]
+    far *= frac
+    out += far
+    return np.moveaxis(out, 0, axis)
 
 
 def resample(vol: np.ndarray, factors: tuple) -> np.ndarray:
@@ -160,19 +165,20 @@ def preprocess(rec: VolumeRecord) -> VolumeRecord:
     result is marked.  So a processed record passes through again unchanged:
     it is not re-windowed and a spacing of exactly 1.0 mm skips resampling.
     """
-    vox = rec.voxels.astype(np.float32)
+    vox = rec.voxels.astype(np.float32)  # the one volume-sized copy; windowed in place
     lo, hi = vox.min(), vox.max()  # NaN if any voxel is NaN
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise InputError("voxels must be finite")
     if not rec.windowed:
-        vox = np.clip(vox, HU_LO, HU_HI)
-        vox = (vox - HU_LO) / (HU_HI - HU_LO)
+        np.clip(vox, HU_LO, HU_HI, out=vox)
+        vox -= HU_LO
+        vox /= HU_HI - HU_LO
     labels = rec.labels
     if tuple(rec.spacing) != (1.0, 1.0, 1.0):
         vox = resample(vox, rec.spacing)
         if labels is not None:
             labels = resample(labels, rec.spacing)
-    return VolumeRecord(voxels=vox.astype(np.float32), spacing=(1.0, 1.0, 1.0), labels=labels, windowed=True)
+    return VolumeRecord(voxels=vox, spacing=(1.0, 1.0, 1.0), labels=labels, windowed=True)
 
 
 # ---------------------------------------------------------------------------

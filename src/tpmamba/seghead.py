@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -216,7 +217,7 @@ def gaussian_importance(window: tuple) -> np.ndarray:
         ax = np.exp(-0.5 * ((np.arange(n) - center) / sigma) ** 2)
         axes.append(ax)
     out = axes[0][:, None, None] * axes[1][None, :, None] * axes[2][None, None, :]
-    return (out / out.max()).astype(np.float64)
+    return out / out.max()
 
 
 def sliding_window_infer(
@@ -226,9 +227,14 @@ def sliding_window_infer(
 ) -> SegmentationOutput:
     """Cover (1,1,D,H,W) with overlapping windows, Gaussian-blend the logits.
 
-    `model` maps a (1,1,d,h,w) window to (1,K,d,h,w) logits.  Windows are
-    visited in a fixed order so accumulation is deterministic.  Volumes
-    smaller than the window are padded symmetrically with their minimum
+    `model` maps a (1,1,d,h,w) window to (1,K,d,h,w) logits; the returned
+    array is read, never written.  Windows are visited in a fixed order so
+    accumulation is deterministic.  While `model` runs, the function holds
+    only the (K, D, H, W) accumulator and the weight map: windows are views
+    of `volume`, each window's logits are added into the accumulator and
+    released before the next call, and the weight sums are formed after the
+    last window.  The volume is copied only when an axis is shorter than the
+    window: such an axis is padded symmetrically with the volume's minimum
     intensity and cropped back afterwards.  Labels are the u8 argmax over K.
     """
     if volume.ndim != 5 or volume.shape[0] != 1 or volume.shape[1] != 1:
@@ -240,41 +246,37 @@ def sliding_window_infer(
     for ext, win in zip((D, H, W), window):
         short = max(win - ext, 0)
         pads.append((short // 2, short - short // 2))
-    padded = np.pad(
-        volume,
-        ((0, 0), (0, 0)) + tuple(pads),
-        mode="constant",
-        constant_values=float(volume.min()),
-    )
+    padded = volume
+    if any(p != (0, 0) for p in pads):
+        padded = np.pad(
+            volume,
+            ((0, 0), (0, 0)) + tuple(pads),
+            mode="constant",
+            constant_values=float(volume.min()),
+        )
     pD, pH, pW = padded.shape[2:]
     stride = tuple(max(int(round(w * (1.0 - WINDOW_OVERLAP))), 1) for w in window)
     weight = gaussian_importance(window)
 
-    # Blend in the logits' float dtype; each window is weighted into one reused buffer.
+    starts = [_window_starts(n, w, s) for n, w, s in zip((pD, pH, pW), window, stride)]
+    regions = [tuple(slice(s, s + w) for s, w in zip(corner, window)) for corner in itertools.product(*starts)]
+
+    # Blend in the logits' float dtype.
     acc: Optional[np.ndarray] = None
-    for zs in _window_starts(pD, window[0], stride[0]):
-        for ys in _window_starts(pH, window[1], stride[1]):
-            for xs in _window_starts(pW, window[2], stride[2]):
-                patch = padded[:, :, zs : zs + window[0], ys : ys + window[1], xs : xs + window[2]]
-                logits = np.asarray(model(patch))
-                if acc is None:
-                    # checked on the first window, so it fails before the (K, D, H, W) accumulators exist
-                    if logits.shape[1] > MAX_CLASSES:
-                        raise ShapeError(
-                            f"labels are u8, so at most {MAX_CLASSES} classes; the model gave {logits.shape[1]}"
-                        )
-                    dtype = np.result_type(logits.dtype, np.float32)
-                    weight = weight.astype(dtype)
-                    acc = np.zeros((logits.shape[1], pD, pH, pW), dtype=dtype)
-                    norm = np.zeros((pD, pH, pW), dtype=dtype)
-                    weighted = np.empty(logits.shape[1:], dtype=dtype)
-                region = (
-                    slice(zs, zs + window[0]),
-                    slice(ys, ys + window[1]),
-                    slice(xs, xs + window[2]),
-                )
-                acc[(slice(None),) + region] += np.multiply(logits[0], weight, out=weighted)
-                norm[region] += weight
+    for region in regions:
+        logits = np.asarray(model(padded[(slice(None), slice(None)) + region]))
+        if acc is None:
+            # checked on the first window, so it fails before the (K, D, H, W) accumulator exists
+            if logits.shape[1] > MAX_CLASSES:
+                raise ShapeError(f"labels are u8, so at most {MAX_CLASSES} classes; the model gave {logits.shape[1]}")
+            dtype = np.result_type(logits.dtype, np.float32)
+            weight = weight.astype(dtype, copy=False)
+            acc = np.zeros((logits.shape[1], pD, pH, pW), dtype=dtype)
+        acc[(slice(None),) + region] += logits[0] * weight
+        del logits  # the next model call runs without this window's logits
+    norm = np.zeros((pD, pH, pW), dtype=dtype)
+    for region in regions:
+        norm[region] += weight
     blended = np.divide(acc, norm, out=acc)
     blended = blended[None, :, pads[0][0] : pads[0][0] + D, pads[1][0] : pads[1][0] + H, pads[2][0] : pads[2][0] + W]
     return SegmentationOutput(logits=blended, labels=argmax_labels(blended))

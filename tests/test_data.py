@@ -123,7 +123,9 @@ def test_preprocess_hu_anchors():
     vox[0, 0, 0] = 25.0
     vox[0, 0, 1] = 250.0
     vox[0, 1, 0] = 500.0
+    raw = vox.copy()
     rec = preprocess(VolumeRecord(voxels=vox, spacing=(1, 1, 1)))
+    np.testing.assert_array_equal(vox, raw)  # windowed in place on preprocess's own copy
     assert rec.voxels[1, 1, 1] == 0.0  # -300 clipped to -200
     assert rec.voxels[0, 0, 0] == 0.5  # (25+200)/450
     assert rec.voxels[0, 0, 1] == 1.0
@@ -218,8 +220,11 @@ def test_resample_picks_its_interpolation_by_dtype():
     np.testing.assert_array_equal(resample(ramp.astype(np.uint8)[:, None, None], (2, 1, 1)).ravel(),
                                   [0, 0, 1, 1, 2, 2, 3, 3])
     np.testing.assert_array_equal(resample((ramp == 2)[:, None, None], (0.5, 1, 1)).ravel(), [False, True])
-    np.testing.assert_array_equal(resample(ramp.astype(np.float32)[:, None, None], (2, 1, 1)).ravel(),
+    floats = ramp.astype(np.float32)[:, None, None]
+    np.testing.assert_array_equal(resample(floats, (2, 1, 1)).ravel(),
                                   np.float32([0, 0.25, 0.75, 1.25, 1.75, 2.25, 2.75, 3]))
+    np.testing.assert_array_equal(resample(floats, (0.5, 1, 1)).ravel(), np.float32([0.5, 2.5]))
+    np.testing.assert_array_equal(floats.ravel(), ramp)  # the blend is formed in place on gathered copies
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """What a recorded forward keeps alive: a byte budget for a toy model's tape
-and the arrays single backward closures hold."""
+and the arrays single backward closures hold; what sliding-window inference
+holds while its model runs."""
 
 import inspect
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from tpmamba import tensor as T
 from tpmamba.config import TrainConfig
 from tpmamba.ops import conv3d
-from tpmamba.seghead import dice_ce_loss
+from tpmamba.seghead import dice_ce_loss, sliding_window_infer
 from tpmamba.tensor import Parameter, Tensor, recording
 from tpmamba.train import build_model
 
@@ -72,6 +73,36 @@ def test_loss_forward_and_backward_peak_stays_within_its_byte_budget(rng):
             tracemalloc.stop()
     assert logits.grad.shape == raw.shape
     assert peaks[-1] <= LOSS_PEAK_BUDGET, peaks
+
+
+# Live bytes at each model call of sliding_window_infer on a (1, 1, 24, 20, 20)
+# f32 volume with 16^3 windows (2 x 2 x 2 = 8 calls) and K = 3 f32 logits: the
+# (3, 24, 20, 20) f32 accumulator is 115,200 bytes and the f32 weight map
+# 16,384 (the first call holds only the f64 map, 32,768), 131,584 together.
+# The budget adds one 49,152-byte window of logits, so the slack (the window
+# regions and Python objects: 4,062 bytes at the last call, measured) must stay
+# under one window.  The calls saw up to 310,732 bytes while the function also
+# held a padded copy of the volume and the weight sums (38,400 bytes each), a
+# reused product buffer and the previous window's logits (49,152 each).
+WINDOW_CALL_BUDGET = 115_200 + 16_384 + 49_152
+
+
+def test_sliding_window_holds_only_its_accumulator_during_model_calls():
+    vol = np.random.default_rng(0).standard_normal((1, 1, 24, 20, 20)).astype(np.float32)
+    seen = []
+
+    def model(patch):
+        seen.append(tracemalloc.get_traced_memory()[0] - base)
+        return np.full((1, 3) + patch.shape[2:], 0.5, dtype=np.float32)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = sliding_window_infer(vol, model, window=(16, 16, 16))
+    finally:
+        tracemalloc.stop()
+    assert len(seen) == 8 and np.all(result.logits == 0.5)
+    assert max(seen) < WINDOW_CALL_BUDGET, seen
 
 
 def _kept_arrays(fn):

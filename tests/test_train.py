@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tpmamba
 from tpmamba import checkpoint
 from tpmamba.checkpoint import save_checkpoint
 from tpmamba.config import to_flat_dict
@@ -208,3 +213,24 @@ def test_window_sized_volume_matches_direct_forward(tmp_path, tiny_dataset):
     s1, m1 = dice_score(direct.argmax(axis=1), labs[None], 3)
     s2, m2 = dice_score(swi.labels, labs[None], 3)
     np.testing.assert_array_equal(s1, s2)
+
+
+# One toy forward, its logits' bytes as hex.  At 2 threads OpenBLAS's worker
+# thread takes CPU time during this forward, so some GEMM does run threaded.
+_TOY_LOGITS = """
+import numpy as np
+from tpmamba.selfcheck import TOY
+from tpmamba.train import build_model
+x = np.random.default_rng(0).standard_normal((1, 1) + TOY.crop).astype(np.float32)
+print(build_model(TOY).predict_logits(x).tobytes().hex())
+"""
+
+
+def test_toy_logits_do_not_depend_on_the_blas_thread_count():
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(tpmamba.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _TOY_LOGITS], env=env, stdout=subprocess.PIPE, text=True, check=True)
+        outputs.append(proc.stdout)
+    assert len(outputs[0]) > 1000 and outputs[0] == outputs[1]
