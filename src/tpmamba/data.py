@@ -165,7 +165,7 @@ def preprocess(rec: VolumeRecord) -> VolumeRecord:
     result is marked.  So a processed record passes through again unchanged:
     it is not re-windowed and a spacing of exactly 1.0 mm skips resampling.
     """
-    vox = rec.voxels.astype(np.float32)  # the one volume-sized copy; windowed in place
+    vox = rec.voxels.astype(np.float32)  # a copy, so windowing in place leaves the caller's voxels
     lo, hi = vox.min(), vox.max()  # NaN if any voxel is NaN
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise InputError("voxels must be finite")

@@ -215,8 +215,9 @@ def test_window_sized_volume_matches_direct_forward(tmp_path, tiny_dataset):
     np.testing.assert_array_equal(s1, s2)
 
 
-# One toy forward, its logits' bytes as hex.  At 2 threads OpenBLAS's worker
-# thread takes CPU time during this forward, so some GEMM does run threaded.
+# One toy forward, its logits' bytes as hex.  At 2 threads on a 2-vCPU box,
+# OpenBLAS's worker thread took CPU time during this forward, so some GEMM
+# does run threaded.
 _TOY_LOGITS = """
 import numpy as np
 from tpmamba.selfcheck import TOY
@@ -231,6 +232,7 @@ def test_toy_logits_do_not_depend_on_the_blas_thread_count():
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=str(Path(tpmamba.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", _TOY_LOGITS], env=env, stdout=subprocess.PIPE, text=True, check=True)
+        proc = subprocess.run([sys.executable, "-c", _TOY_LOGITS], env=env, stdout=subprocess.PIPE, text=True,
+                              check=True)
         outputs.append(proc.stdout)
     assert len(outputs[0]) > 1000 and outputs[0] == outputs[1]
