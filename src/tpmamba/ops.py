@@ -170,7 +170,10 @@ def normalize(x: Tensor, kind: str, gamma: Tensor, beta: Tensor) -> Tensor:
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(NORM_EPS))
     xhat = xc * inv
     gam = gamma.data.reshape(affine_shape)
-    out = xhat * gam + beta.data.reshape(affine_shape)
+    # C order even when x is a strided token view, so the linear maps that
+    # read this output share it instead of each copying it
+    out = np.multiply(xhat, gam, order="C")
+    out += beta.data.reshape(affine_shape)
     n = int(np.prod([x.shape[a] for a in axes]))
     need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
     gamma_shape, beta_shape = gamma.shape, beta.shape

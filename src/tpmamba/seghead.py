@@ -96,14 +96,16 @@ def decoder_forward(taps: list[Tensor], dec: Decoder) -> Tensor:
     return upsample_hw(conv3d(x, dec.head_w, dec.head_b))
 
 
-def _label_index(labels: np.ndarray, K: int) -> np.ndarray:
-    """Flat index of each voxel's label-class entry in a C-order (B,K,...) array."""
-    B, S = labels.shape[0], labels[0].size
-    idx = labels.reshape(B, S).astype(np.intp)
-    idx *= S
-    idx += np.arange(S)
-    idx += np.arange(0, B * K * S, K * S)[:, None]
-    return idx.reshape(-1)
+def _class_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Softmax p over axis 1 of z, formed in its own buffer, with the max m
+    and the exp-sum `total` it divided by.  The loss's backward recomputes p
+    with this same code, so it gets the forward's bits."""
+    m = z.max(axis=1, keepdims=True)
+    p = np.subtract(z, m)
+    np.exp(p, out=p)
+    total = p.sum(axis=1, keepdims=True)
+    p /= total
+    return p, m, total
 
 
 def dice_ce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -119,49 +121,63 @@ def dice_ce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
         dloss/dlogit_j = p_j (1/M + a_j - s) - y_j (1/M + b_j p_j)
 
     with a_k = d_k / (K den_k), b_k = 2 / (K den_k) and, per voxel,
-    s = sum_k(a_k p_k) - b_label p_label.  The node keeps only p.
+    s = sum_k(a_k p_k) - b_label p_label.  The node keeps no volume-sized
+    array of its own: it reads `logits.data`, which the caller holds, and
+    the labels as u8; backward recomputes p and forms the gradient in p's
+    buffer.  Each class's voxels are picked with one `labels == k` mask at
+    a time.
     """
     B, K = logits.shape[0], logits.shape[1]
     if labels.shape != (B,) + tuple(logits.shape[2:]):
         raise ShapeError(f"labels shape {labels.shape} incompatible with logits {logits.shape}")
+    if labels.dtype.kind not in "biu":
+        raise InputError(f"labels must be integers, got {labels.dtype}")
+    if K > MAX_CLASSES:
+        raise ShapeError(f"labels are u8, so at most {MAX_CLASSES} classes; the logits have {K}")
     if labels.min() < 0 or labels.max() >= K:
         raise InputError(f"labels must lie in [0, {K - 1}], got max {labels.max()}")
+    labels = np.ascontiguousarray(labels, dtype=np.uint8)
+    flat_labels = labels.reshape(-1)
     z = logits.data
     dt = z.dtype.type
-    m = z.max(axis=1, keepdims=True)
-    p = np.subtract(z, m)
-    np.exp(p, out=p)
-    total = p.sum(axis=1, keepdims=True)
-    p /= total
-    idx = _label_index(labels, K)
+    p, m, total = _class_softmax(z)
     # log p_label as shifted logit minus log-sum-exp, so it cannot underflow
-    log_lik = z.reshape(-1).take(idx).reshape(m.shape)
+    log_lik = np.empty(m.shape, dtype=z.dtype)
+    for k in range(K):
+        np.copyto(log_lik[:, 0], z[:, k], where=labels == k)
     log_lik -= m
     log_lik -= np.log(total, out=total)
     ce = -log_lik.mean()
-    p_label = p.reshape(-1).take(idx)
-    del m, total, log_lik, idx  # freed before bincount copies its inputs to f64 and intp
-    flat_labels = labels.reshape(-1)
-    inter = np.bincount(flat_labels, weights=p_label, minlength=K).astype(dt)
+    del m, total, log_lik  # freed before p_label exists
+    p_label = np.empty(labels.shape, dtype=p.dtype)
+    for k in range(K):
+        np.copyto(p_label, p[:, k], where=labels == k)
+    p_sum = p.sum(axis=(0,) + tuple(range(2, z.ndim)))
+    del p  # all freed before bincount copies its inputs to f64 and intp
+    inter = np.bincount(flat_labels, weights=p_label.reshape(-1), minlength=K).astype(dt)
+    del p_label
     eps = dt(DICE_EPS)
-    den = p.sum(axis=(0,) + tuple(range(2, z.ndim))) + np.bincount(flat_labels, minlength=K).astype(dt) + eps
+    den = p_sum + np.bincount(flat_labels, minlength=K).astype(dt) + eps
     d = (dt(2.0) * inter + eps) / den
     loss = ce + (dt(1.0) - d.mean())
 
     def backward(g):
-        idx = _label_index(labels, K)
+        p = _class_softmax(z)[0]
         a, b, inv_m = d / (K * den), dt(2.0) / (K * den), dt(1.0 / labels.size)
-        bp = b.take(flat_labels)  # b_label p_label, then 1/M + b_label p_label
-        bp *= p.reshape(-1).take(idx)
+        bp = np.empty(labels.shape, dtype=p.dtype)  # b_label p_label, then 1/M + b_label p_label
+        for k in range(K):
+            np.multiply(p[:, k], b[k], out=bp, where=labels == k)
         s = np.einsum("bk...,k->b...", p, a)
-        s -= bp.reshape(s.shape)
+        s -= bp
         bp += inv_m
-        gz = np.subtract((a + inv_m).reshape((1, K) + (1,) * (p.ndim - 2)), s[:, None])
-        del s  # freed before the scatter below forms its gathered copy
-        gz *= p
-        gz.reshape(-1)[idx] -= bp
-        gz *= g
-        return (gz,)
+        # p_k ((a_k + 1/M) - s) - y_k (1/M + b_k p_k), in p's buffer
+        shifted = a + inv_m
+        t = np.empty_like(s)
+        for k in range(K):
+            p[:, k] *= np.subtract(shifted[k], s, out=t)
+            np.subtract(p[:, k], bp, out=p[:, k], where=labels == k)
+        p *= g
+        return (p,)
 
     # looked up on the module, so a wrapper installed on tensor._record
     # (the benchmark's tracer) sees this node like every other primitive

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from reference_ops import div, log
 
 from tpmamba import tensor as T
-from tpmamba.config import TrainConfig
+from tpmamba.config import MAX_CLASSES, TrainConfig
 from tpmamba.encoder import PATCH
 from tpmamba.errors import InputError, ShapeError
 from tpmamba.ops import conv3d, normalize, upsample_hw
@@ -115,6 +115,22 @@ def test_loss_rejects_out_of_range_labels():
         dice_ce_loss(logits, labels)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loss_rejects_non_integer_labels(dtype):
+    # the node keeps u8 labels, so a float label would be truncated, not read
+    logits = Tensor(np.zeros((1, 2, 2, 2, 2)))
+    labels = np.full((1, 2, 2, 2), 0.5, dtype=dtype)
+    with pytest.raises(InputError, match=np.dtype(dtype).name):
+        dice_ce_loss(logits, labels)
+
+
+def test_loss_rejects_more_classes_than_u8_labels_hold():
+    logits = Tensor(np.zeros((1, MAX_CLASSES + 1, 1, 1, 2)))
+    labels = np.array([[[[0, MAX_CLASSES]]]])
+    with pytest.raises(ShapeError, match="u8"):
+        dice_ce_loss(logits, labels)
+
+
 def _composed_dice_ce(logits, labels):
     """The loss built from generic tape primitives, the test-local `log` and
     `div` nodes and a float one-hot: the reference for the fused node."""
@@ -160,10 +176,11 @@ def test_fused_loss_is_one_node_keeping_one_class_volume(rng):
     with T.recording() as tape:
         loss = dice_ce_loss(logits, labels)
     assert len(tape) == 1 and loss.dtype == np.float32
-    # the closure holds the probabilities and no other class-sized array
+    # the closure reads the caller's logits, which it does not copy, and
+    # holds no other class-sized array: backward recomputes the softmax
     kept = [c.cell_contents for c in tape.nodes[0].backward.__closure__]
     sized = [v for v in kept if isinstance(v, np.ndarray) and v.size >= logits.size]
-    assert len(sized) == 1 and sized[0].shape == logits.shape
+    assert len(sized) == 1 and sized[0] is logits.data
 
 
 @settings(max_examples=15, deadline=None)
