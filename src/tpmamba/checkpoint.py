@@ -24,7 +24,7 @@ FORMAT_VERSION = 1
 _PREAMBLE_BYTES = 12  # magic, u32 format version, u32 header length
 _HEADER_KEYS = {"payload_crc32", "manifest", "config", "seed"}
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
-_DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+_DTYPE_NAMES = {dt.newbyteorder("="): name for name, dt in _DTYPES.items()}
 
 
 def save_checkpoint(path, named_arrays: dict, config: dict, seed: int) -> None:

@@ -193,18 +193,17 @@ class AugmentConfig:
     scale_jitter: bool
 
 
+def _symmetric_pads(shape: tuple, target: tuple) -> list[tuple[int, int]]:
+    """Per axis, the (before, after) widths that pad `shape` up to `target`, the odd voxel after."""
+    shorts = [max(t - n, 0) for n, t in zip(shape, target)]
+    return [(short // 2, short - short // 2) for short in shorts]
+
+
 def _crop_or_pad(arr: np.ndarray, target: tuple, starts: tuple, pad_value) -> np.ndarray:
-    out = arr
-    pads = []
-    for ax, t in enumerate(target):
-        short = max(t - out.shape[ax], 0)
-        pads.append((short // 2, short - short // 2))
+    pads = _symmetric_pads(arr.shape, target)
     if any(p != (0, 0) for p in pads):
-        out = np.pad(out, pads, mode="constant", constant_values=pad_value)
-    slices = []
-    for ax, t in enumerate(target):
-        slices.append(slice(starts[ax], starts[ax] + t))
-    return out[tuple(slices)]
+        arr = np.pad(arr, pads, mode="constant", constant_values=pad_value)
+    return arr[tuple(slice(s, s + t) for s, t in zip(starts, target))]
 
 
 def augment(rec: VolumeRecord, rng: np.random.Generator, cfg: AugmentConfig) -> VolumeRecord:

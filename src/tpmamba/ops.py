@@ -1,4 +1,4 @@
-"""Structured operations: convolutions, normalization, upsampling, grad check.
+"""Structured operations: convolutions, normalization and upsampling.
 
 All convolutions use the cross-correlation convention (no kernel flip),
 stride 1, and zero padding that keeps the input's extents: conv3d pads
@@ -14,19 +14,16 @@ tap's matrix transposed and its offset mirrored to offsets[-1] - offset_t.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
 from .data import _resample_axis
-from .errors import ConfigError, NumericError, ShapeError
-from .tensor import Parameter, Tensor, _record, recording
+from .errors import ConfigError, ShapeError
+from .tensor import Tensor, _record, _unbroadcast
 
 Array = np.ndarray
 
 CONV_TILE_VALUES = 2**17  # (Cin + Cout) * columns per conv3d column tile, ~L2-sized
 NORM_EPS = 1e-5
-GRAD_CHECK_STEP = 1e-4  # central-difference step of `grad_check`
 
 
 def _padded_columns(a: Array, widths: tuple) -> Array:
@@ -177,7 +174,6 @@ def normalize(x: Tensor, kind: str, gamma: Tensor, beta: Tensor) -> Tensor:
     n = int(np.prod([x.shape[a] for a in axes]))
     need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
     gamma_shape, beta_shape = gamma.shape, beta.shape
-    reduce_axes = tuple(i for i in range(x.ndim) if i not in (1,)) if kind == "instance_norm" else tuple(range(x.ndim - 1))
     xhat = xhat if need_x or need_gamma else None
 
     def backward(g):
@@ -189,9 +185,9 @@ def normalize(x: Tensor, kind: str, gamma: Tensor, beta: Tensor) -> Tensor:
             t2 = (gg * xhat).sum(axis=axes, keepdims=True)
             gx = (inv / n) * (n * gg - t1 - xhat * t2)
         if need_gamma:
-            ggamma = (g * xhat).sum(axis=reduce_axes).reshape(gamma_shape)
+            ggamma = _unbroadcast(g * xhat, affine_shape).reshape(gamma_shape)
         if need_beta:
-            gbeta = g.sum(axis=reduce_axes).reshape(beta_shape)
+            gbeta = _unbroadcast(g, affine_shape).reshape(beta_shape)
         return gx, ggamma, gbeta
 
     return _record((x, gamma, beta), out, backward)
@@ -216,48 +212,3 @@ def upsample_hw(x: Tensor) -> Tensor:
         return ((gt.reshape(-1, 2 * W) @ Mw).reshape(shape),)
 
     return _record((x,), out, backward)
-
-
-def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter], max_coords: int = 16) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    `f` must rebuild the scalar loss from the current parameter values on
-    every call.  Run at f64; f32 finite differences are too noisy to trust.
-    A parameter above `max_coords` entries is probed at a fixed random sample.
-    """
-    rng = np.random.default_rng(0)
-    trainables = [p for p in params if p.trainable]
-    for p in trainables:
-        p.grad = None
-    with recording() as tape:
-        loss = f()
-    if loss.size != 1:
-        raise ShapeError(f"grad_check needs a scalar loss, got shape {loss.shape}")
-    if not np.isfinite(loss.data).all():
-        raise NumericError("grad_check: loss is non-finite")
-    tape.backward(loss)
-
-    worst = 0.0
-    for p in trainables:
-        if p.grad is None:
-            raise NumericError(f"grad_check: no gradient reached parameter {p.name}")
-        if not np.isfinite(p.grad).all():
-            raise NumericError(f"grad_check: non-finite gradient in {p.name}")
-        flat = p.data.flat  # writes into p.data, in gflat's C order, contiguous or not
-        n = p.size
-        coords = np.arange(n) if n <= max_coords else rng.choice(n, size=max_coords, replace=False)
-        gflat = p.grad.reshape(-1)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + GRAD_CHECK_STEP
-            fp = float(f().data)
-            flat[c] = orig - GRAD_CHECK_STEP
-            fm = float(f().data)
-            flat[c] = orig
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                raise NumericError(f"grad_check: non-finite perturbed loss at {p.name}[{c}]")
-            numeric = (fp - fm) / (2 * GRAD_CHECK_STEP)
-            analytic = float(gflat[c])
-            err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-            worst = max(worst, err)
-    return worst

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import tensor
 from .config import MAX_CLASSES, N_TAPS, PATCH, TrainConfig
+from .data import _symmetric_pads
 from .errors import InputError, ShapeError
 from .ops import conv3d, normalize, upsample_hw
 from .tensor import Module, Parameter, Tensor, concat, gelu, permute, uniform_init
@@ -96,18 +97,6 @@ def decoder_forward(taps: list[Tensor], dec: Decoder) -> Tensor:
     return upsample_hw(conv3d(x, dec.head_w, dec.head_b))
 
 
-def _class_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Softmax p over axis 1 of z, formed in its own buffer, with the max m
-    and the exp-sum `total` it divided by.  The loss's backward recomputes p
-    with this same code, so it gets the forward's bits."""
-    m = z.max(axis=1, keepdims=True)
-    p = np.subtract(z, m)
-    np.exp(p, out=p)
-    total = p.sum(axis=1, keepdims=True)
-    p /= total
-    return p, m, total
-
-
 def dice_ce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Cross-entropy plus soft Dice, both over all voxels of the batch, as
     one tape node.
@@ -123,9 +112,9 @@ def dice_ce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     with a_k = d_k / (K den_k), b_k = 2 / (K den_k) and, per voxel,
     s = sum_k(a_k p_k) - b_label p_label.  The node keeps no volume-sized
     array of its own: it reads `logits.data`, which the caller holds, and
-    the labels as u8; backward recomputes p and forms the gradient in p's
-    buffer.  Each class's voxels are picked with one `labels == k` mask at
-    a time.
+    the labels as u8; both passes form p with `tensor.softmax`'s kernel,
+    `tensor._softmax`, and backward forms the gradient in p's buffer.  Each
+    class's voxels are picked with one `labels == k` mask at a time.
     """
     B, K = logits.shape[0], logits.shape[1]
     if labels.shape != (B,) + tuple(logits.shape[2:]):
@@ -140,7 +129,7 @@ def dice_ce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     flat_labels = labels.reshape(-1)
     z = logits.data
     dt = z.dtype.type
-    p, m, total = _class_softmax(z)
+    p, m, total = tensor._softmax(z, 1)
     # log p_label as shifted logit minus log-sum-exp, so it cannot underflow
     log_lik = np.empty(m.shape, dtype=z.dtype)
     for k in range(K):
@@ -162,7 +151,7 @@ def dice_ce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     loss = ce + (dt(1.0) - d.mean())
 
     def backward(g):
-        p = _class_softmax(z)[0]
+        p = tensor._softmax(z, 1)[0]
         a, b, inv_m = d / (K * den), dt(2.0) / (K * den), dt(1.0 / labels.size)
         bp = np.empty(labels.shape, dtype=p.dtype)  # b_label p_label, then 1/M + b_label p_label
         for k in range(K):
@@ -258,10 +247,7 @@ def sliding_window_infer(
     if volume.size == 0:
         raise InputError("empty volume")
     D, H, W = volume.shape[2:]
-    pads = []
-    for ext, win in zip((D, H, W), window):
-        short = max(win - ext, 0)
-        pads.append((short // 2, short - short // 2))
+    pads = _symmetric_pads((D, H, W), window)
     padded = volume
     if any(p != (0, 0) for p in pads):
         padded = np.pad(

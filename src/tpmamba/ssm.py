@@ -37,8 +37,8 @@ from .tensor import (
     linear,
     mul,
     narrow,
-    neg,
     reshape,
+    scale,
     silu,
     softplus,
     stack,
@@ -286,7 +286,7 @@ def mamba_block_forward(seq: Tensor, params: SSMParams) -> Tensor:
     B = narrow(dbc, 2, dtr, N)
     C = narrow(dbc, 2, dtr + N, N)
     delta = softplus(linear(dt, params.w_dt, params.b_dt))
-    A = neg(exp(params.a_log))
+    A = scale(exp(params.a_log), -1.0)
 
     y = selective_scan(xs, delta, A, B, C, params.d_skip)
     y = mul(y, silu(z))

@@ -268,10 +268,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record((a, b), out, backward)
 
 
-def neg(a: Tensor) -> Tensor:
-    return _record((a,), -a.data, lambda g: (-g,))
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     """Multiply by a python scalar constant (no dtype promotion)."""
     c = a.data.dtype.type(s)
@@ -281,11 +277,6 @@ def scale(a: Tensor, s: float) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
     return _record((a,), out, lambda g: (g * out,))
-
-
-def square(a: Tensor) -> Tensor:
-    x = a.data
-    return _record((a,), x * x, lambda g: (2.0 * g * x,))
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +474,19 @@ def gelu(a: Tensor) -> Tensor:
     return _record((a,), t, lambda g: (d * g,))
 
 
+def _softmax(x: Array, axis: int) -> tuple[Array, Array, Array]:
+    """Softmax p of x over `axis` in one buffer, with the max m and the exp-sum
+    `total` it divided by; the loss's backward recomputes p with it, bit for bit."""
+    m = x.max(axis=axis, keepdims=True)
+    p = np.subtract(x, m)
+    np.exp(p, out=p)
+    total = p.sum(axis=axis, keepdims=True)
+    p /= total
+    return p, m, total
+
+
 def softmax(a: Tensor, axis: int) -> Tensor:
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax(a.data, axis)[0]
 
     def backward(g):
         dot = (g * out).sum(axis=axis, keepdims=True)

@@ -138,14 +138,14 @@ def _composed_dice_ce(logits, labels):
     y = Tensor(np.moveaxis(np.eye(K)[labels], -1, 1), dtype=logits.data.dtype)
     p = T.softmax(logits, axis=1)
     log_lik = T.tsum(T.mul(log(p), y), axis=1)
-    ce = T.neg(T.scale(T.tsum(log_lik), 1.0 / log_lik.size))
+    ce = T.scale(T.scale(T.tsum(log_lik), 1.0 / log_lik.size), -1.0)
     red_axes = (0,) + tuple(range(2, logits.ndim))
     eps = Tensor(np.full(K, DICE_EPS, dtype=logits.data.dtype))
     numer = T.add(T.scale(T.tsum(T.mul(p, y), axis=red_axes), 2.0), eps)
     denom = T.add(T.add(T.tsum(p, axis=red_axes), T.tsum(y, axis=red_axes)), eps)
     dice = T.scale(T.tsum(div(numer, denom)), 1.0 / K)
     one = Tensor(np.ones((), dtype=logits.data.dtype))
-    return T.add(ce, T.add(one, T.neg(dice)))
+    return T.add(ce, T.add(one, T.scale(dice, -1.0)))
 
 
 @pytest.mark.parametrize("K", [2, 3])

@@ -196,7 +196,7 @@ def test_a_leaf_made_after_an_intermediate_died_gets_its_own_gradient(rng):
     a = Tensor(rng.standard_normal(3), requires_grad=True)
     with recording() as tape:
         t = T.scale(a, 3.0)
-        u = T.neg(t)
+        u = T.scale(t, -1.0)
         dead = id(t)
         del t
         fresh = []
@@ -204,7 +204,7 @@ def test_a_leaf_made_after_an_intermediate_died_gets_its_own_gradient(rng):
             fresh.append(Tensor(rng.standard_normal(3), requires_grad=True))
         loss = T.tsum(u)
         for w in fresh:
-            loss = T.add(loss, T.tsum(T.square(w)))
+            loss = T.add(loss, T.tsum(T.mul(w, w)))
     tape.backward(loss)
     assert dead in map(id, fresh), "no fresh leaf took the dropped intermediate's id"
     np.testing.assert_array_equal(a.grad, np.full(3, -3.0, dtype=np.float32))
