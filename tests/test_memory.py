@@ -245,8 +245,8 @@ def test_unrecorded_activation_forms_no_derivative(rng, op):
 
 
 def test_unrecorded_softmax_forms_its_output_in_one_buffer(rng):
-    # 1,667,168 bytes at the parent of the change that gave softmax the loss's
-    # kernel, where exp(x - m) and the quotient each took an input-sized array
+    # the input is 800,000 bytes; forming exp(x - m) and the quotient as two
+    # arrays would peak at 1,667,168
     x = Tensor(rng.standard_normal((100, 1000)))
     T.softmax(x, axis=-1)  # warm-up
     tracemalloc.start()
