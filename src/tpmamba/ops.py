@@ -24,6 +24,9 @@ Array = np.ndarray
 
 CONV_TILE_VALUES = 2**17  # (Cin + Cout) * columns per conv3d column tile, ~L2-sized
 NORM_EPS = 1e-5
+# OpenBLAS runs a GEMM of at most this many multiply-adds (M*N*K) on its
+# small-matrix kernel, whose sums round differently from its blocked kernel's
+BLAS_SMALL_GEMM = 10**6
 
 
 def _padded_columns(a: Array, widths: tuple) -> Array:
@@ -78,7 +81,9 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor, dilation: tuple = (1, 1, 1))
     offsets = [i * dd * Hp * Wp + j * dh * Wp + k * dw for i in range(kd) for j in range(kh) for k in range(kw)]
     wt = np.ascontiguousarray(np.moveaxis(weight.data.reshape(cout, cin, -1), 2, 0))  # (taps,Cout,Cin)
     cols = max(1, CONV_TILE_VALUES // (cin + cout))
-    out = np.ascontiguousarray(_tap_gemm(wt, xf, offsets, cols, grid, (D, H, W)))
+    acc = _tap_gemm(wt, xf, offsets, cols, grid, (D, H, W))
+    del xf  # the padded input goes before the output is copied out of the padded grid
+    out = np.ascontiguousarray(acc)
     out += bias.data.reshape(1, cout, 1, 1, 1)
     need_x, need_w, need_b, w_shape = x.requires_grad, weight.requires_grad, bias.requires_grad, weight.shape
     xd = x.data if need_w else None  # the input only for the weight's gradient
@@ -165,7 +170,7 @@ def normalize(x: Tensor, kind: str, gamma: Tensor, beta: Tensor) -> Tensor:
     xc = x.data - mu
     var = (xc * xc).mean(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(NORM_EPS))
-    xhat = xc * inv
+    xhat = np.multiply(xc, inv, out=xc)
     gam = gamma.data.reshape(affine_shape)
     # C order even when x is a strided token view, so the linear maps that
     # read this output share it instead of each copying it
@@ -178,37 +183,61 @@ def normalize(x: Tensor, kind: str, gamma: Tensor, beta: Tensor) -> Tensor:
 
     def backward(g):
         gx = ggamma = gbeta = None
-        if need_x:
-            gg = g * gam
-            # standard layer-norm vjp over the normalized axes
-            t1 = gg.sum(axis=axes, keepdims=True)
-            t2 = (gg * xhat).sum(axis=axes, keepdims=True)
-            gx = (inv / n) * (n * gg - t1 - xhat * t2)
         if need_gamma:
             ggamma = _unbroadcast(g * xhat, affine_shape).reshape(gamma_shape)
         if need_beta:
             gbeta = _unbroadcast(g, affine_shape).reshape(beta_shape)
+        if need_x:
+            # the standard layer-norm vjp over the normalized axes,
+            # (inv / n) * (n * gg - t1 - xhat * t2), formed in gg's buffer
+            gx = g * gam
+            t1 = gx.sum(axis=axes, keepdims=True)
+            t2 = (gx * xhat).sum(axis=axes, keepdims=True)
+            gx *= n
+            gx -= t1
+            gx -= xhat * t2
+            gx *= inv / n
         return gx, ggamma, gbeta
 
     return _record((x, gamma, beta), out, backward)
 
 
+def _depth_chunks(D: int, gemm_per_slice: int) -> list:
+    """(start, stop) ranges of whole depth slices covering range(D), each
+    large enough that its GEMMs run more than BLAS_SMALL_GEMM multiply-adds
+    when `gemm_per_slice` is one slice's count; the last takes the remainder.
+    Below that size the whole range is one chunk."""
+    per = BLAS_SMALL_GEMM // gemm_per_slice + 1
+    starts = list(range(0, D - per + 1, per)) or [0]
+    return list(zip(starts, starts[1:] + [D]))
+
+
 def upsample_hw(x: Tensor) -> Tensor:
     """Bilinear 2x upsampling of H and W; depth untouched.  Each axis's
     (2n, n) matrix is `data.resample`'s linear kernel applied to an identity,
-    so the decoder samples on the half-pixel grid preprocessing uses."""
+    so the decoder samples on the half-pixel grid preprocessing uses.  Both
+    passes run over chunks of depth slices, each as large as the whole call
+    needs to keep its bits (`_depth_chunks`), so the half-upsampled
+    intermediate is never formed whole."""
     if x.ndim != 5:
         raise ShapeError(f"upsample_hw expects (B,C,D,H,W), got {x.shape}")
     B, C, D, H, W = x.shape
     Mh = _resample_axis(np.eye(H, dtype=x.dtype), 0, 2 * H)
     Mw = _resample_axis(np.eye(W, dtype=x.dtype), 0, 2 * W)
-    # W pass as one flat GEMM, then H pass as a matmul broadcast over (B,C,D).
-    t = (x.data.reshape(-1, W) @ Mw.T).reshape(B, C, D, H, 2 * W)
-    out = np.matmul(Mh, t)
+    # per slice, the W pass is a (B*C*H, W) by (W, 2W) GEMM and, in backward, (B*C*H, 2W) by (2W, W)
+    chunks = _depth_chunks(D, B * C * H * W * 2 * W)
+    out = np.empty((B, C, D, 2 * H, 2 * W), dtype=x.dtype)
+    for z0, z1 in chunks:
+        # W pass as one flat GEMM, then H pass as a matmul broadcast over (B,C,D)
+        t = (x.data[:, :, z0:z1].reshape(-1, W) @ Mw.T).reshape(B, C, z1 - z0, H, 2 * W)
+        np.matmul(Mh, t, out=out[:, :, z0:z1])
     shape = x.shape
 
     def backward(g):
-        gt = np.matmul(Mh.T, g)
-        return ((gt.reshape(-1, 2 * W) @ Mw).reshape(shape),)
+        gx = np.empty(shape, dtype=g.dtype)
+        for z0, z1 in chunks:
+            gt = np.matmul(Mh.T, g[:, :, z0:z1])
+            gx[:, :, z0:z1] = (gt.reshape(-1, 2 * W) @ Mw).reshape(B, C, z1 - z0, H, W)
+        return (gx,)
 
     return _record((x,), out, backward)

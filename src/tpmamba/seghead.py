@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -19,6 +20,7 @@ DICE_EPS = 1e-5
 DECODER_STAGES = PATCH.bit_length() - 1  # 2x upsampling stages: 2**DECODER_STAGES recovers PATCH
 WINDOW_OVERLAP = 0.5  # fraction of a sliding window shared with its neighbour
 GAUSSIAN_SIGMA_SCALE = 0.125  # blending weight sigma per window extent
+LOSS_CHUNK = 2**13  # voxels per run of the loss's passes over its logits
 
 
 @dataclass
@@ -93,8 +95,22 @@ def decoder_forward(taps: list[Tensor], dec: Decoder) -> Tensor:
         x = normalize(x, "instance_norm", stage.norm_g, stage.norm_b)
         x = gelu(x)
     # the 1x1x1 head commutes with the upsample, whose weights sum to 1, so
-    # it runs on a quarter of the voxels and the upsample moves K channels
-    return upsample_hw(conv3d(x, dec.head_w, dec.head_b))
+    # it runs on a quarter of the voxels and the upsample moves K channels;
+    # the last stage's activation is dropped before the upsample runs
+    x = conv3d(x, dec.head_w, dec.head_b)
+    return upsample_hw(x)
+
+
+def _pairwise(n: int, leaf: Callable, lo: int = 0):
+    """numpy's pairwise sum of n values from index `lo`, from the sums that
+    `leaf(start, stop)` gives of runs of at most LOSS_CHUNK values, called
+    left to right.  numpy splits a run of more than 128 values at
+    n//2 - (n//2) % 8 and sums each part alike, so a run it reaches whole
+    sums to the same bits when numpy reduces that run alone."""
+    if n <= LOSS_CHUNK:
+        return leaf(lo, lo + n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(half, leaf, lo) + _pairwise(n - half, leaf, lo + half)
 
 
 def dice_ce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -112,9 +128,13 @@ def dice_ce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     with a_k = d_k / (K den_k), b_k = 2 / (K den_k) and, per voxel,
     s = sum_k(a_k p_k) - b_label p_label.  The node keeps no volume-sized
     array of its own: it reads `logits.data`, which the caller holds, and
-    the labels as u8; both passes form p with `tensor.softmax`'s kernel,
-    `tensor._softmax`, and backward forms the gradient in p's buffer.  Each
-    class's voxels are picked with one `labels == k` mask at a time.
+    the labels as u8.  Both passes run over each sample's voxels in runs of
+    at most LOSS_CHUNK, forming p there with `tensor.softmax`'s kernel,
+    `tensor._softmax`; each class's voxels are picked with one `labels == k`
+    mask at a time.  The forward's sums keep the whole-volume bits: the
+    log-likelihood is averaged over one buffer, p's class sums follow
+    numpy's pairwise order (`_pairwise`), and the label sums continue one
+    `bincount` from run to run.
     """
     B, K = logits.shape[0], logits.shape[1]
     if labels.shape != (B,) + tuple(logits.shape[2:]):
@@ -126,47 +146,62 @@ def dice_ce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.min() < 0 or labels.max() >= K:
         raise InputError(f"labels must lie in [0, {K - 1}], got max {labels.max()}")
     labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    flat_labels = labels.reshape(-1)
     z = logits.data
     dt = z.dtype.type
-    p, m, total = tensor._softmax(z, 1)
-    # log p_label as shifted logit minus log-sum-exp, so it cannot underflow
-    log_lik = np.empty(m.shape, dtype=z.dtype)
-    for k in range(K):
-        np.copyto(log_lik[:, 0], z[:, k], where=labels == k)
-    log_lik -= m
-    log_lik -= np.log(total, out=total)
+    n = labels.size // B
+    zr, lr = z.reshape(B, K, n), labels.reshape(B, n)  # (sample, class, voxel)
+    log_lik = np.empty((B, n), dtype=z.dtype)
+    classes = np.arange(K)
+    inter = np.zeros(K)  # sum of p_label per label, in bincount's f64
+    counts = np.zeros(K, dtype=np.intp)
+
+    def run(b, lo, hi):
+        nonlocal inter, counts
+        p, m, total = tensor._softmax(zr[b, :, lo:hi], 0)
+        lab, ll = lr[b, lo:hi], log_lik[b, lo:hi]
+        p_label = np.empty(hi - lo, dtype=p.dtype)
+        for k in range(K):
+            mask = lab == k
+            np.copyto(ll, zr[b, k, lo:hi], where=mask)
+            np.copyto(p_label, p[k], where=mask)
+        # log p_label as shifted logit minus log-sum-exp, so it cannot underflow
+        ll -= m[0]
+        ll -= np.log(total[0], out=total[0])
+        # bincount adds in voxel order from 0, so given the sums so far first it continues them
+        inter = np.bincount(np.concatenate((classes, lab)), weights=np.concatenate((inter, p_label)), minlength=K)
+        counts += np.bincount(lab, minlength=K)
+        return np.add.reduce(p, axis=1)
+
+    # numpy adds each sample's pairwise class sums in sample order
+    p_sum = sum(_pairwise(n, functools.partial(run, b)) for b in range(B))
     ce = -log_lik.mean()
-    del m, total, log_lik  # freed before p_label exists
-    p_label = np.empty(labels.shape, dtype=p.dtype)
-    for k in range(K):
-        np.copyto(p_label, p[:, k], where=labels == k)
-    p_sum = p.sum(axis=(0,) + tuple(range(2, z.ndim)))
-    del p  # all freed before bincount copies its inputs to f64 and intp
-    inter = np.bincount(flat_labels, weights=p_label.reshape(-1), minlength=K).astype(dt)
-    del p_label
+    del log_lik
     eps = dt(DICE_EPS)
-    den = p_sum + np.bincount(flat_labels, minlength=K).astype(dt) + eps
-    d = (dt(2.0) * inter + eps) / den
+    den = p_sum + counts.astype(dt) + eps
+    d = (dt(2.0) * inter.astype(dt) + eps) / den
     loss = ce + (dt(1.0) - d.mean())
 
     def backward(g):
-        p = tensor._softmax(z, 1)[0]
         a, b, inv_m = d / (K * den), dt(2.0) / (K * den), dt(1.0 / labels.size)
-        bp = np.empty(labels.shape, dtype=p.dtype)  # b_label p_label, then 1/M + b_label p_label
-        for k in range(K):
-            np.multiply(p[:, k], b[k], out=bp, where=labels == k)
-        s = np.einsum("bk...,k->b...", p, a)
-        s -= bp
-        bp += inv_m
-        # p_k ((a_k + 1/M) - s) - y_k (1/M + b_k p_k), in p's buffer
         shifted = a + inv_m
-        t = np.empty_like(s)
-        for k in range(K):
-            p[:, k] *= np.subtract(shifted[k], s, out=t)
-            np.subtract(p[:, k], bp, out=p[:, k], where=labels == k)
-        p *= g
-        return (p,)
+        grad = np.empty(z.shape, dtype=z.dtype)
+        zr, lr, gr = z.reshape(B, K, n), labels.reshape(B, n), grad.reshape(B, K, n)
+        for i, lo in itertools.product(range(B), range(0, n, LOSS_CHUNK)):
+            p = tensor._softmax(zr[i, :, lo : lo + LOSS_CHUNK], 0)[0]
+            lab = lr[i, lo : lo + LOSS_CHUNK]
+            bp = np.empty(lab.shape, dtype=p.dtype)  # b_label p_label, then 1/M + b_label p_label
+            for k in range(K):
+                np.multiply(p[k], b[k], out=bp, where=lab == k)
+            s = np.einsum("k...,k->...", p, a)
+            s -= bp
+            bp += inv_m
+            # p_k ((a_k + 1/M) - s) - y_k (1/M + b_k p_k), in p's buffer
+            t = np.empty_like(s)
+            for k in range(K):
+                p[k] *= np.subtract(shifted[k], s, out=t)
+                np.subtract(p[k], bp, out=p[k], where=lab == k)
+            np.multiply(p, g, out=gr[i, :, lo : lo + LOSS_CHUNK])
+        return (grad,)
 
     # looked up on the module, so a wrapper installed on tensor._record
     # (the benchmark's tracer) sees this node like every other primitive
@@ -236,11 +271,12 @@ def sliding_window_infer(
     array is read, never written.  Windows are visited in a fixed order so
     accumulation is deterministic.  While `model` runs, the function holds
     only the (K, D, H, W) accumulator and the weight map: windows are views
-    of `volume`, each window's logits are added into the accumulator and
-    released before the next call, and the weight sums are formed after the
-    last window.  The volume is copied only when an axis is shorter than the
-    window: such an axis is padded symmetrically with the volume's minimum
-    intensity and cropped back afterwards.  Labels are the u8 argmax over K.
+    of `volume`, each window's logits are added into the accumulator one
+    depth slice at a time and released before the next call, and after the
+    last window each depth slice's weight sums are formed and divided out.
+    The volume is copied only when an axis is shorter than the window: such
+    an axis is padded symmetrically with the volume's minimum intensity and
+    cropped back afterwards.  Labels are the u8 argmax over K.
     """
     if volume.ndim != 5 or volume.shape[0] != 1 or volume.shape[1] != 1:
         raise InputError(f"expected volume of shape (1,1,D,H,W), got {volume.shape}")
@@ -274,11 +310,16 @@ def sliding_window_infer(
             dtype = np.result_type(logits.dtype, np.float32)
             weight = weight.astype(dtype, copy=False)
             acc = np.zeros((logits.shape[1], pD, pH, pW), dtype=dtype)
-        acc[(slice(None),) + region] += logits[0] * weight
+        d0, hw = region[0].start, region[1:]
+        for z in range(window[0]):
+            acc[(slice(None), d0 + z) + hw] += logits[0, :, z] * weight[z]
         del logits  # the next model call runs without this window's logits
-    norm = np.zeros((pD, pH, pW), dtype=dtype)
-    for region in regions:
-        norm[region] += weight
-    blended = np.divide(acc, norm, out=acc)
-    blended = blended[None, :, pads[0][0] : pads[0][0] + D, pads[1][0] : pads[1][0] + H, pads[2][0] : pads[2][0] + W]
+    # each depth slice's weight sums, added over the regions in window order
+    for z in range(pD):
+        norm = np.zeros((pH, pW), dtype=dtype)
+        for dz, hs, ws in regions:
+            if dz.start <= z < dz.stop:
+                norm[hs, ws] += weight[z - dz.start]
+        np.divide(acc[:, z], norm, out=acc[:, z])
+    blended = acc[None, :, pads[0][0] : pads[0][0] + D, pads[1][0] : pads[1][0] + H, pads[2][0] : pads[2][0] + W]
     return SegmentationOutput(logits=blended, labels=argmax_labels(blended))

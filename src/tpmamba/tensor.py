@@ -189,6 +189,34 @@ class Tape:
         for key, t in leaves.items():
             t.grad = grads[key].copy()
 
+    def kept_bytes(self) -> int:
+        """Bytes of the arrays the backward closures of the nodes not yet
+        replayed hold, counting each base buffer once: what this tape keeps
+        alive for its backward.  It reads the closures of each closure's
+        functions too, and a Tensor's data unless it is a Parameter's."""
+        bases, seen = {}, set()
+        for node in self.nodes:
+            fns = [node.backward]
+            while fns:
+                fn = fns.pop()
+                if id(fn) in seen:
+                    continue
+                seen.add(id(fn))
+                for cell in getattr(fn, "__closure__", None) or ():
+                    try:
+                        v = cell.cell_contents
+                    except ValueError:  # a cell not yet filled
+                        continue
+                    if isinstance(v, Tensor) and not isinstance(v, Parameter):
+                        v = v.data
+                    if isinstance(v, np.ndarray):
+                        while isinstance(v.base, np.ndarray):
+                            v = v.base
+                        bases[id(v)] = v.nbytes
+                    elif callable(v):
+                        fns.append(v)
+        return sum(bases.values())
+
 
 _ACTIVE_TAPE: Optional[Tape] = None
 
@@ -446,32 +474,41 @@ def softplus(a: Tensor) -> Tensor:
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
+GELU_BLOCK = 2**13  # values per block of gelu's passes, so its temporaries stay small
 
 
 def gelu(a: Tensor) -> Tensor:
-    """GELU in its tanh approximation."""
-    x = a.data
-    # t = tanh(c * (x + 0.044715*x^3)) in place; on float32, `x**3` is numpy's slow `pow` loop
-    t = x * x * x
-    t *= 0.044715
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    half_x = 0.5 * x
-    d = None
-    if _needs_grad((a,)):
-        # the derivative 0.5*(1+t) + 0.5*x*(1-t*t) * c*(1+3*0.044715*x*x),
-        # built in place; backward keeps it instead of x and t
-        d = x * x
-        d *= 3 * 0.044715
-        d += 1.0
-        d *= _GELU_C
-        d *= half_x * (1.0 - t * t)
-    t += 1.0
+    """GELU in its tanh approximation, formed block by block in its output's
+    buffer (and the derivative's), so no input-sized temporary exists."""
+    x = a.data.reshape(-1)
+    out = np.empty_like(x)
+    d = np.empty_like(out) if _needs_grad((a,)) else None
+    for i in range(0, x.size, GELU_BLOCK):
+        xb = x[i : i + GELU_BLOCK]
+        # t = tanh(c * (x + 0.044715*x^3)) in place; on float32, `x**3` is numpy's slow `pow` loop
+        t = np.multiply(xb, xb, out=out[i : i + GELU_BLOCK])
+        t *= xb
+        t *= 0.044715
+        t += xb
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        half_x = 0.5 * xb
+        if d is not None:
+            # the derivative 0.5*(1+t) + 0.5*x*(1-t*t) * c*(1+3*0.044715*x*x);
+            # backward keeps it instead of x and t
+            db = np.multiply(xb, xb, out=d[i : i + GELU_BLOCK])
+            db *= 3 * 0.044715
+            db += 1.0
+            db *= _GELU_C
+            db *= half_x * (1.0 - t * t)
+        t += 1.0
+        if d is not None:
+            db += 0.5 * t
+        t *= half_x  # the output, 0.5*x * (1+t)
+    shape = a.shape
     if d is not None:
-        d += 0.5 * t
-    t *= half_x  # the output, 0.5*x * (1+t)
-    return _record((a,), t, lambda g: (d * g,))
+        d = d.reshape(shape)
+    return _record((a,), out.reshape(shape), lambda g: (d * g,))
 
 
 def _softmax(x: Array, axis: int) -> tuple[Array, Array, Array]:

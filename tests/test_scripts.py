@@ -80,3 +80,26 @@ def test_ab_bench_compare_counts_wins_and_identical_pairs():
     assert summary["parent"]["median"] == 2.5 and summary["change"]["median"] == 2.75
     assert summary["median_gain"] == -0.25
     assert not summary["regression"]
+
+
+def fingerprint(workload, seed):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "fingerprint.py"), "--workload", workload, "--seed", str(seed)],
+        stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_fingerprint_repeats_and_names_every_trainable_parameter():
+    spec = importlib.util.spec_from_file_location("fingerprint", SCRIPTS / "fingerprint.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    from tpmamba.train import build_model
+
+    cfg = module.workloads.workloads()["train_overfit"].cfg
+    trainable, _ = build_model(cfg).partition()
+    first, second = fingerprint("train_overfit", 7), fingerprint("train_overfit", 7)
+    assert first == second
+    assert list(first["digests"]) == ["loss"] + [p.name for p in trainable]
+    assert first["tape_kept_bytes"] > 0
+    assert all(len(d) == 64 for d in first["digests"].values())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_ops import div, log
+from reference_ops import div, log, whole_volume_dice_ce, whole_volume_upsample_hw
 
 from tpmamba import tensor as T
 from tpmamba.config import MAX_CLASSES, TrainConfig
@@ -202,6 +202,47 @@ def test_loss_bounds(seed):
 
 # ---------------------------------------------------------------------------
 # dice metric
+
+
+# train_deep's and train_overfit's head, a batch of two, and the decoder's
+# stage upsamples, whose short per-slice GEMMs would take OpenBLAS's
+# small-matrix kernel
+UPSAMPLE_SHAPES = [(1, 3, 96, 48, 48), (1, 2, 32, 48, 48), (2, 3, 32, 48, 48),
+                   (1, 6, 96, 24, 24), (1, 6, 32, 24, 24), (2, 6, 32, 24, 24), (1, 12, 96, 12, 12)]
+
+
+@pytest.mark.parametrize("shape", UPSAMPLE_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_chunked_upsample_keeps_the_whole_volume_bits(rng, shape):
+    x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+    g = rng.standard_normal(shape[:3] + (2 * shape[3], 2 * shape[4])).astype(np.float32)
+    with T.recording() as tape:
+        out = upsample_hw(x)
+    (gx,) = tape.nodes[0].backward(g)
+    whole_out, whole_gx = whole_volume_upsample_hw(x.data, g)
+    assert np.array_equal(out.data, whole_out)
+    assert np.array_equal(gx, whole_gx)
+
+
+@pytest.mark.parametrize(
+    "shape, dtype",
+    [((1, 3, 96, 96, 96), np.float32), ((1, 2, 32, 96, 96), np.float32), ((2, 3, 32, 96, 96), np.float32),
+     ((2, 3, 17, 45, 47), np.float64)],
+    ids=["train_deep", "train_overfit", "batch2", "odd_f64"],
+)
+def test_chunked_loss_keeps_the_whole_volume_bits(rng, shape, dtype):
+    """The loss over runs of LOSS_CHUNK voxels against every array formed
+    whole: same loss and same gradient, bit for bit.  Odd extents make numpy
+    split runs off multiples of 8, and f64 sums show a label sum added in
+    another order."""
+    z = (3 * rng.standard_normal(shape)).astype(dtype)
+    labels = rng.integers(0, shape[1], (shape[0],) + shape[2:]).astype(np.uint8)
+    logits = Tensor(z, requires_grad=True)
+    with T.recording() as tape:
+        loss = dice_ce_loss(logits, labels)
+    (grad,) = tape.nodes[0].backward(np.ones((), dtype=dtype))
+    whole_loss, whole_grad = whole_volume_dice_ce(z, labels, DICE_EPS)
+    assert loss.data.tobytes() == whole_loss.tobytes()
+    assert np.array_equal(grad, whole_grad)
 
 
 def test_dice_perfect_prediction(rng):

@@ -7,7 +7,8 @@ from model_helpers import param_count_adapter
 from tpmamba.config import DEPTH_KERNEL
 from tpmamba.errors import ConfigError, ShapeError
 from tpmamba.selfcheck import TOY
-from tpmamba.tensor import Tensor, recording, tsum
+from tpmamba.ssm import SSMParams, mamba_block_forward
+from tpmamba.tensor import Tensor, permute, recording, tsum
 from tpmamba.triplane import (
     TPMambaAdapter,
     multiscale_depth_conv,
@@ -56,16 +57,44 @@ def test_flatten_unknown_mode(rng):
         plane_flatten(Tensor(np.zeros((1, 1, 1, 1, 1))), "diagonal")
 
 
-def test_flatten_index_enumeration():
-    # dw mode: batch scans (b,h), sequence scans D outer then w inner
-    B, r, D, h, w = 1, 1, 2, 2, 3
-    G = np.arange(B * r * D * h * w, dtype=np.float32).reshape(B, r, D, h, w)
-    seq = plane_flatten(Tensor(G), "dw").data
-    for bh in range(B * h):
-        b, hh = divmod(bh, h)
-        for t in range(D * w):
-            d, ww = divmod(t, w)
-            assert seq[bh, t, 0] == G[b, 0, d, hh, ww]
+# each mode's (sequence s, position t) -> (b, d, h, w) for extents (B, D, h, w),
+# written out from the paper's scan orders rather than read from _PLANE_LAYOUTS
+SCAN_ORDERS = {
+    # one sequence per (b, d); rows of the slice, then columns
+    "hw": lambda s, t, B, D, h, w: (s // D, s % D, t // w, t % w),
+    # one sequence per (b, h); depth, then columns
+    "dw": lambda s, t, B, D, h, w: (s // h, t // w, s % h, t % w),
+    # one sequence per (b, w); depth, then rows
+    "dh": lambda s, t, B, D, h, w: (s // w, t // h, t % h, s % w),
+    # one sequence per b; depth, then rows, then columns
+    "volume": lambda s, t, B, D, h, w: (s, t // (h * w), t // w % h, t % w),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SCAN_ORDERS))
+def test_flatten_index_enumeration(mode):
+    B, r, D, h, w = 2, 2, 3, 4, 5  # distinct extents, so a swapped pair of axes shows
+    G = np.arange(B * r * D * h * w, dtype=np.float64).reshape(B, r, D, h, w)
+    seq = plane_flatten(Tensor(G), mode).data
+    expected = np.empty_like(seq)
+    for s_, t in np.ndindex(seq.shape[:2]):
+        b, d, hh, ww = SCAN_ORDERS[mode](s_, t, B, D, h, w)
+        expected[s_, t] = G[b, :, d, hh, ww]
+    np.testing.assert_array_equal(seq, expected)
+
+
+def test_dw_scan_of_swapped_rows_and_columns_is_the_dh_scan(rng):
+    """With H and W swapped, each dw line of G is a dh line of the original,
+    in the same order, so one scanner gives the same bits on both."""
+    phi = SSMParams.init(TOY, rng, "phi")
+    phi.w_out.data = 0.1 * rng.standard_normal(phi.w_out.shape)
+    G = Tensor(rng.standard_normal((2, TOY.adapter_r, 3, 4, 5)))  # h != w
+    Gs = permute(G, (0, 1, 2, 4, 3))
+
+    def scan(x, mode):
+        return plane_unflatten(mamba_block_forward(plane_flatten(x, mode), phi), mode, tuple(x.shape)).data
+
+    np.testing.assert_array_equal(scan(Gs, "dw").transpose(0, 1, 2, 4, 3), scan(G, "dh"))
 
 
 def test_unflatten_shape_mismatch(rng):
