@@ -345,8 +345,9 @@ def test_upsample_passes_peak_below_output_plus_one_input(rng):
 
 
 def test_normalize_passes_peak_below_output_plus_one_input(rng):
-    """Instance norm at the decoder's last stage shape: xhat is formed in the
-    centred input's buffer and the input gradient in g * gamma's; the passes
+    """Instance norm at the decoder's last stage shape: the centred input is
+    freed before the output exists and the input gradient is formed in
+    g * gamma's buffer; the passes
     peaked at 5,311,912 and 5,310,736 bytes, three input-sized arrays, while
     each formed its terms as new arrays."""
     x = Tensor(rng.standard_normal((1, 6, 32, 48, 48)).astype(np.float32), requires_grad=True)
