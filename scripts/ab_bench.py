@@ -13,6 +13,10 @@ won, the number of pairs whose two values are exactly equal (for
 `loss_final`, the seeds on which the change keeps the parent's bits), and
 whether the change's median is worse than the parent's by more than the
 metric's bound in BENCHMARK.json.  Traced pairs give per-layer medians.
+Once per workload, at the first seed, `scripts/fingerprint.py` runs in both
+checkouts; the report says whether their digests are equal, names up to
+FINGERPRINT_NAMES arrays that differ, and carries each side's other numbers
+(the tape's kept bytes and the step's tracemalloc peak).
 """
 
 import argparse
@@ -25,6 +29,25 @@ import sys
 from pathlib import Path
 
 import numpy
+
+
+FINGERPRINT_NAMES = 10  # differing arrays named per workload
+
+
+def fingerprint(checkout: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "scripts/fingerprint.py", "--workload", workload, "--seed", str(seed)]
+    return json.loads(subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True).stdout)
+
+
+def compare_fingerprints(parent: dict, change: dict) -> dict:
+    """Whether two fingerprints' digests are equal, the names of the arrays
+    whose digests differ or that only one side has (the first
+    FINGERPRINT_NAMES), and each side's numbers other than the digests."""
+    p, c = parent["digests"], change["digests"]
+    differ = [name for name in {**p, **c} if p.get(name) != c.get(name)]
+    numbers = {side: {k: v for k, v in fp.items() if k not in ("workload", "seed", "digests")}
+               for side, fp in (("parent", parent), ("change", change))}
+    return {"seed": parent["seed"], "equal": not differ, "differ": differ[:FINGERPRINT_NAMES], **numbers}
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -129,10 +152,13 @@ def main() -> int:
         "commits": commits,
         "protocol": {"pairs": args.pairs, "traced_pairs": args.traced_pairs, "seeds": [args.seed, args.seed + args.pairs - 1],
                      "run_seconds": spec["run_seconds"], "order": "alternating, parent first on even pairs"},
+        "fingerprint": {},
         "end_to_end": {},
         "per_layer": {},
     }
     for name in names:
+        report["fingerprint"][name] = compare_fingerprints(
+            *(fingerprint(sides[side], name, args.seed) for side in ("parent", "change")))
         runs = pairs(sides, name, args.pairs, args.seed, trace=0)
         report["end_to_end"][name] = {
             m["name"]: compare(m, [r[m["name"]] for r in runs["parent"]], [r[m["name"]] for r in runs["change"]])

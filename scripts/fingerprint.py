@@ -12,7 +12,12 @@ by parameter in `Module.parameters()` order; for `infer_volume` they are the
 blended logits and the u8 labels of one volume.  Prints one JSON object:
 ``{"workload", "seed", "digests": {name: sha256}}``, and for a training
 workload the bytes the step's tape keeps after its forward and loss
-(`Tape.kept_bytes`) as ``"tape_kept_bytes"``.
+(`Tape.kept_bytes`) as ``"tape_kept_bytes"`` and the step's tracemalloc
+peak above its start as ``"step_peak_bytes"``.  The peak is read on step 1 of
+a second fresh client after its warm-up step, so the optimizer's moments
+exist before it starts, as in the benchmark's timed steps: an
+allocator-free number to cite next to `peak_rss_mb`, which moves with heap
+layout.
 """
 
 import os
@@ -25,6 +30,7 @@ import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +68,17 @@ def train_step(client) -> tuple[dict, int]:
     return {"loss": out["loss"], **{p.name: grads[p.name] for p in client.trainable}}, kept[0]
 
 
+def step_peak(client) -> int:
+    """Tracemalloc peak of step 1 above its start, after the warm-up step."""
+    client.warmup()
+    tracemalloc.start()
+    try:
+        client.run(1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def fingerprint(workload: str, seed: int) -> dict:
     wl = workloads.workloads()[workload]
     result = {"workload": workload, "seed": seed}
@@ -70,6 +87,8 @@ def fingerprint(workload: str, seed: int) -> dict:
         client = workloads.make_client(wl, inputs, seed)
         if wl.kind == "train":
             arrays, result["tape_kept_bytes"] = train_step(client)
+            client = None  # freed before the second client is built
+            result["step_peak_bytes"] = step_peak(workloads.make_client(wl, inputs, seed))
         else:
             out = client.run(1)
             arrays = {"logits": out["logits"], "labels": out["labels"]}

@@ -12,6 +12,7 @@ the frozen one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .tensor import (
     linear,
     matmul,
     permute,
+    recompute,
     reshape,
     scale,
     softmax,
@@ -167,15 +169,25 @@ def mhsa_lora(tokens: Tensor, blk: ViTBlock) -> Tensor:
     return blk.out(merged)
 
 
+def _attention(x: Tensor, blk: ViTBlock) -> Tensor:
+    return mhsa_lora(normalize(x, "layer_norm", blk.ln1_g, blk.ln1_b), blk)
+
+
+def _mlp_hidden(x: Tensor, blk: ViTBlock) -> Tensor:
+    return gelu(blk.mlp1(normalize(x, "layer_norm", blk.ln2_g, blk.ln2_b)))
+
+
 def vit_block_forward(F: Tensor, blk: ViTBlock) -> Tensor:
     """Pre-norm block on (B, D, C, h, w): attention and MLP residuals per
-    slice, then the volume adapter."""
+    slice, then the volume adapter.  Under a tape, the attention branch and
+    the MLP up to its frozen output projection, whose node keeps no
+    activation, are each one `recompute` node that keeps only its input."""
     B, D, C, h, w = F.shape
     x = permute(reshape(F, (B * D, C, h * w)), (0, 2, 1))  # tokens (BD, hw, C)
-    x = add(x, mhsa_lora(normalize(x, "layer_norm", blk.ln1_g, blk.ln1_b), blk))
-    y = normalize(x, "layer_norm", blk.ln2_g, blk.ln2_b)
-    y = blk.mlp2(gelu(blk.mlp1(y)))
-    x = add(x, y)
+    attention = [blk.ln1_g, blk.ln1_b, *(p for m in (blk.q, blk.k, blk.v, blk.out) for p in m.parameters())]
+    x = add(x, recompute(partial(_attention, blk=blk), [x], attention))
+    mlp = [blk.ln2_g, blk.ln2_b, *blk.mlp1.parameters()]
+    x = add(x, blk.mlp2(recompute(partial(_mlp_hidden, blk=blk), [x], mlp)))
     out = reshape(permute(x, (0, 2, 1)), (B, D, C, h, w))
     return tp_mamba_forward(out, blk.adapter)
 

@@ -14,7 +14,7 @@ from .config import MAX_CLASSES, N_TAPS, PATCH, TrainConfig
 from .data import _symmetric_pads
 from .errors import InputError, ShapeError
 from .ops import conv3d, normalize, upsample_hw
-from .tensor import Module, Parameter, Tensor, concat, gelu, permute, uniform_init
+from .tensor import Module, Parameter, Tensor, concat, gelu, permute, recompute, uniform_init
 
 DICE_EPS = 1e-5
 DECODER_STAGES = PATCH.bit_length() - 1  # 2x upsampling stages: 2**DECODER_STAGES recovers PATCH
@@ -79,8 +79,14 @@ class Decoder(Module):
         )
 
 
+def _norm_gelu(x: Tensor, stage: DecoderStage) -> Tensor:
+    return gelu(normalize(x, "instance_norm", stage.norm_g, stage.norm_b))
+
+
 def decoder_forward(taps: list[Tensor], dec: Decoder) -> Tensor:
-    """Fuse N_TAPS encoder taps (B, D, C, h, w) into full-resolution logits."""
+    """Fuse N_TAPS encoder taps (B, D, C, h, w) into full-resolution logits.
+    Under a tape, each stage's norm and GELU are one `recompute` node that
+    keeps only the convolution's output."""
     if len(taps) != N_TAPS:
         raise ShapeError(f"decoder expects {N_TAPS} taps, got {len(taps)}")
     shapes = {tuple(t.shape) for t in taps}
@@ -92,8 +98,7 @@ def decoder_forward(taps: list[Tensor], dec: Decoder) -> Tensor:
         if i:
             x = upsample_hw(x)
         x = conv3d(x, stage.conv_w, stage.conv_b)
-        x = normalize(x, "instance_norm", stage.norm_g, stage.norm_b)
-        x = gelu(x)
+        x = recompute(functools.partial(_norm_gelu, stage=stage), [x], [stage.norm_g, stage.norm_b])
     # the 1x1x1 head commutes with the upsample, whose weights sum to 1, so
     # it runs on a quarter of the voxels and the upsample moves K channels;
     # the last stage's activation is dropped before the upsample runs

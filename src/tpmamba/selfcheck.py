@@ -188,6 +188,14 @@ def _normalize(rng, kind, shape):
     return _loss(rng, lambda: normalize(x, kind, g, b), "weighted"), [x, g, b]
 
 
+def _recompute(rng):
+    """A span with a trainable weight inside, whose input is also read outside it."""
+    x = Parameter("x", rng.standard_normal((3, 4)), dtype=np.float64)
+    w = Parameter("w", rng.standard_normal((4, 4)), dtype=np.float64)
+    span = partial(T.recompute, lambda t: T.gelu(T.linear(t, w)), [x], [w])
+    return _loss(rng, lambda: T.mul(span(), x), "weighted"), [x, w]
+
+
 def _selective_scan(rng):
     params = [Parameter(n, t.data) for n, t in zip("udABCD", _scan_case(rng, 1, 5, 2, 3, np.float64))]
     return _loss(rng, lambda: selective_scan(*params), "square"), params
@@ -267,6 +275,7 @@ GRAD_CASES = [
     _op_case("concat", lambda *ts: T.concat(ts, axis=1), [(2, 1, 4), (2, 3, 4), (2, 2, 4)], 16, 1e-7),
     _op_case("narrow", lambda a: T.narrow(a, 1, 1, 2), [(2, 3, 4)], 16, 1e-7),
     _op_case("stack", lambda a, b: T.stack([a, b], axis=0), [(3, 4), (3, 4)], 16, 1e-7, loss="square"),
+    GradCase("recompute", _recompute, 12, 1e-7),
     _op_case("conv3d_k333_d211", partial(conv3d, dilation=(2, 1, 1)), [(2, 2, 5, 4, 3), (3, 2, 3, 3, 3), 3], 24, 1e-7),
     _op_case("conv3d_k111", conv3d, [(2, 4, 3, 2, 5), (3, 4, 1, 1, 1), 3], 24, 1e-7),
     _op_case("conv3d_k111_b1", conv3d, [(1, 4, 3, 2, 5), (3, 4, 1, 1, 1), 3], 24, 1e-7),

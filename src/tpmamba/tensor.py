@@ -11,6 +11,8 @@ their derivative, which the forward forms only under a tape).  The node names
 the tensors this tape produced by a key, so the tape pins no intermediate's
 data, and a replay releases each node as it goes.  With no tape active the same
 numpy code runs, so recorded and unrecorded forward passes are bit-identical.
+`recompute` records a span of primitives as one node that keeps only the
+span's inputs and reruns the span in backward, with the same bits.
 """
 
 from __future__ import annotations
@@ -149,25 +151,29 @@ class Tape:
         self.nodes: list[_Node] = []
         self.first_key = next(_KEYS)  # every key below it was produced on this tape
         self.replayed = False
+        self.rerun_nodes = 0  # recorded by the `recompute` reruns of this tape's replay
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        """The nodes recorded on this tape, and once it has replayed, those
+        its `recompute` nodes recorded when they reran."""
+        return len(self.nodes) + self.rerun_nodes
 
     def _ref(self, t: Tensor):
         if t.key is not None and t.key < self.first_key:
             return t.key
         return t if t.requires_grad else None
 
-    def backward(self, loss: Tensor) -> None:
-        """Write d(loss)/d(leaf) to .grad of every trainable leaf it reaches,
-        after refusing any whose .grad an earlier backward left set.  A tape
-        replays once, dropping each node's closure and input references as
-        its turn comes, so its arrays can be freed."""
+    def _replay(self, key: int, g: Array) -> tuple[dict[int, Array], dict[int, Tensor]]:
+        """Replay from the gradient `g` of the tensor produced under `key`:
+        the gradients summed per key, and the leaves they reached by id.  A
+        tape replays once, dropping each node's closure and input references
+        as its turn comes, so its arrays can be freed."""
         if self.replayed:
             raise RuntimeError("this tape was already replayed; record a new one")
         self.replayed = True
-        grads: dict[int, Array] = {loss.key: np.ones_like(loss.data)}
+        grads: dict[int, Array] = {key: g}
         leaves: dict[int, Tensor] = {}
+        recorded = _RECORDED
         for node in reversed(self.nodes):
             refs, backward = node.inputs, node.backward
             node.inputs = node.backward = None
@@ -184,6 +190,13 @@ class Tape:
                     grads[key] = ig
                     if key is not ref:
                         leaves[key] = ref
+        self.rerun_nodes = _RECORDED - recorded
+        return grads, leaves
+
+    def backward(self, loss: Tensor) -> None:
+        """Write d(loss)/d(leaf) to .grad of every trainable leaf it reaches,
+        after refusing any whose .grad an earlier backward left set."""
+        grads, leaves = self._replay(loss.key, np.ones_like(loss.data))
         if stale := [repr(t) for t in leaves.values() if t.grad is not None]:
             raise RuntimeError(f"clear .grad before a new backward; still set on {', '.join(stale)}")
         for key, t in leaves.items():
@@ -193,7 +206,8 @@ class Tape:
         """Bytes of the arrays the backward closures of the nodes not yet
         replayed hold, counting each base buffer once: what this tape keeps
         alive for its backward.  It reads the closures of each closure's
-        functions too, and a Tensor's data unless it is a Parameter's."""
+        functions too, the items of a tuple, and a Tensor's data unless it
+        is a Parameter's."""
         bases, seen = {}, set()
         for node in self.nodes:
             fns = [node.backward]
@@ -207,31 +221,40 @@ class Tape:
                         v = cell.cell_contents
                     except ValueError:  # a cell not yet filled
                         continue
-                    if isinstance(v, Tensor) and not isinstance(v, Parameter):
-                        v = v.data
-                    if isinstance(v, np.ndarray):
-                        while isinstance(v.base, np.ndarray):
-                            v = v.base
-                        bases[id(v)] = v.nbytes
-                    elif callable(v):
-                        fns.append(v)
+                    for a in v if isinstance(v, tuple) else (v,):  # `recompute` keeps a tuple
+                        if isinstance(a, Tensor) and not isinstance(a, Parameter):
+                            a = a.data
+                        if isinstance(a, np.ndarray):
+                            while isinstance(a.base, np.ndarray):
+                                a = a.base
+                            bases[id(a)] = a.nbytes
+                        elif callable(a):
+                            fns.append(a)
         return sum(bases.values())
 
 
 _ACTIVE_TAPE: Optional[Tape] = None
+_RECORDED = 0  # nodes recorded so far, on any tape
+
+
+@contextlib.contextmanager
+def _active(tape: Optional[Tape]):
+    """Make `tape` (None: no tape) the active one, restoring the one before on exit."""
+    global _ACTIVE_TAPE
+    before, _ACTIVE_TAPE = _ACTIVE_TAPE, tape
+    try:
+        yield tape
+    finally:
+        _ACTIVE_TAPE = before
 
 
 @contextlib.contextmanager
 def recording():
     """Activate a new tape; yields it.  Nested recording is not supported."""
-    global _ACTIVE_TAPE
     if _ACTIVE_TAPE is not None:
         raise RuntimeError("a tape is already recording")
-    _ACTIVE_TAPE = tape = Tape()
-    try:
+    with _active(Tape()) as tape:
         yield tape
-    finally:
-        _ACTIVE_TAPE = None
 
 
 def _needs_grad(inputs: Sequence[Tensor]) -> bool:
@@ -241,6 +264,7 @@ def _needs_grad(inputs: Sequence[Tensor]) -> bool:
 
 def _record(inputs: Sequence[Tensor], out_data: Array, backward: Callable) -> Tensor:
     """Wrap a primitive result, recording a tape node when gradients flow."""
+    global _RECORDED
     needs = _needs_grad(inputs)
     out = Tensor.__new__(Tensor)
     out.data = out_data
@@ -250,7 +274,38 @@ def _record(inputs: Sequence[Tensor], out_data: Array, backward: Callable) -> Te
     if needs:
         tape = _ACTIVE_TAPE
         tape.nodes.append(_Node(tuple(tape._ref(t) for t in inputs), out.key, backward))
+        _RECORDED += 1
     return out
+
+
+def recompute(fn: Callable[..., Tensor], inputs: Sequence[Tensor], params: Sequence[Tensor]) -> Tensor:
+    """`fn(*inputs)` as one node that keeps only the arrays of `inputs`:
+    segment checkpointing (Chen et al., arXiv 1604.06174).  The forward runs
+    `fn` with no tape.  The node's backward reruns it on those arrays under a
+    fresh tape, replays that tape from the node's output gradient and returns
+    the gradients of `inputs` and `params`, which must list every trainable
+    parameter `fn` reads: the rerun reaching any other trainable leaf raises
+    `RuntimeError`.  `fn` must be deterministic and leave its inputs as they
+    are, so the rerun forms the forward's bits.  With no tape active this is
+    a plain call."""
+    inputs, params = tuple(inputs), tuple(params)
+    if _ACTIVE_TAPE is None:
+        return fn(*inputs)
+    with _active(None):
+        out = fn(*inputs).data
+    arrays, needs = tuple(t.data for t in inputs), tuple(t.requires_grad for t in inputs)
+
+    def backward(g):
+        leaves = tuple(Tensor(a, requires_grad=need) for a, need in zip(arrays, needs))
+        with _active(Tape()) as tape:
+            key = fn(*leaves).key
+        grads, reached = tape._replay(key, g)
+        given = {id(t) for t in leaves + params}
+        if stray := [repr(t) for k, t in reached.items() if k not in given]:
+            raise RuntimeError(f"recompute: the rerun reached trainable {', '.join(stray)}, not given in params")
+        return tuple(grads.get(id(t)) for t in leaves + params)
+
+    return _record(inputs + params, out, backward)
 
 
 def _unbroadcast(g: Array, shape: tuple) -> Array:

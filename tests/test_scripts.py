@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -82,6 +83,32 @@ def test_ab_bench_compare_counts_wins_and_identical_pairs():
     assert not summary["regression"]
 
 
+def test_ab_bench_fingerprint_comparison_names_a_one_ulp_gradient_change(rng):
+    module = load_ab_bench()
+    sha256 = load_fingerprint().sha256
+    arrays = {"loss": np.float32(0.5), "a.weight": rng.standard_normal(4).astype(np.float32),
+              "b.weight": rng.standard_normal(3).astype(np.float32)}
+    changed = dict(arrays, **{"a.weight": arrays["a.weight"].copy()})
+    changed["a.weight"][2] = np.nextafter(changed["a.weight"][2], np.float32(np.inf))
+
+    def fp(arrays, kept):
+        return {"workload": "train_overfit", "seed": 7, "tape_kept_bytes": kept,
+                "digests": {k: sha256(v) for k, v in arrays.items()}}
+
+    same = module.compare_fingerprints(fp(arrays, 10), fp(dict(arrays), 8))
+    assert same["equal"] and same["differ"] == [] and same["seed"] == 7
+    assert same["parent"] == {"tape_kept_bytes": 10} and same["change"] == {"tape_kept_bytes": 8}
+    differ = module.compare_fingerprints(fp(arrays, 10), fp(changed, 10))
+    assert not differ["equal"] and differ["differ"] == ["a.weight"]
+
+
+def load_fingerprint():
+    spec = importlib.util.spec_from_file_location("fingerprint", SCRIPTS / "fingerprint.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def fingerprint(workload, seed):
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "fingerprint.py"), "--workload", workload, "--seed", str(seed)],
@@ -91,15 +118,16 @@ def fingerprint(workload, seed):
 
 
 def test_fingerprint_repeats_and_names_every_trainable_parameter():
-    spec = importlib.util.spec_from_file_location("fingerprint", SCRIPTS / "fingerprint.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_fingerprint()
     from tpmamba.train import build_model
 
     cfg = module.workloads.workloads()["train_overfit"].cfg
     trainable, _ = build_model(cfg).partition()
     first, second = fingerprint("train_overfit", 7), fingerprint("train_overfit", 7)
+    # the peak includes interpreter objects, whose bytes vary by a few hundred between runs
+    peaks = first.pop("step_peak_bytes"), second.pop("step_peak_bytes")
     assert first == second
+    assert min(peaks) > 0 and max(peaks) - min(peaks) < 4096, peaks
     assert list(first["digests"]) == ["loss"] + [p.name for p in trainable]
     assert first["tape_kept_bytes"] > 0
     assert all(len(d) == 64 for d in first["digests"].values())

@@ -7,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_ops import log
 
+from tpmamba import encoder, seghead
 from tpmamba import tensor as T
+from tpmamba.config import N_TAPS
+from tpmamba.encoder import ViTBlock, vit_block_forward
 from tpmamba.errors import ShapeError
 from tpmamba.ops import conv3d, normalize
-from tpmamba.selfcheck import GradCase, run_grad_case
+from tpmamba.seghead import Decoder, decoder_forward
+from tpmamba.selfcheck import TOY, GradCase, run_grad_case
 from tpmamba.tensor import Parameter, Tensor, matmul, permute, recording, reshape
 
 
@@ -210,6 +214,73 @@ def test_a_leaf_made_after_an_intermediate_died_gets_its_own_gradient(rng):
     np.testing.assert_array_equal(a.grad, np.full(3, -3.0, dtype=np.float32))
     for w in fresh:
         np.testing.assert_array_equal(w.grad, 2.0 * w.data)
+
+
+def test_recompute_without_a_tape_is_a_plain_call(rng):
+    x = Tensor(rng.standard_normal(3), requires_grad=True)
+    y = T.exp(x)
+    assert T.recompute(lambda t: y, [x], []) is y
+
+
+def test_recompute_refuses_a_trainable_parameter_it_was_not_given(rng):
+    x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    w = Parameter("span.w", rng.standard_normal((3, 3)))
+    with recording() as tape:
+        loss = T.tsum(T.recompute(lambda t: T.linear(t, w), [x], []))
+    with pytest.raises(RuntimeError, match=r"Parameter\('span\.w'.*not given in params"):
+        tape.backward(loss)
+
+
+def test_a_replayed_tape_counts_the_nodes_its_reruns_recorded(rng):
+    x = Tensor(rng.standard_normal(3), requires_grad=True)
+    with recording() as tape:
+        loss = T.tsum(T.recompute(lambda t: T.exp(T.scale(t, 2.0)), [x], []))
+    assert len(tape) == 2
+    tape.backward(loss)
+    assert len(tape) == 4
+    np.testing.assert_array_equal(x.grad, np.exp(2.0 * x.data) * np.float32(2.0))
+
+
+def _vit_block_case(rng):
+    blk = ViTBlock.init(TOY, rng, "block").astype(np.float32)
+    ad = blk.adapter
+    for p in (blk.q.b_lora, blk.v.b_lora, ad.raise_w, *(phi.w_out for phi in ad.scanners)):
+        p.data = (0.2 * rng.standard_normal(p.shape)).astype(np.float32)
+    F = Tensor(rng.standard_normal((1, 3, TOY.C, 2, 2)).astype(np.float32), requires_grad=True)
+    return blk, [F], lambda: vit_block_forward(F, blk)
+
+
+def _decoder_case(rng):
+    dec = Decoder.init(TOY, rng).astype(np.float32)
+    taps = [Tensor(rng.standard_normal((1, 3, TOY.C, 2, 2)).astype(np.float32), requires_grad=True)
+            for _ in range(N_TAPS)]
+    return dec, taps, lambda: decoder_forward(taps, dec)
+
+
+@pytest.mark.parametrize("build", [_vit_block_case, _decoder_case], ids=["vit_block", "decoder"])
+def test_recompute_gives_the_flat_tape_gradients_bit_for_bit(build, monkeypatch):
+    # The block's MLP branch reads the input its residual add reads, so the
+    # rerun's gradient must be added after the add's, as on the flat tape.
+    rng = np.random.default_rng(3)
+    module, inputs, forward = build(rng)
+    weight = Tensor(rng.standard_normal(forward().shape).astype(np.float32))
+    leaves = module.partition()[0] + inputs
+
+    def grads():
+        for t in leaves:
+            t.grad = None
+        with recording() as tape:
+            loss = T.tsum(T.mul(forward(), weight))
+        recorded = len(tape)
+        tape.backward(loss)
+        return recorded, [t.grad.tobytes() for t in leaves]
+
+    nodes, spanned = grads()
+    for module_ in (encoder, seghead):
+        monkeypatch.setattr(module_, "recompute", lambda fn, inputs, params: fn(*inputs))
+    flat_nodes, flat = grads()
+    assert nodes < flat_nodes
+    assert spanned == flat
 
 
 @settings(max_examples=25, deadline=None)

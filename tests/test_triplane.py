@@ -97,6 +97,41 @@ def test_dw_scan_of_swapped_rows_and_columns_is_the_dh_scan(rng):
     np.testing.assert_array_equal(scan(Gs, "dw").transpose(0, 1, 2, 4, 3), scan(G, "dh"))
 
 
+# whether output voxel v = (b, d, h, w) changes when voxel u changes: each mode's
+# footprint is u's own scan line from u on, written out from the paper's scan orders
+FOOTPRINTS = {
+    # the slice (b, d), rows then columns
+    "hw": lambda v, u: v[:2] == u[:2] and (v[2], v[3]) >= (u[2], u[3]),
+    # the line (b, h), depth then columns
+    "dw": lambda v, u: (v[0], v[2]) == (u[0], u[2]) and (v[1], v[3]) >= (u[1], u[3]),
+    # the line (b, w), depth then rows
+    "dh": lambda v, u: (v[0], v[3]) == (u[0], u[3]) and (v[1], v[2]) >= (u[1], u[2]),
+    # the volume b, depth then rows then columns
+    "volume": lambda v, u: v[0] == u[0] and v[1:] >= u[1:],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(FOOTPRINTS))
+def test_a_perturbed_voxel_changes_exactly_its_scan_line_from_it_on(rng, mode):
+    """One scanner is causal along each sequence and mixes no sequences, so
+    a change at one voxel reaches exactly the voxels at or after it in its
+    own scan line: a test of both the order and the line membership."""
+    phi = SSMParams.init(TOY, rng, "phi")
+    phi.w_out.data = 0.1 * rng.standard_normal(phi.w_out.shape)
+    B, D, h, w = 2, 3, 4, 5
+    G = rng.standard_normal((B, TOY.adapter_r, D, h, w))
+    u = (1, 1, 2, 2)  # inside every extent, so each mode's footprint differs from the others
+    Gu = G.copy()
+    Gu[u[0], :, u[1], u[2], u[3]] += 1.0
+
+    def scan(x):
+        return plane_unflatten(mamba_block_forward(plane_flatten(Tensor(x), mode), phi), mode, x.shape).data
+
+    changed = np.any(scan(Gu) != scan(G), axis=1)
+    expected = np.array([FOOTPRINTS[mode](v, u) for v in np.ndindex(B, D, h, w)]).reshape(B, D, h, w)
+    np.testing.assert_array_equal(changed, expected)
+
+
 def test_unflatten_shape_mismatch(rng):
     seq = Tensor(rng.standard_normal((3, 4, 2)))
     with pytest.raises(ShapeError):
