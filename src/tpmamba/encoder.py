@@ -152,7 +152,9 @@ def patch_embed_slices(X: Tensor, enc: Encoder) -> Tensor:
 
 
 def mhsa_lora(tokens: Tensor, blk: ViTBlock) -> Tensor:
-    """Multi-head self-attention over (BD, T, C) tokens; LoRA on Q and V."""
+    """Multi-head self-attention over (BD, T, C) tokens, LoRA on Q and V, up
+    to the merged heads: the caller applies the frozen output projection
+    `blk.out`."""
     BD, Tn, C = tokens.shape
     nh = blk.cfg.n_heads
     hd = C // nh
@@ -165,8 +167,7 @@ def mhsa_lora(tokens: Tensor, blk: ViTBlock) -> Tensor:
     v = heads(blk.v(tokens))
     att = softmax(scale(matmul(q, permute(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd)), axis=3)
     ctx = matmul(att, v)  # (BD, nh, T, hd)
-    merged = reshape(permute(ctx, (0, 2, 1, 3)), (BD, Tn, C))
-    return blk.out(merged)
+    return reshape(permute(ctx, (0, 2, 1, 3)), (BD, Tn, C))
 
 
 def _attention(x: Tensor, blk: ViTBlock) -> Tensor:
@@ -179,13 +180,13 @@ def _mlp_hidden(x: Tensor, blk: ViTBlock) -> Tensor:
 
 def vit_block_forward(F: Tensor, blk: ViTBlock) -> Tensor:
     """Pre-norm block on (B, D, C, h, w): attention and MLP residuals per
-    slice, then the volume adapter.  Under a tape, the attention branch and
-    the MLP up to its frozen output projection, whose node keeps no
+    slice, then the volume adapter.  Under a tape, the attention and MLP
+    branches up to their frozen output projections, whose nodes keep no
     activation, are each one `recompute` node that keeps only its input."""
     B, D, C, h, w = F.shape
     x = permute(reshape(F, (B * D, C, h * w)), (0, 2, 1))  # tokens (BD, hw, C)
-    attention = [blk.ln1_g, blk.ln1_b, *(p for m in (blk.q, blk.k, blk.v, blk.out) for p in m.parameters())]
-    x = add(x, recompute(partial(_attention, blk=blk), [x], attention))
+    attention = [blk.ln1_g, blk.ln1_b, *(p for m in (blk.q, blk.k, blk.v) for p in m.parameters())]
+    x = add(x, blk.out(recompute(partial(_attention, blk=blk), [x], attention)))
     mlp = [blk.ln2_g, blk.ln2_b, *blk.mlp1.parameters()]
     x = add(x, blk.mlp2(recompute(partial(_mlp_hidden, blk=blk), [x], mlp)))
     out = reshape(permute(x, (0, 2, 1)), (B, D, C, h, w))
