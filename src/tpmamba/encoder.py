@@ -152,9 +152,7 @@ def patch_embed_slices(X: Tensor, enc: Encoder) -> Tensor:
 
 
 def mhsa_lora(tokens: Tensor, blk: ViTBlock) -> Tensor:
-    """Multi-head self-attention over (BD, T, C) tokens, LoRA on Q and V, up
-    to the merged heads: the caller applies the frozen output projection
-    `blk.out`."""
+    """Multi-head self-attention over (BD, T, C) tokens; LoRA on Q and V."""
     BD, Tn, C = tokens.shape
     nh = blk.cfg.n_heads
     hd = C // nh
@@ -167,28 +165,34 @@ def mhsa_lora(tokens: Tensor, blk: ViTBlock) -> Tensor:
     v = heads(blk.v(tokens))
     att = softmax(scale(matmul(q, permute(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd)), axis=3)
     ctx = matmul(att, v)  # (BD, nh, T, hd)
-    return reshape(permute(ctx, (0, 2, 1, 3)), (BD, Tn, C))
+    merged = reshape(permute(ctx, (0, 2, 1, 3)), (BD, Tn, C))
+    return blk.out(merged)
 
 
 def _attention(x: Tensor, blk: ViTBlock) -> Tensor:
     return mhsa_lora(normalize(x, "layer_norm", blk.ln1_g, blk.ln1_b), blk)
 
 
-def _mlp_hidden(x: Tensor, blk: ViTBlock) -> Tensor:
-    return gelu(blk.mlp1(normalize(x, "layer_norm", blk.ln2_g, blk.ln2_b)))
+def _mlp(x: Tensor, blk: ViTBlock) -> Tensor:
+    y = normalize(x, "layer_norm", blk.ln2_g, blk.ln2_b)  # freed once mlp2 returns
+    return blk.mlp2(gelu(blk.mlp1(y)))
 
 
 def vit_block_forward(F: Tensor, blk: ViTBlock) -> Tensor:
     """Pre-norm block on (B, D, C, h, w): attention and MLP residuals per
     slice, then the volume adapter.  Under a tape, the attention and MLP
-    branches up to their frozen output projections, whose nodes keep no
-    activation, are each one `recompute` node that keeps only its input."""
+    branches are each one `recompute` node that keeps only its input.  With
+    no tape, every array lives exactly as long as in the block written flat
+    (the MLP's output until the block returns), so inference allocates and
+    frees in the same order: its peak RSS moves between heap layouts more
+    than 10 MiB apart with that order."""
     B, D, C, h, w = F.shape
     x = permute(reshape(F, (B * D, C, h * w)), (0, 2, 1))  # tokens (BD, hw, C)
-    attention = [blk.ln1_g, blk.ln1_b, *(p for m in (blk.q, blk.k, blk.v) for p in m.parameters())]
-    x = add(x, blk.out(recompute(partial(_attention, blk=blk), [x], attention)))
-    mlp = [blk.ln2_g, blk.ln2_b, *blk.mlp1.parameters()]
-    x = add(x, blk.mlp2(recompute(partial(_mlp_hidden, blk=blk), [x], mlp)))
+    attention = [blk.ln1_g, blk.ln1_b, *(p for m in (blk.q, blk.k, blk.v, blk.out) for p in m.parameters())]
+    x = add(x, recompute(partial(_attention, blk=blk), [x], attention))
+    mlp = [blk.ln2_g, blk.ln2_b, *blk.mlp1.parameters(), *blk.mlp2.parameters()]
+    y = recompute(partial(_mlp, blk=blk), [x], mlp)
+    x = add(x, y)
     out = reshape(permute(x, (0, 2, 1)), (B, D, C, h, w))
     return tp_mamba_forward(out, blk.adapter)
 

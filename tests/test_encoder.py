@@ -62,7 +62,7 @@ def test_mhsa_single_token_is_value_path(rng):
     blk = enc.blocks[0]
     x = Tensor(rng.standard_normal((3, 1, 8)).astype(np.float32))
     out = mhsa_lora(x, blk)
-    expected = blk.v(x)
+    expected = blk.out(blk.v(x))
     np.testing.assert_allclose(out.data, expected.data, rtol=1e-5, atol=1e-6)
 
 
